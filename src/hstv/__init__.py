@@ -41,19 +41,18 @@ from .htv import EdgeSupport, HtvReport, htv_cpwl, htv_support, p_independence_c
 from .mesh import (
     CpwlFunction,
     Triangulation,
-    build_adjacency,
     evaluate_on_grid,
     load_mesh,
     min_angle,
     render_svg,
     save_mesh,
-    triangle_gradient,
     uniform_diagonal_mesh,
 )
 from .schatten import (
     Mat2,
     dual_norm_estimate,
     schatten_norm,
+    schatten_norms,
     singular_values,
     sym_eigen_frame,
 )

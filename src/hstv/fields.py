@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.signal import convolve2d
 
 from .errors import FieldError
-from .schatten import INF, Mat2, check_p
+from .schatten import Mat2, check_p, schatten_norms
 
 
 @dataclass
@@ -171,18 +171,7 @@ def htv_quadrature(fld: SmoothField, p, resolution: int = 512) -> float:
     t = (np.arange(resolution) + 0.5) / resolution
     xx, yy = np.meshgrid(t, t, indexing="ij")
     a, b, c = fld.hess_components(xx, yy)
-    e = 0.5 * (a + c)
-    r = np.hypot(0.5 * (a - c), b)
-    s1 = np.abs(e) + r
-    s2 = np.abs(np.abs(e) - r)
-    if p == 1.0:
-        vals = s1 + s2
-    elif p == INF:
-        vals = s1
-    elif p == 2.0:
-        vals = np.hypot(s1, s2)
-    else:
-        vals = (s1**p + s2**p) ** (1.0 / p)
+    vals = schatten_norms(a, b, b, c, p)
     return float(np.sum(vals)) / (resolution * resolution)
 
 
@@ -203,13 +192,6 @@ class GridSample:
             raise FieldError("samples must be a 2D array")
         if not self.spacing > 0:
             raise FieldError("spacing must be positive")
-
-    @staticmethod
-    def from_field(fld: SmoothField, n: int, spacing: Optional[float] = None) -> "GridSample":
-        h = spacing if spacing is not None else 1.0 / (n - 1)
-        xs = np.arange(n) * h
-        xx, yy = np.meshgrid(xs, xs, indexing="ij")
-        return GridSample(h, np.asarray(fld.eval(xx, yy), dtype=float))
 
     def mass(self) -> float:
         return float(np.sum(self.samples)) * self.spacing**2
@@ -262,16 +244,7 @@ def discrete_htv(u: GridSample, p=1, margin: int = 0) -> float:
         - z[lo - 1:n0 - lo - 1, lo + 1:n1 - lo + 1]
         + z[lo - 1:n0 - lo - 1, lo - 1:n1 - lo - 1]
     ) / (4 * h2)
-    e = 0.5 * (uxx + uyy)
-    r = np.hypot(0.5 * (uxx - uyy), uxy)
-    s1 = np.abs(e) + r
-    s2 = np.abs(np.abs(e) - r)
-    if p == 1.0:
-        vals = s1 + s2
-    elif p == INF:
-        vals = s1
-    else:
-        vals = (s1**p + s2**p) ** (1.0 / p)
+    vals = schatten_norms(uxx, uxy, uxy, uyy, p)
     return float(np.sum(vals)) * h2
 
 

@@ -9,7 +9,6 @@ verifies that identity through the independent outer-product route.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,20 +16,7 @@ import numpy as np
 
 from .errors import MeshError
 from .mesh import CpwlFunction, Edge, Triangulation
-from .schatten import Mat2, check_p, schatten_norm
-
-
-def pairwise_sum(values) -> float:
-    """Sum with a fixed balanced-tree reduction order (reproducible)."""
-    vals = list(values)
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return float(vals[0])
+from .schatten import INF, check_p, schatten_norms
 
 
 @dataclass
@@ -133,13 +119,6 @@ def support_edges_by_jump(g: CpwlFunction, rel_tol: float = 1e-9) -> set[Edge]:
     return {tuple(e) for e in g.mesh.interior_edge_array[norms > thr].tolist()}
 
 
-def _unit_normal(mesh: Triangulation, e: Edge) -> tuple[float, float]:
-    (ux, uy), (vx, vy) = mesh.vertices[e[0]], mesh.vertices[e[1]]
-    dx, dy = float(vx - ux), float(vy - uy)
-    ln = math.hypot(dx, dy)
-    return -dy / ln, dx / ln
-
-
 def p_independence_check(g: CpwlFunction) -> float:
     """Maximum relative spread of the energy across p in {1, 2, inf}, with
     each edge evaluated through the rank-one outer-product tensor.
@@ -150,15 +129,15 @@ def p_independence_check(g: CpwlFunction) -> float:
     """
     _require_covering(g.mesh)
     jumps, lengths, _ = _jump_data(g)
-    edges = g.mesh.interior_edges
-    totals = []
-    for p in (1.0, 2.0, math.inf):
-        contribs = []
-        for e, jump, ln in zip(edges, jumps, lengths):
-            nu = _unit_normal(g.mesh, e)
-            tensor = Mat2.outer(jump, nu)
-            contribs.append(schatten_norm(tensor, p) * ln)
-        totals.append(pairwise_sum(contribs))
+    fv = g.mesh.float_vertices
+    e = g.mesh.interior_edge_array
+    d = fv[e[:, 1]] - fv[e[:, 0]]
+    nx, ny = -d[:, 1] / lengths, d[:, 0] / lengths
+    jx, jy = jumps[:, 0], jumps[:, 1]
+    totals = [
+        float(np.sum(schatten_norms(jx * nx, jx * ny, jy * nx, jy * ny, p) * lengths))
+        for p in (1.0, 2.0, INF)
+    ]
     base = max(totals)
     if base == 0.0:
         return 0.0

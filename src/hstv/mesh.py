@@ -282,15 +282,6 @@ class Triangulation:
         return np.hypot(d[:, 0], d[:, 1])
 
 
-def build_adjacency(mesh: Triangulation) -> dict[Edge, list[int]]:
-    """Edge table mapping each undirected vertex pair to its incident triangles.
-
-    The table is validated at Triangulation construction; this accessor
-    re-exposes it with deterministic (lexicographic) key order.
-    """
-    return {e: list(ts) for e, ts in mesh.edge_table.items()}
-
-
 def min_angle(mesh: Triangulation) -> float:
     """Minimum interior angle over all triangles, in radians.
 
@@ -366,15 +357,6 @@ class CpwlFunction:
 
     def with_values(self, values) -> "CpwlFunction":
         return CpwlFunction(self.mesh, np.asarray(values, dtype=float))
-
-
-def triangle_gradient(g: CpwlFunction, t: int) -> tuple[float, float]:
-    """Gradient of g on triangle t, solving the two edge equations exactly
-    up to float rounding."""
-    if not (0 <= t < g.mesh.n_triangles):
-        raise MeshError(f"triangle index {t} out of range")
-    gx, gy = g.gradients()[t]
-    return float(gx), float(gy)
 
 
 def evaluate_on_grid(g: CpwlFunction, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -482,15 +464,16 @@ def cpwl_from_document(doc) -> CpwlFunction:
             for nx, dx, ny, dy in doc["vertices"]
         ]
         tris = [tuple(int(i) for i in t) for t in doc["triangles"]]
+        values = [float(v) for v in doc["values"]] if "values" in doc else None
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MeshError(f"malformed mesh document: {exc}") from exc
+    if any(len(t) != 3 for t in tris):
+        raise MeshError("malformed mesh document: a triangle needs exactly 3 vertex indices")
     mesh = Triangulation(verts, tris)
-    if "values" in doc:
-        if len(doc["values"]) != mesh.n_vertices:
-            raise MeshError("values array length does not match vertex count")
-        values = np.array([float(v) for v in doc["values"]])
-    else:
+    if values is None:
         values = np.zeros(mesh.n_vertices)
+    elif len(values) != mesh.n_vertices:
+        raise MeshError("values array length does not match vertex count")
     return CpwlFunction(mesh, values)
 
 

@@ -2,13 +2,18 @@
 
 Everything here is closed-form: at size 2x2 the singular values, the
 eigendecomposition and the dual-norm candidates are all explicit, so no
-iterative linear algebra is needed.
+iterative linear algebra is needed.  The singular-value closed form is
+written once, in `_singular_values`; `schatten_norms` evaluates it on whole
+numpy arrays of matrices, and every Schatten norm in the package goes
+through `schatten_norms`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import HstvError
 
@@ -103,34 +108,39 @@ class Mat2:
         return ((self.m11, self.m12), (self.m21, self.m22))
 
 
-def singular_values(m: Mat2) -> tuple[float, float]:
-    """Both singular values of a 2x2 matrix, returned as (s1, s2) with s1 >= s2 >= 0.
-
-    Uses the stable closed form: with e = (m11+m22)/2, f = (m11-m22)/2,
-    g = (m21+m12)/2, h = (m21-m12)/2 the singular values are
-    hypot(e, h) +/- hypot(f, g).
-    """
-    e = 0.5 * (m.m11 + m.m22)
-    f = 0.5 * (m.m11 - m.m22)
-    g = 0.5 * (m.m21 + m.m12)
-    h = 0.5 * (m.m21 - m.m12)
-    q = math.hypot(e, h)
-    r = math.hypot(f, g)
-    return q + r, abs(q - r)
+def _singular_values(m11, m12, m21, m22):
+    """(s1, s2) with s1 >= s2 >= 0, by the stable closed form: with
+    e = (m11+m22)/2, f = (m11-m22)/2, g = (m21+m12)/2, h = (m21-m12)/2 the
+    singular values are hypot(e, h) +/- hypot(f, g)."""
+    q = np.hypot(0.5 * (m11 + m22), 0.5 * (m21 - m12))
+    r = np.hypot(0.5 * (m11 - m22), 0.5 * (m21 + m12))
+    return q + r, np.abs(q - r)
 
 
-def schatten_norm(m: Mat2, p) -> float:
-    """Schatten p-norm: the lp norm of the singular value pair."""
+def schatten_norms(m11, m12, m21, m22, p):
+    """Schatten p-norms of 2x2 matrices given entrywise, as floats or as
+    numpy arrays that broadcast together: the lp norm of the singular
+    value pair, elementwise."""
     p = check_p(p)
-    if p == 2.0:
-        # Frobenius identity, cheaper and exact.
-        return math.sqrt(m.dot(m))
-    s1, s2 = singular_values(m)
+    s1, s2 = _singular_values(m11, m12, m21, m22)
     if p == 1.0:
         return s1 + s2
     if p == INF:
         return s1
+    if p == 2.0:
+        return np.hypot(s1, s2)
     return (s1**p + s2**p) ** (1.0 / p)
+
+
+def singular_values(m: Mat2) -> tuple[float, float]:
+    """Both singular values of a 2x2 matrix, returned as (s1, s2) with s1 >= s2 >= 0."""
+    s1, s2 = _singular_values(m.m11, m.m12, m.m21, m.m22)
+    return float(s1), float(s2)
+
+
+def schatten_norm(m: Mat2, p) -> float:
+    """Schatten p-norm of one matrix."""
+    return float(schatten_norms(m.m11, m.m12, m.m21, m.m22, p))
 
 
 def sym_eigen_frame(m: Mat2, tol: float = 1e-9) -> tuple[Mat2, float]:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hstv.fields import GridSample
 from hstv.mesh import CpwlFunction, Triangulation, uniform_diagonal_mesh
 
 
@@ -30,6 +31,14 @@ def grid_hat(n: int, i: int, j: int) -> CpwlFunction:
     vals = np.zeros(mesh.n_vertices)
     vals[j * (n + 1) + i] = 1.0
     return CpwlFunction(mesh, vals)
+
+
+def grid_sample(fld, n: int) -> GridSample:
+    """Samples of fld on the n x n grid of [0, 1]^2, spacing 1/(n - 1)."""
+    h = 1.0 / (n - 1)
+    xs = np.arange(n) * h
+    xx, yy = np.meshgrid(xs, xs, indexing="ij")
+    return GridSample(h, np.asarray(fld.eval(xx, yy), dtype=float))
 
 
 def brute_force_htv(g: CpwlFunction) -> tuple[float, dict]:

@@ -142,6 +142,11 @@ def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["htv", str(bad)]) == 1
+    bad.write_text(json.dumps({
+        "vertices": [["0", "1", "0", "1"], ["1", "1", "0", "1"], ["0", "1", "1", "1"]],
+        "triangles": [[0, 1]],
+    }))
+    assert main(["htv", str(bad)]) == 1
     capsys.readouterr()
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import grid_sample
 from hstv.errors import FieldError
 from hstv.fields import (
     GridSample,
@@ -100,6 +101,20 @@ def test_htv_quadrature_reference_values():
         assert htv_quadrature(affine, p, 64) == 0.0
 
 
+def test_htv_quadrature_frozen_values():
+    # Bits of the reference column of `hstv approx`, pinned at resolution 512.
+    expect = {
+        "quadratic:iso": ["2.0", "1.4142135623730956", "1.0", "1.5034066538560547"],
+        "rotated-quadratic:2,1,0.4636": [
+            "3.0", "2.23606797749979", "2.0", "2.341968267846189",
+        ],
+    }
+    for descriptor, reprs in expect.items():
+        fld = parse_field(descriptor)
+        got = [repr(htv_quadrature(fld, p, 512)) for p in (1, 2, INF, 1.7)]
+        assert got == reprs
+
+
 def test_htv_quadrature_p_ordering():
     for fld in ALL_FIELDS:
         q1 = htv_quadrature(fld, 1, 128)
@@ -140,7 +155,7 @@ def test_mollify_spike_mass_and_spread():
 
 def test_mollify_energy_inequality_quadratic():
     fld = builtin_field("quadratic", 1, 0, 1)
-    u = GridSample.from_field(fld, 41)
+    u = grid_sample(fld, 41)
     sm = mollify(u, 3 * u.spacing)
     assert discrete_htv(sm, 1, margin=3) <= discrete_htv(u, 1, margin=0) + 1e-6
 
@@ -157,7 +172,7 @@ def test_mollify_energy_inequality_random():
 
 def test_discrete_htv_quadratic_sanity():
     fld = builtin_field("quadratic", 1, 0, 1)
-    u = GridSample.from_field(fld, 65)
+    u = grid_sample(fld, 65)
     # |hess|_1 = 2 at every one of the 63^2 interior nodes, each weighing h^2
     inner = (63.0 / 64.0) ** 2
     assert abs(discrete_htv(u, 1) - 2.0 * inner) <= 1e-9
@@ -206,7 +221,7 @@ def test_extend_reflection_domain_guard():
 
 def test_extend_reflection_grid():
     fld = builtin_field("product_sine", 1.5)
-    u = GridSample.from_field(fld, 21)  # x, y in [0, 1], spacing 1/20
+    u = grid_sample(fld, 21)  # x, y in [0, 1], spacing 1/20
     ext = extend_reflection(u)
     k = 10
     assert ext.samples.shape == (21 + k, 21)

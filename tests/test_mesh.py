@@ -10,19 +10,17 @@ from hstv.errors import MeshError
 from hstv.mesh import (
     CpwlFunction,
     Triangulation,
-    build_adjacency,
     evaluate_on_grid,
     load_mesh,
     min_angle,
     render_svg,
     save_mesh,
-    triangle_gradient,
     uniform_diagonal_mesh,
 )
 
 
 def test_adjacency_square_with_diagonal(diag_square):
-    table = build_adjacency(diag_square)
+    table = diag_square.edge_table
     assert len(table) == 5
     assert len(diag_square.interior_edges) == 1
     assert diag_square.interior_edges[0] == (0, 2)
@@ -64,9 +62,9 @@ def test_more_than_two_incident_triangles_rejected():
 def test_triangle_gradient_examples():
     mesh = Triangulation([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     g = CpwlFunction(mesh, np.array([0.0, 1.0, 0.0]))
-    assert triangle_gradient(g, 0) == (1.0, 0.0)
+    assert tuple(g.gradients()[0]) == (1.0, 0.0)
     g0 = CpwlFunction(mesh, np.array([5.0, 5.0, 5.0]))
-    assert triangle_gradient(g0, 0) == (0.0, 0.0)
+    assert tuple(g0.gradients()[0]) == (0.0, 0.0)
 
 
 def test_triangle_gradient_affine_reproduction():
@@ -77,7 +75,7 @@ def test_triangle_gradient_affine_reproduction():
     fv = mesh.float_vertices
     g = CpwlFunction(mesh, 3.0 * fv[:, 0] + 2.0 * fv[:, 1] - 1.0)
     for t in range(mesh.n_triangles):
-        gx, gy = triangle_gradient(g, t)
+        gx, gy = g.gradients()[t]
         assert abs(gx - 3.0) <= 1e-12
         assert abs(gy - 2.0) <= 1e-12
 
@@ -121,9 +119,18 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text("{not json")
     with pytest.raises(MeshError):
         load_mesh(path)
-    path.write_text(json.dumps({"vertices": [["1", "0", "1", "1"]], "triangles": []}))
-    with pytest.raises(MeshError):
-        load_mesh(path)
+    square = [["0", "1", "0", "1"], ["1", "1", "0", "1"], ["1", "1", "1", "1"],
+              ["0", "1", "1", "1"]]
+    for doc in (
+        {"vertices": [["1", "0", "1", "1"]], "triangles": []},
+        {"vertices": square, "triangles": [[0, 1, 2], [0, 2, 3]],
+         "values": ["abc", "0", "0", "0"]},
+        {"vertices": square, "triangles": [[0, 1, 2], [0, 2, 3]], "values": 5},
+        {"vertices": square, "triangles": [[0, 1]]},
+    ):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MeshError):
+            load_mesh(path)
 
 
 def test_conformity_check_is_sound():

@@ -10,9 +10,24 @@ from hstv.schatten import (
     conjugate_exponent,
     dual_norm_estimate,
     schatten_norm,
+    schatten_norms,
     singular_values,
     sym_eigen_frame,
 )
+
+
+def assert_array_kernel_matches(mats, ps):
+    """schatten_norms on the stacked entries equals schatten_norm per matrix.
+
+    Bit for bit at p in {1, 2, inf}.  Otherwise numpy may evaluate the power
+    of an array with a vectorized routine that rounds differently from the
+    scalar one, so a few units in the last place are allowed.
+    """
+    entries = [np.array([m.to_rows()[i][j] for m in mats]) for i in (0, 1) for j in (0, 1)]
+    for p in ps:
+        expect = np.array([schatten_norm(m, p) for m in mats])
+        maxulp = 0 if p in (1.0, 2.0, INF) else 4
+        np.testing.assert_array_max_ulp(schatten_norms(*entries, p), expect, maxulp)
 
 
 def test_singular_values_examples():
@@ -50,10 +65,12 @@ def test_frobenius_identity():
 
 def test_rank_one_norms_coincide():
     rng = np.random.default_rng(2)
+    mats = []
     for _ in range(200):
         u = rng.standard_normal(2)
         v = rng.standard_normal(2)
         m = Mat2.outer(u, v)
+        mats.append(m)
         n1 = schatten_norm(m, 1)
         n2 = schatten_norm(m, 2)
         ni = schatten_norm(m, INF)
@@ -61,16 +78,20 @@ def test_rank_one_norms_coincide():
         assert abs(n1 - n2) <= 1e-10
         assert abs(n2 - ni) <= 1e-10
         assert abs(n17 - n2) <= 1e-10
+    assert_array_kernel_matches(mats, (1.0, 2.0, INF, 1.7))
 
 
 def test_p_ordering():
     rng = np.random.default_rng(3)
+    mats = []
     for _ in range(200):
         m = Mat2.from_rows(*rng.standard_normal((2, 2)))
+        mats.append(m)
         n1 = schatten_norm(m, 1)
         n17 = schatten_norm(m, 1.7)
         ninf = schatten_norm(m, INF)
         assert n1 + 1e-12 >= n17 >= ninf - 1e-12
+    assert_array_kernel_matches(mats, (1.0, 1.7, INF))
 
 
 def test_invalid_p_and_nonfinite_entries():
@@ -152,13 +173,17 @@ def test_dual_norm_monotone_in_samples():
 
 def test_unitary_invariance():
     rng = np.random.default_rng(6)
+    ps = (1.0, 2.0, INF, 3.0)
+    mats = []
     for _ in range(500):
         m = Mat2.from_rows(*rng.standard_normal((2, 2)))
         r = Mat2.rotation(rng.uniform(0, 2 * math.pi))
-        for p in (1.0, 2.0, INF, 3.0):
+        mats += [m, r @ m, m @ r]
+        for p in ps:
             nm = schatten_norm(m, p)
             assert abs(schatten_norm(r @ m, p) - nm) <= 1e-10
             assert abs(schatten_norm(m @ r, p) - nm) <= 1e-10
+    assert_array_kernel_matches(mats, ps)
 
 
 def test_submultiplicativity():
