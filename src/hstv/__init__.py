@@ -11,7 +11,6 @@ from .approx import (
     interpolation_error_estimate,
     plan_mesh,
     rational_angle_approx,
-    triangulate_square,
 )
 from .errors import ExtremalError, FieldError, HstvError, MeshError, PlanError
 from .extremal import (

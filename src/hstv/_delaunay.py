@@ -1,6 +1,6 @@
-"""Exact incremental Delaunay triangulation for small rational point sets.
+"""Exact incremental Delaunay triangulation for small integer point sets.
 
-Bowyer-Watson with exact Fraction predicates.  Used to fix the interior
+Bowyer-Watson with exact integer predicates.  Used to fix the interior
 triangulation of the transition-band building block, where collinear runs
 of boundary points make float predicates unreliable.  Deterministic:
 points are inserted in lexicographic order and cocircular ties never
@@ -9,18 +9,16 @@ excavate (strict in-circle test).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import MeshError
 
-Point = tuple[Fraction, Fraction]
+Point = tuple[int, int]
 
 
-def orient2d(pa: Point, pb: Point, pc: Point) -> Fraction:
+def orient2d(pa: Point, pb: Point, pc: Point) -> int:
     return (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
 
 
-def in_circumcircle(pa: Point, pb: Point, pc: Point, pd: Point) -> Fraction:
+def in_circumcircle(pa: Point, pb: Point, pc: Point, pd: Point) -> int:
     """Positive iff pd is strictly inside the circumcircle of CCW (pa, pb, pc)."""
     adx, ady = pa[0] - pd[0], pa[1] - pd[1]
     bdx, bdy = pb[0] - pd[0], pb[1] - pd[1]
@@ -36,7 +34,7 @@ def in_circumcircle(pa: Point, pb: Point, pc: Point, pd: Point) -> Fraction:
 
 
 def delaunay(points: list[Point]) -> list[tuple[int, int, int]]:
-    """CCW triangles of the Delaunay triangulation of distinct rational points.
+    """CCW triangles of the Delaunay triangulation of distinct integer points.
 
     Every input point appears as a vertex (collinear points on hull edges
     subdivide them).  Intended for small inputs; O(n^2) triangle scans.
@@ -47,13 +45,17 @@ def delaunay(points: list[Point]) -> list[tuple[int, int, int]]:
     if len(set(points)) != n:
         raise MeshError("duplicate points")
 
+    # Doubled coordinates keep the bounding-box center integral; the
+    # predicates' signs do not change under scaling.
+    pts = [(2 * x, 2 * y) for x, y in points]
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    cx = (min(xs) + max(xs)) / 2
-    cy = (min(ys) + max(ys)) / 2
-    # Far super-triangle; distance 2^20 * extent keeps near-hull cavities honest.
-    big = (max(xs) - min(xs) + max(ys) - min(ys) + 1) * (1 << 20)
-    pts = list(points) + [
+    cx = min(xs) + max(xs)
+    cy = min(ys) + max(ys)
+    # Far super-triangle; distance 2^20 * extent (the x extent counted twice)
+    # keeps near-hull cavities honest and scales with the points.
+    big = (2 * (max(xs) - min(xs)) + max(ys) - min(ys)) * (1 << 21)
+    pts += [
         (cx - 3 * big, cy - big),
         (cx + 3 * big, cy - big),
         (cx, cy + 3 * big),

@@ -196,12 +196,9 @@ def criterion_4(ctx: dict, seed: int = DEFAULT_SEED) -> CriterionResult:
                 plan = plan_mesh(frames, N, K, "lcm")
                 mesh = assemble_global(plan)
                 # Independent revalidation from raw arrays: full conformity
-                # and the exact area sum, no trusted caches.
-                if mesh.n_triangles <= 40_000:
-                    fresh = Triangulation(mesh.vertices, mesh.triangles)
-                    ok = ok and fresh.covers_bbox_exactly()
-                else:
-                    ok = ok and mesh.covers_bbox_exactly()
+                # and the exact area sum.
+                fresh = Triangulation(mesh.numerators, mesh.triangle_array, mesh.den)
+                ok = ok and fresh.covers_bbox_exactly()
                 minima.append(min_angle(mesh))
             ok = ok and all(m == minima[0] for m in minima)
             details.append(f"N={N}#{trial}: min_angle={minima[0]:.6f}")
@@ -231,9 +228,8 @@ def random_cpwl(rng, n_interior: int = 8, denom: int = 64) -> CpwlFunction:
         ordered = sorted(pts)
         arr = np.array(ordered, dtype=float) / denom
         simplices = Delaunay(arr).simplices
-        verts = [(Fraction(x, denom), Fraction(y, denom)) for x, y in ordered]
         try:
-            mesh = Triangulation(verts, [tuple(int(v) for v in t) for t in simplices])
+            mesh = Triangulation(np.array(ordered), simplices, denom)
         except Exception:
             continue
         if mesh.covers_bbox_exactly():

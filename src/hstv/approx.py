@@ -4,10 +4,11 @@ The square is partitioned into 2^N x 2^N dyadic cells.  Each cell gets a
 rational rotation aligned with the local curvature eigenframe, a rotated
 inner grid whose pitch is chosen so that all cells subdivide their
 boundaries at one common spacing, and a self-similar transition band that
-glues the rotated grid to the cell boundary.  The union of the per-cell
-triangulations is conforming by construction, verified in exact rational
-arithmetic.  Interpolating a smooth field on these meshes drives its CPWL
-energy to the smooth energy as the band level K grows.
+glues the rotated grid to the cell boundary.  Every vertex is an integer
+numerator over the plan's one common denominator; the union of the
+per-cell triangulations is conforming by construction, verified in exact
+integer arithmetic.  Interpolating a smooth field on these meshes drives
+its CPWL energy to the smooth energy as the band level K grows.
 """
 
 from __future__ import annotations
@@ -15,18 +16,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ._delaunay import delaunay
+from ._delaunay import delaunay, orient2d
 from .errors import HstvError, MeshError, PlanError
 from .fields import SmoothField, htv_quadrature
 from .htv import htv_cpwl
-from .mesh import CpwlFunction, Triangulation, min_angle
+from .mesh import CpwlFunction, Triangulation, _first_occurrence, min_angle
 from .schatten import Mat2, schatten_norm, sym_eigen_frame
 
 Coord = tuple[Fraction, Fraction]
+
+# Ceiling on the rotated-lattice points a plan's cells scan, sum of (m + n + 1)^2.
+MAX_LATTICE_POINTS = 2**24
 
 
 # -- rational angles -----------------------------------------------------------
@@ -201,14 +205,8 @@ class MeshPlan:
     K: int
     mode: str
     spacing: Fraction          # common boundary spacing shared by all cells
+    den: int                   # common denominator of every mesh vertex coordinate
     squares: list[SquarePlan]
-
-
-def _lcm(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
 
 
 def plan_mesh(frames: Sequence[SquareFrame], N: int, K: int, mode: str = "lcm") -> MeshPlan:
@@ -233,7 +231,7 @@ def plan_mesh(frames: Sequence[SquareFrame], N: int, K: int, mode: str = "lcm") 
         for q in qs:
             m0_all *= q
     else:
-        m0_all = _lcm(qs)
+        m0_all = math.lcm(*qs)
     spacing = Fraction(1, (1 << (N + K)) * m0_all)
     if spacing < Fraction(1, 1 << 40):
         raise PlanError(
@@ -244,6 +242,12 @@ def plan_mesh(frames: Sequence[SquareFrame], N: int, K: int, mode: str = "lcm") 
         raise PlanError(
             f"{m0_all << K} boundary intervals per cell side: plan too fine to "
             f"realize (angle denominators {qs}, K={K})"
+        )
+    lattice = sum((((m0_all + m0_all * pp // qq) << K) + 1) ** 2 for pp, qq, _ in reduced)
+    if lattice > MAX_LATTICE_POINTS:
+        raise PlanError(
+            f"{lattice} rotated-lattice points to scan, above {MAX_LATTICE_POINTS}: "
+            f"plan too fine to realize (angle denominators {qs}, K={K})"
         )
     squares = []
     for frame, (pp, qq, refl) in zip(frames, reduced):
@@ -269,145 +273,102 @@ def plan_mesh(frames: Sequence[SquareFrame], N: int, K: int, mode: str = "lcm") 
                 m=m, n=n, m0=m0, n0=n0, hv=hv, hw=hw,
             )
         )
-    return MeshPlan(N=N, K=K, mode=mode, spacing=spacing, squares=squares)
+    # hv and hw are multiples of spacing / (pp^2 + qq^2); cell corners of 2^-N.
+    den = (1 << (N + K)) * m0_all * math.lcm(*(pp * pp + qq * qq for pp, qq, _ in reduced))
+    return MeshPlan(N=N, K=K, mode=mode, spacing=spacing, den=den, squares=squares)
 
 
 # -- the transition-band building block ----------------------------------------
 
 
-_master_cache: dict[tuple[int, int, int], tuple[list[Coord], list[tuple[int, int, int]]]] = {}
+_master_cache: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _band_master(pp: int, qq: int, m0: int) -> tuple[list[Coord], list[tuple[int, int, int]]]:
+def _band_master(pp: int, qq: int, m0: int) -> tuple[np.ndarray, np.ndarray]:
     """Triangulated building block for the top edge of the canonical unit cell.
 
     The block is the right triangle with hypotenuse from A=(0,1) to B=(1,1)
     and right-angle vertex E inside the cell.  Its boundary vertices are
     fixed: hypotenuse points at the common spacing, leg points at the grid
     pitch.  The interior triangulation is the Delaunay triangulation of
-    that boundary point set (deterministic, flat-angle-free).
+    that boundary point set (deterministic, flat-angle-free).  Points are
+    integer numerators over m0 (pp^2 + qq^2), with A, B and E at positions
+    0, m0 and 2 m0.
     """
     key = (pp, qq, m0)
     if key in _master_cache:
         return _master_cache[key]
-    r2 = pp * pp + qq * qq
     if m0 * pp % qq:
         raise PlanError("inconsistent master counts")
     n0 = m0 * pp // qq
-    s0 = Fraction(1, m0)
-    hv = (s0 * qq * pp / r2, s0 * qq * qq / r2)
-    hw = (-s0 * qq * qq / r2, s0 * qq * pp / r2)
-    a = (Fraction(0), Fraction(1))
-    e = (a[0] - m0 * hw[0], a[1] - m0 * hw[1])
-    b = (e[0] + n0 * hv[0], e[1] + n0 * hv[1])
-    assert b == (Fraction(1), Fraction(1))
-    pts: list[Coord] = [(Fraction(i, m0), Fraction(1)) for i in range(m0 + 1)]
-    pts += [(a[0] - j * hw[0], a[1] - j * hw[1]) for j in range(1, m0)]
+    r2 = pp * pp + qq * qq
+    one = m0 * r2
+    # Over `one` the lattice steps are hv = (qq pp, qq^2) and hw = (-qq^2, qq pp).
+    e = (m0 * qq * qq, one - m0 * qq * pp)
+    assert (e[0] + n0 * qq * pp, e[1] + n0 * qq * qq) == (one, one)
+    pts = [(i * r2, one) for i in range(m0 + 1)]
+    pts += [(j * qq * qq, one - j * qq * pp) for j in range(1, m0)]
     pts.append(e)
-    pts += [(e[0] + j * hv[0], e[1] + j * hv[1]) for j in range(1, n0)]
+    pts += [(e[0] + j * qq * pp, e[1] + j * qq * qq) for j in range(1, n0)]
     tris = delaunay(pts)
-    area2 = Fraction(0)
-    for i, j, k in tris:
-        (ax, ay), (bx, by), (cx, cy) = pts[i], pts[j], pts[k]
-        area2 += (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    expected2 = abs(
-        (b[0] - a[0]) * (e[1] - a[1]) - (b[1] - a[1]) * (e[0] - a[0])
-    )
-    if area2 != expected2:
+    if sum(orient2d(*(pts[i] for i in t)) for t in tris) != abs(orient2d(pts[0], pts[m0], e)):
         raise MeshError("building-block triangulation does not tile the block")
-    _master_cache[key] = (pts, tris)
-    return pts, tris
+    _master_cache[key] = (np.array(pts, dtype=np.int64), np.array(tris, dtype=np.int64))
+    return _master_cache[key]
 
 
-def _rotator(t: int, cx: Fraction, cy: Fraction):
-    """Rotation by -t * 90 degrees about (cx, cy), exact on rationals."""
-    if t == 0:
-        return lambda x, y: (x, y)
-    if t == 1:
-        return lambda x, y: (cx + (y - cy), cy - (x - cx))
-    if t == 2:
-        return lambda x, y: (2 * cx - x, 2 * cy - y)
-    return lambda x, y: (cx - (y - cy), cy + (x - cx))
+def _numerators(den: int, *values: Fraction) -> list[int]:
+    """Numerators over den of plan-level rationals (MeshError if one is off that grid)."""
+    scaled = [v * den for v in values]
+    if any(q.denominator != 1 for q in scaled):
+        raise MeshError(f"plan coordinates are not multiples of 1/{den}")
+    return [q.numerator for q in scaled]
 
 
-def _square_local_mesh(sp: SquarePlan, K: int) -> tuple[list[Coord], list[tuple[int, int, int]]]:
-    """Vertices and CCW triangles of one cell's triangulation (exact).
+def _square_local_mesh(sp: SquarePlan, plan: MeshPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex numerators over plan.den and CCW triangles of one cell (exact).
 
-    Raises MeshError unless the inner lattice cells and the band copies tile
-    the cell area exactly, so a successful return certifies the tiling.
+    Vertices are numbered by first occurrence in this sequence: the points
+    of the band copies (four families of 2^K copies, each in master order),
+    then the corners of the inner lattice cells, cell by cell.  Raises
+    MeshError unless the inner lattice cells and the band copies tile the
+    cell area exactly, so a successful return certifies the tiling.
     """
     frame = sp.frame
-    x0, y0, side = frame.x0, frame.y0, frame.side
-    x1, y1 = x0 + side, y0 + side
-    cx, cy = x0 + side / 2, y0 + side / 2
-    copies = 1 << K
-    csize = side / copies  # hypotenuse length of one band copy
-
+    copies = 1 << plan.K
+    one = sp.m0 * (sp.pp * sp.pp + sp.qq * sp.qq)
     master_pts, master_tris = _band_master(sp.pp, sp.qq, sp.m0)
+    x0, y0, side, hvx, hvy, hwx, hwy, unit = _numerators(
+        plan.den, frame.x0, frame.y0, frame.side, *sp.hv, *sp.hw,
+        frame.side / (copies * one))
+    m, n = sp.m, sp.n
+    # Coordinates and lattice products below (cell offsets times steps, two
+    # terms) stay within 2 * big^2.
+    big = abs(x0) + abs(y0) + side + (m + n + 2) * max(map(abs, (hvx, hvy, hwx, hwy)))
+    dtype = np.int64 if 2 * big * big < 2**63 else object
 
-    verts: list[Coord] = []
-    vid: dict[Coord, int] = {}
-    vid_lattice: dict[tuple[int, int], int] = {}
+    # Band copies, as offsets from the cell's lower-left corner: the top
+    # family is the master scaled by `unit` and shifted along the top side;
+    # the others are its rotations by -90, -180 and -270 degrees about the
+    # cell center.
+    master = master_pts.astype(dtype)
+    j = np.arange(copies).astype(dtype)[:, None]
+    bx = (unit * (j * one + master[:, 0])).ravel()
+    by = np.tile(side + unit * (master[:, 1] - one), copies)
+    band = np.concatenate([np.stack(f, axis=1) for f in (
+        (bx, by), (by, side - bx), (side - bx, side - by), (side - by, bx))])
 
-    def get_vid(ptx: Fraction, pty: Fraction) -> int:
-        key = (ptx, pty)
-        i = vid.get(key)
-        if i is None:
-            i = len(verts)
-            vid[key] = i
-            verts.append(key)
-        return i
-
-    tris: list[tuple[int, int, int]] = []
-
-    # Grid coordinates of a point: integer lattice of the rotated grid.
-    sq = sp.hv[0] ** 2 + sp.hv[1] ** 2  # = pitch^2, rational
-
-    def grid_coords(ptx: Fraction, pty: Fraction) -> tuple[Fraction, Fraction]:
-        dx, dy = ptx - x0, pty - y0
-        return (
-            (dx * sp.hv[0] + dy * sp.hv[1]) / sq,
-            (dx * sp.hw[0] + dy * sp.hw[1]) / sq,
-        )
-
-    # Band copies: 4 families (top, right, bottom, left) x 2^K scaled copies.
-    band_tris_grid: list[tuple[int, int, int, int, int, int]] = []
-    area_band2 = Fraction(0)
-    e_idx = 2 * sp.m0  # position of the right-angle vertex in master_pts
-    for t in range(4):
-        rot = _rotator(t, cx, cy)
-        for j in range(copies):
-            mapped: list[int] = []
-            for px, py in master_pts:
-                wx = x0 + csize * (j + px)
-                wy = y1 + csize * (py - 1)
-                wx, wy = rot(wx, wy)
-                i = get_vid(wx, wy)
-                mapped.append(i)
-                # Band vertices on the rotated lattice share ids with the
-                # inner grid; register them under their integer coordinates.
-                gu, gv = grid_coords(wx, wy)
-                if gu.denominator == 1 and gv.denominator == 1:
-                    vid_lattice[(int(gu), int(gv))] = i
-            for a, b, c in master_tris:
-                tris.append((mapped[a], mapped[b], mapped[c]))
-            # grid-space right triangle of this copy for the cell exclusion test
-            gc = []
-            for pi in (0, sp.m0, e_idx):
-                gu, gv = grid_coords(*verts[mapped[pi]])
-                if gu.denominator != 1 or gv.denominator != 1:
-                    raise MeshError("band corner off the rotated lattice")
-                gc.extend((int(gu), int(gv)))
-            band_tris_grid.append(tuple(gc))
-            area_band2 += abs(
-                (verts[mapped[sp.m0]][0] - verts[mapped[0]][0])
-                * (verts[mapped[e_idx]][1] - verts[mapped[0]][1])
-                - (verts[mapped[sp.m0]][1] - verts[mapped[0]][1])
-                * (verts[mapped[e_idx]][0] - verts[mapped[0]][0])
-            )
+    # Grid coordinates of each copy's corners A, B, E on the rotated lattice.
+    n_pts = len(master_pts)
+    corners = band.reshape(4 * copies, n_pts, 2)[:, [0, sp.m0, 2 * sp.m0]]
+    sq = hvx * hvx + hvy * hvy
+    gu = corners[..., 0] * hvx + corners[..., 1] * hvy
+    gv = corners[..., 0] * hwx + corners[..., 1] * hwy
+    if (gu % sq != 0).any() or (gv % sq != 0).any():
+        raise MeshError("band corner off the rotated lattice")
+    band_tris_grid = np.stack([gu // sq, gv // sq], axis=-1).tolist()
 
     # Inner cells: rotated-lattice squares inside the cell and clear of the band.
-    m, n = sp.m, sp.n
     us = np.arange(0, n + m + 1, dtype=np.int64)
     vs = np.arange(-m, n + 1, dtype=np.int64)
     uu = us[:, None]
@@ -419,13 +380,14 @@ def _square_local_mesh(sp: SquarePlan, K: int) -> tuple[list[Coord], list[tuple[
         inside &= (qb_u - qa_u) * (vv - qa_v) - (qb_v - qa_v) * (uu - qa_u) >= 0
     cell_ok = inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:] & inside[1:, 1:]
 
-    ci = us[:-1][:, None]
-    cj = vs[:-1][None, :]
     band_overlap = np.zeros_like(cell_ok)
-    for au, av, bu, bv, eu, ev in band_tris_grid:
-        bx0, bx1 = min(au, bu, eu), max(au, bu, eu)
-        by0, by1 = min(av, bv, ev), max(av, bv, ev)
-        box = (ci + 1 > bx0) & (ci < bx1) & (cj + 1 > by0) & (cj < by1)
+    for (au, av), (bu, bv), (eu, ev) in band_tris_grid:
+        # Lattice cells (ci, cj) that meet the interior of the copy's
+        # bounding box: rows ci, columns cj + m.
+        i0, i1 = np.clip([min(au, bu, eu), max(au, bu, eu)], 0, n + m)
+        j0, j1 = np.clip([min(av, bv, ev) + m, max(av, bv, ev) + m], 0, n + m)
+        ci = np.arange(i0, i1)[:, None]
+        cj = np.arange(j0 - m, j1 - m)[None, :]
         # open halfplane on E's side of the hypotenuse AB
         ha = -(bv - av)
         hb = bu - au
@@ -433,99 +395,69 @@ def _square_local_mesh(sp: SquarePlan, K: int) -> tuple[list[Coord], list[tuple[
         ha *= sgn
         hb *= sgn
         hc = ha * au + hb * av
-        best = ha * ci + hb * cj + max(ha, 0) + max(hb, 0)
-        band_overlap |= box & (best > hc)
+        band_overlap[i0:i1, j0:j1] |= ha * ci + hb * cj + max(ha, 0) + max(hb, 0) > hc
     inner = cell_ok & ~band_overlap
 
-    # Exact tiling check: inner cells + band copies must cover the cell.
+    # Exact tiling check, in twice the area over den^2: inner cells plus the
+    # band copies (the master block scaled by unit) must cover the cell.
     n_inner = int(inner.sum())
-    if Fraction(n_inner) * sq + area_band2 / 2 != side * side:
+    master_area2 = abs(orient2d(*master_pts[[0, sp.m0, 2 * sp.m0]].tolist()))
+    covered2 = 2 * n_inner * sq + 4 * copies * unit * unit * master_area2
+    if covered2 != 2 * side * side:
         raise MeshError(
             "inner cells and transition band do not tile the cell exactly "
-            f"(got {Fraction(n_inner) * sq + area_band2 / 2}, want {side * side})"
+            f"(got {Fraction(covered2, 2 * plan.den ** 2)}, want {frame.side ** 2})"
         )
 
-    # Emit inner vertices and the standard split along the (v - w) diagonal.
-    iu_list, jv_list = np.nonzero(inner)
-    mult_hv = [(u * sp.hv[0], u * sp.hv[1]) for u in range(0, n + m + 2)]
-    mult_hw = {v: (v * sp.hw[0], v * sp.hw[1]) for v in range(-m, n + 2)}
-
-    def lattice_vid(u: int, v: int) -> int:
-        key = (u, v)
-        i = vid_lattice.get(key)
-        if i is None:
-            av, bv_ = mult_hv[u], mult_hw[v]
-            i = get_vid(x0 + av[0] + bv_[0], y0 + av[1] + bv_[1])
-            vid_lattice[key] = i
-        return i
-
-    for iu, jv in zip(iu_list.tolist(), jv_list.tolist()):
-        u = int(us[iu])
-        v = int(vs[jv])
-        p00 = lattice_vid(u, v)
-        p10 = lattice_vid(u + 1, v)
-        p01 = lattice_vid(u, v + 1)
-        p11 = lattice_vid(u + 1, v + 1)
-        tris.append((p00, p10, p01))
-        tris.append((p10, p11, p01))
-
+    # Inner cell corners p00, p10, p01, p11 and the standard split along the
+    # (v - w) diagonal.
+    iu, jv = np.nonzero(inner)
+    u = (iu[:, None] + [0, 1, 0, 1]).ravel().astype(dtype)
+    v = (jv[:, None] - m + [0, 0, 1, 1]).ravel().astype(dtype)
+    pts = np.concatenate([band, np.stack([u * hvx + v * hwx, u * hvy + v * hwy], axis=1)])
+    first = _first_occurrence(pts)
+    new = first == np.arange(len(pts))
+    ids = (np.cumsum(new) - 1)[first]
+    tris = ids[np.concatenate([
+        (n_pts * np.arange(4 * copies)[:, None, None] + master_tris).reshape(-1, 3),
+        (len(band) + 4 * np.arange(len(iu))[:, None, None]
+         + np.array([[0, 1, 2], [1, 3, 2]])).reshape(-1, 3),
+    ])]
+    verts = pts[new]
     if sp.reflected:
         # Mirror across the anti-diagonal of the cell; orientation flips.
-        verts = [(x0 + (y1 - py), y1 - (px - x0)) for px, py in verts]
-        tris = [(a, c, b) for a, b, c in tris]
-
-    return verts, tris
-
-
-def triangulate_square(frame: SquareFrame, plan: MeshPlan) -> Triangulation:
-    """Conforming triangulation of one cell of the plan."""
-    for sp in plan.squares:
-        if sp.frame is frame or sp.frame.index == frame.index:
-            if sp.frame.angle != frame.angle or sp.frame.x0 != frame.x0:
-                raise PlanError("frame does not match the plan")
-            verts, tris = _square_local_mesh(sp, plan.K)
-            return Triangulation(verts, tris)
-    raise PlanError(f"frame {frame.index} not in plan")
+        verts = np.stack([side - verts[:, 1], side - verts[:, 0]], axis=1)
+        tris = tris[:, [0, 2, 1]]
+    return verts + np.array([x0, y0], dtype=dtype), tris
 
 
 def assemble_global(plan: MeshPlan) -> Triangulation:
     """Union of all cell triangulations as one conforming mesh.
 
-    Vertices on shared cell boundaries are matched exactly (rational
-    coordinates); any spacing mismatch surfaces as a MeshError.
+    Vertices on cell boundaries are matched exactly (integer numerators
+    over plan.den), each keeping the number of its first occurrence; any
+    spacing mismatch surfaces as a MeshError.
     """
-    all_verts: list[Coord] = []
-    shared: dict[Coord, int] = {}
-    all_tris: list[tuple[int, int, int]] = []
+    verts, tris, on_boundary = [], [], []
+    offset = 0
     for sp in plan.squares:
-        verts, tris = _square_local_mesh(sp, plan.K)
-        frame = sp.frame
-        x0, y0 = frame.x0, frame.y0
-        x1, y1 = x0 + frame.side, y0 + frame.side
-        local_to_global = np.empty(len(verts), dtype=np.int64)
-        for i, (px, py) in enumerate(verts):
-            on_boundary = px == x0 or px == x1 or py == y0 or py == y1
-            if on_boundary:
-                g = shared.get((px, py))
-                if g is None:
-                    g = len(all_verts)
-                    shared[(px, py)] = g
-                    all_verts.append((px, py))
-            else:
-                g = len(all_verts)
-                all_verts.append((px, py))
-            local_to_global[i] = g
-        for a, b, c in tris:
-            all_tris.append(
-                (int(local_to_global[a]), int(local_to_global[b]), int(local_to_global[c]))
-            )
+        v, t = _square_local_mesh(sp, plan)
+        x0, y0, side = _numerators(plan.den, sp.frame.x0, sp.frame.y0, sp.frame.side)
+        rel = v - np.array([x0, y0], dtype=v.dtype)
+        on_boundary.append(((rel == 0) | (rel == side)).any(axis=1))
+        verts.append(v)
+        tris.append(t + offset)
+        offset += len(v)
+    pts = np.concatenate(verts)
+    first = np.arange(len(pts))
+    shared = np.flatnonzero(np.concatenate(on_boundary))
+    first[shared] = shared[_first_occurrence(pts[shared])]
+    new = first == np.arange(len(pts))
+    ids = (np.cumsum(new) - 1)[first]
     try:
-        mesh = Triangulation(all_verts, all_tris)
+        mesh = Triangulation(pts[new], ids[np.concatenate(tris)], plan.den)
     except MeshError as exc:
         raise MeshError(f"cell boundaries do not match: {exc}") from exc
-    # Each cell's tiling was verified exactly in _square_local_mesh, so the
-    # total area is the sum of the cell areas.
-    mesh._trust_area(sum((sp.frame.side ** 2 for sp in plan.squares), Fraction(0)))
     if not mesh.covers_bbox_exactly():
         raise MeshError("assembled mesh does not tile the domain: boundary mismatch")
     return mesh
@@ -545,7 +477,7 @@ def interpolation_error_estimate(fld: SmoothField, g: CpwlFunction) -> float:
     """Max |field - interpolant| sampled at triangle centroids and edge
     midpoints (cheap, location-free estimate of the sup error)."""
     fv = g.mesh.float_vertices
-    tris = np.array(g.mesh.triangles, dtype=int)
+    tris = g.mesh.triangle_array
     pa, pb, pc = fv[tris[:, 0]], fv[tris[:, 1]], fv[tris[:, 2]]
     za, zb, zc = (g.values[tris[:, i]] for i in range(3))
     worst = 0.0
@@ -606,10 +538,10 @@ def convergence_experiment(
         raise HstvError("K_range must be nonempty and ascending")
     if frames is None:
         frames = build_frames(fld, N)
+    plans = [plan_mesh(frames, N, K, mode) for K in ks]  # reject bad plans first
     reference = htv_quadrature(fld, p, ref_resolution)
     rows = []
-    for K in ks:
-        plan = plan_mesh(frames, N, K, mode)
+    for K, plan in zip(ks, plans):
         mesh = assemble_global(plan)
         g = interpolate(fld, mesh)
         report = htv_cpwl(g, p)

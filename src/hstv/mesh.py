@@ -1,8 +1,10 @@
 """Conforming triangle meshes with exact rational vertices, and CPWL functions.
 
-Coordinates are `fractions.Fraction` throughout so that vertex identity,
-orientation and cross-square alignment checks are exact; floating point
-enters only at numeric evaluation boundaries (gradients, lengths, angles).
+A mesh stores its vertices once, as an integer (V, 2) numerator array over
+one common Python-int denominator, so vertex identity, orientation,
+conformity, tiling areas and boundary alignment are integer array
+expressions; floating point enters only at numeric evaluation boundaries
+(gradients, lengths, angles).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,13 +24,29 @@ Coord = tuple[Fraction, Fraction]
 Edge = tuple[int, int]
 
 
-def as_fraction(v) -> Fraction:
-    # Fraction(float) is the exact binary expansion, so no value is invented.
-    return v if isinstance(v, Fraction) else Fraction(v)
+def _first_occurrence(pts: np.ndarray) -> np.ndarray:
+    """For each row of the integer (n, 2) array, the index of the first equal row."""
+    order = np.lexsort((pts[:, 1], pts[:, 0]))  # stable: equal rows keep index order
+    s = pts[order]
+    start = np.r_[True, (s[1:] != s[:-1]).any(axis=1)]
+    first = np.empty(len(pts), dtype=np.int64)
+    first[order] = order[start][np.cumsum(start) - 1]
+    return first
+
+
+def _ranges(counts: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(c) for every c in counts."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 class Triangulation:
     """A conforming 2D triangulation with exact rational vertex coordinates.
+
+    `Triangulation(vertices, triangles, den)` puts vertex k at
+    vertices[k] / den, where `vertices` is either an integer (V, 2) array
+    (an integer dtype, or object dtype holding Python ints) or a sequence
+    of rational pairs (int, Fraction or float, converted once).  The
+    vertices are held as one integer numerator array over one denominator.
 
     Construction validates the mesh: distinct vertex coordinates, positive
     (counterclockwise, auto-normalized) triangle orientation, no duplicate
@@ -36,66 +55,77 @@ class Triangulation:
     a boundary edge (T-junction scan).  Nonconforming input raises MeshError.
     """
 
-    def __init__(self, vertices: Sequence, triangles: Sequence):
-        self.vertices: list[Coord] = []
-        seen: dict[Coord, int] = {}
-        for k, xy in enumerate(vertices):
-            pt = (as_fraction(xy[0]), as_fraction(xy[1]))
-            if pt in seen:
-                raise MeshError(f"duplicate vertex coordinates at indices {seen[pt]} and {k}")
-            seen[pt] = k
-            self.vertices.append(pt)
-        nv = len(self.vertices)
+    def __init__(self, vertices, triangles: Sequence, den: int = 1):
+        if den < 1:
+            raise MeshError("the denominator must be a positive integer")
+        if isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iuO":
+            num = vertices
+        else:
+            coords = [(Fraction(xy[0]), Fraction(xy[1])) for xy in vertices]
+            scale = math.lcm(*(c.denominator for xy in coords for c in xy))
+            num = np.array([[c.numerator * (scale // c.denominator) for c in xy]
+                            for xy in coords], dtype=object).reshape(-1, 2)
+            den *= scale
+        if num.ndim != 2 or num.shape[1] != 2:
+            raise MeshError("vertices must be coordinate pairs")
+        nv = len(num)
         if nv < 3:
             raise MeshError("a triangulation needs at least 3 vertices")
-        self._float_vertices = np.array(
-            [[float(x), float(y)] for x, y in self.vertices], dtype=float
-        )
-        self._area_exact: Optional[Fraction] = None
-        self._covers: Optional[bool] = None
-
-        tris = np.asarray([[int(t[0]), int(t[1]), int(t[2])] for t in triangles],
-                          dtype=np.int64)
+        try:
+            tris = np.array(triangles, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise MeshError(f"malformed triangles: {exc}") from None
         if tris.size == 0:
             raise MeshError("a triangulation needs at least one triangle")
+        if tris.ndim != 2 or tris.shape[1] != 3:
+            raise MeshError("a triangle needs exactly 3 vertex indices")
         if tris.min() < 0 or tris.max() >= nv:
             raise MeshError("triangle references a missing vertex")
+
+        # int64 is exact when numerators and den stay below 2^53 (so num / den
+        # rounds once, like float(Fraction)) and every orientation or dot
+        # product of coordinate differences (at most 2 w^2, w the coordinate
+        # range), summed over all triangles, stays below 2^63; otherwise the
+        # same expressions run on Python ints.
+        lo, hi = int(num.min()), int(num.max())
+        w = hi - lo
+        exact_int64 = (max(-lo, hi, den) < 2**53
+                       and 2 * w * w * len(tris) < 2**63)
+        self._num = num.astype(np.int64 if exact_int64 else object)
+        self._den = int(den)
+        first = _first_occurrence(self._num)
+        dup = np.flatnonzero(first != np.arange(nv))
+        if len(dup):
+            k = int(dup[0])
+            raise MeshError(f"duplicate vertex coordinates at indices {first[k]} and {k}")
+        self._float_vertices = np.asarray(self._num / self._den, dtype=float)
+
         if ((tris[:, 0] == tris[:, 1]) | (tris[:, 1] == tris[:, 2])
                 | (tris[:, 0] == tris[:, 2])).any():
             raise MeshError("triangle repeats a vertex")
 
-        # Orientation: normalize to CCW; exact recheck where floats are ambiguous.
-        fv = self._float_vertices
-        cross = self._float_cross(tris)
-        scale = np.zeros(len(tris))
-        for i in (0, 1, 2):
-            d = fv[tris[:, (i + 1) % 3]] - fv[tris[:, i]]
-            scale = np.maximum(scale, np.abs(d).max(axis=1))
-        ambiguous = np.abs(cross) <= 1e-10 * scale * scale
+        # Orientation: exact, normalized to CCW.
+        a, b, c = (self._num[tris[:, i]] for i in range(3))
+        cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
+            c[:, 0] - a[:, 0]
+        )
+        zero = np.flatnonzero(cross == 0)
+        if len(zero):
+            raise MeshError(f"degenerate (zero-area) triangle {tris[zero[0]].tolist()}")
         flip = cross < 0
-        for ti in np.nonzero(ambiguous)[0]:
-            ce = self._cross_exact(int(tris[ti, 0]), int(tris[ti, 1]), int(tris[ti, 2]))
-            if ce == 0:
-                raise MeshError(f"degenerate (zero-area) triangle {tris[ti].tolist()}")
-            flip[ti] = ce < 0
-        tmp = tris[flip, 1].copy()
-        tris[flip, 1] = tris[flip, 2]
-        tris[flip, 2] = tmp
+        tris[flip, 1:] = tris[flip, 2:0:-1]
         self._tri_array = tris
+        self._area2 = int(np.abs(cross).sum())  # twice the exact area, over den^2
 
-        srt = np.sort(tris, axis=1)
-        uniq = np.unique(srt, axis=0)
-        if len(uniq) != len(srt):
-            raise MeshError("duplicate triangle")
-
-        # Directed-edge conformity: each directed edge used at most once.
+        # Directed-edge conformity: each directed edge used at most once.  Two
+        # copies of one triangle, both CCW, share all three directed edges.
         t_count = len(tris)
         directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-        dkeys = directed[:, 0] * nv + directed[:, 1]
-        if len(np.unique(dkeys)) != len(dkeys):
+        dkeys = np.sort(directed[:, 0] * nv + directed[:, 1])
+        if (dkeys[1:] == dkeys[:-1]).any():
             raise MeshError(
-                "a directed edge is used twice: overlapping or inconsistently "
-                "oriented triangles"
+                "a directed edge is used twice: duplicate, overlapping or "
+                "inconsistently oriented triangles"
             )
         ukeys = directed.min(axis=1) * nv + directed.max(axis=1)
         tri_ids = np.concatenate([np.arange(t_count)] * 3)
@@ -119,59 +149,63 @@ class Triangulation:
         self._edge_table: Optional[dict[Edge, list[int]]] = None
         self._check_hanging_vertices()
 
-    # -- exact geometric predicates -------------------------------------
-
-    def _cross_exact(self, a: int, b: int, c: int) -> Fraction:
-        (ax, ay), (bx, by), (cx, cy) = (
-            self.vertices[a], self.vertices[b], self.vertices[c],
-        )
-        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-    def _float_cross(self, tris: np.ndarray) -> np.ndarray:
-        fv = self._float_vertices
-        a, b, c = fv[tris[:, 0]], fv[tris[:, 1]], fv[tris[:, 2]]
-        return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-            c[:, 0] - a[:, 0]
-        )
-
     def _check_hanging_vertices(self):
-        """Reject vertices lying strictly inside a boundary edge (T-junctions)."""
-        if len(self._boundary_edge_arr) == 0:
-            return
-        fv = self._float_vertices
+        """Reject vertices lying strictly inside a boundary edge (T-junctions).
+
+        Vertices are binned on an integer grid whose cell is the median
+        boundary-edge extent; each boundary edge is tested exactly against
+        the vertices in the bins its bounding box covers.
+        """
         bedges = self._boundary_edge_arr
-        sample = bedges[: min(64, len(bedges))]
-        lengths = np.hypot(*(fv[sample[:, 1]] - fv[sample[:, 0]]).T)
-        cell = max(float(np.median(lengths)), 1e-12)
-        buckets: dict[tuple[int, int], list[int]] = {}
-        keys = np.floor(fv / cell).astype(np.int64)
-        for i, (kx, ky) in enumerate(keys):
-            buckets.setdefault((int(kx), int(ky)), []).append(i)
-        for u, v in bedges:
-            u, v = int(u), int(v)
-            (ux, uy), (vx, vy) = self.vertices[u], self.vertices[v]
-            bx0 = int(math.floor(min(fv[u][0], fv[v][0]) / cell)) - 1
-            bx1 = int(math.floor(max(fv[u][0], fv[v][0]) / cell)) + 1
-            by0 = int(math.floor(min(fv[u][1], fv[v][1]) / cell)) - 1
-            by1 = int(math.floor(max(fv[u][1], fv[v][1]) / cell)) + 1
-            for bx in range(bx0, bx1 + 1):
-                for by in range(by0, by1 + 1):
-                    for w in buckets.get((bx, by), ()):
-                        if w == u or w == v:
-                            continue
-                        wx, wy = self.vertices[w]
-                        cr = (vx - ux) * (wy - uy) - (vy - uy) * (wx - ux)
-                        if cr != 0:
-                            continue
-                        dot = (wx - ux) * (vx - ux) + (wy - uy) * (vy - uy)
-                        ll = (vx - ux) ** 2 + (vy - uy) ** 2
-                        if 0 < dot < ll:
-                            raise MeshError(
-                                f"vertex {w} lies inside boundary edge {(u, v)}: "
-                                "hanging vertex"
-                            )
+        if len(bedges) == 0:
+            return
+        num = self._num
+        p, q = num[bedges[:, 0]], num[bedges[:, 1]]
+        extent = np.sort((np.maximum(p, q) - np.minimum(p, q)).max(axis=1))
+        cell = max(int(extent[len(extent) // 2]), 1)
+        origin = num.min(axis=0)
+        vbin = (num - origin) // cell
+        height = int(vbin[:, 1].max()) + 1
+        vkey = vbin[:, 0] * height + vbin[:, 1]
+        vorder = np.argsort(vkey, kind="stable")
+        skey = vkey[vorder]
+        # A point of a segment lies in a bin between those of its endpoints.
+        lo = (np.minimum(p, q) - origin) // cell
+        hi = (np.maximum(p, q) - origin) // cell
+        ncol = (hi[:, 0] - lo[:, 0] + 1).astype(np.int64)
+        edge = np.repeat(np.arange(len(bedges)), ncol)
+        col = lo[edge, 0] + _ranges(ncol)
+        start = np.searchsorted(skey, col * height + lo[edge, 1], "left")
+        stop = np.searchsorted(skey, col * height + hi[edge, 1], "right")
+        edge = np.repeat(edge, stop - start)
+        w = vorder[np.repeat(start, stop - start) + _ranges(stop - start)]
+        u, v = bedges[edge, 0], bedges[edge, 1]
+        d, r = num[v] - num[u], num[w] - num[u]
+        dot = (d * r).sum(axis=1)
+        hanging = ((d[:, 0] * r[:, 1] == d[:, 1] * r[:, 0])
+                   & (dot > 0) & (dot < (d * d).sum(axis=1)))
+        if hanging.any():
+            k = int(np.flatnonzero(hanging)[0])
+            raise MeshError(
+                f"vertex {w[k]} lies inside boundary edge {(int(u[k]), int(v[k]))}: "
+                "hanging vertex"
+            )
 
     # -- views -------------------------------------------------------------
+
+    @cached_property
+    def vertices(self) -> list[Coord]:
+        den = self._den
+        return [(Fraction(x, den), Fraction(y, den)) for x, y in self._num.tolist()]
+
+    @property
+    def numerators(self) -> np.ndarray:
+        """Integer vertex numerators (V, 2) over `den`."""
+        return self._num
+
+    @property
+    def den(self) -> int:
+        return self._den
 
     @property
     def triangles(self) -> list[tuple[int, int, int]]:
@@ -187,7 +221,7 @@ class Triangulation:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self._num)
 
     @property
     def n_triangles(self) -> int:
@@ -226,25 +260,19 @@ class Triangulation:
         return self._edge_table
 
     def triangle_areas(self) -> np.ndarray:
-        return 0.5 * self._float_cross(self._tri_array)
+        fv = self._float_vertices
+        a, b, c = (fv[self._tri_array[:, i]] for i in range(3))
+        return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                      - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
     def total_area_exact(self) -> Fraction:
-        """Exact sum of triangle areas (cached; see _trust_area)."""
-        if self._area_exact is None:
-            total = Fraction(0)
-            for a, b, c in self._tri_array.tolist():
-                total += self._cross_exact(a, b, c)
-            self._area_exact = total / 2
-        return self._area_exact
-
-    def _trust_area(self, area: Fraction):
-        # Used by builders that already verified the tiling area exactly.
-        self._area_exact = area
+        """Exact sum of triangle areas."""
+        return Fraction(self._area2, 2 * self._den ** 2)
 
     def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        xs = [x for x, _ in self.vertices]
-        ys = [y for _, y in self.vertices]
-        return min(xs), max(xs), min(ys), max(ys)
+        (x0, y0), (x1, y1) = self._num.min(axis=0).tolist(), self._num.max(axis=0).tolist()
+        den = self._den
+        return Fraction(x0, den), Fraction(x1, den), Fraction(y0, den), Fraction(y1, den)
 
     def covers_bbox_exactly(self) -> bool:
         """True if the triangles tile the bounding rectangle without gaps.
@@ -253,26 +281,11 @@ class Triangulation:
         that the mesh covers the closed rectangle: areas add up exactly and
         every boundary edge lies on one of the four bounding lines.
         """
-        if self._covers is not None:
-            return self._covers
-        x0, x1, y0, y1 = self.bbox()
-        ok = self.total_area_exact() == (x1 - x0) * (y1 - y0)
-        if ok:
-            for u, v in self._boundary_edge_arr.tolist():
-                (ux, uy), (vx, vy) = self.vertices[u], self.vertices[v]
-                on_line = (
-                    (ux == vx == x0) or (ux == vx == x1)
-                    or (uy == vy == y0) or (uy == vy == y1)
-                )
-                if not on_line:
-                    ok = False
-                    break
-        self._covers = ok
-        return ok
-
-    def edge_length(self, e: Edge) -> float:
-        (ux, uy), (vx, vy) = self.vertices[e[0]], self.vertices[e[1]]
-        return math.hypot(float(vx - ux), float(vy - uy))
+        lo, hi = self._num.min(axis=0), self._num.max(axis=0)
+        (w, h) = (hi - lo).tolist()
+        ends = self._num[self._boundary_edge_arr]  # (B, 2 endpoints, 2 coordinates)
+        on_line = ((ends == lo).all(axis=1) | (ends == hi).all(axis=1)).any(axis=1)
+        return self._area2 == 2 * w * h and bool(on_line.all())
 
     def edge_lengths(self) -> np.ndarray:
         """Lengths of the interior edges, in interior_edge_array order."""
@@ -286,10 +299,11 @@ def min_angle(mesh: Triangulation) -> float:
     """Minimum interior angle over all triangles, in radians.
 
     Two-phase: a vectorized float pass finds candidates near the minimum,
-    then those few triangles are recomputed from exact rational coordinate
-    differences.  The refinement makes the result invariant under exact
-    power-of-two rescaling of triangles (self-similar meshes report
-    bitwise-identical minima across refinement levels).
+    then those few triangles are recomputed from exact integer coordinate
+    differences divided by the denominator.  The refinement makes the
+    result invariant under exact power-of-two rescaling of triangles
+    (self-similar meshes report bitwise-identical minima across refinement
+    levels).
     """
     fv = mesh.float_vertices
     tris = mesh.triangle_array
@@ -304,18 +318,15 @@ def min_angle(mesh: Triangulation) -> float:
     angs = np.stack(angs, axis=1)
     tri_min = angs.min(axis=1)
     approx = float(tri_min.min())
-    cand = np.nonzero(tri_min <= approx + 1e-9)[0]
+    cand = tris[tri_min <= approx + 1e-9]
+    num, den = mesh.numerators, mesh.den
     best = math.inf
-    verts = mesh.vertices
-    for ti in cand.tolist():
-        ia, ib, ic = (int(x) for x in tris[ti])
-        pa, pb, pc = verts[ia], verts[ib], verts[ic]
-        for (p, q, r) in ((pa, pb, pc), (pb, pc, pa), (pc, pa, pb)):
-            ux, uy = float(q[0] - p[0]), float(q[1] - p[1])
-            vx, vy = float(r[0] - p[0]), float(r[1] - p[1])
-            ang = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
-            if ang < best:
-                best = ang
+    for i in range(3):
+        p = num[cand[:, i]]
+        us = ((num[cand[:, (i + 1) % 3]] - p) / den).tolist()
+        vs = ((num[cand[:, (i + 2) % 3]] - p) / den).tolist()
+        for (ux, uy), (vx, vy) in zip(us, vs):
+            best = min(best, math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy))
     return best
 
 
@@ -410,26 +421,18 @@ def uniform_diagonal_mesh(n: int, diagonal: str = "main",
         raise MeshError("n must be >= 1")
     if diagonal not in ("main", "anti"):
         raise MeshError("diagonal must be 'main' or 'anti'")
-    lo = as_fraction(lo)
-    hi = as_fraction(hi)
-    h = (hi - lo) / n
-    verts = [(lo + i * h, lo + j * h) for j in range(n + 1) for i in range(n + 1)]
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            p00, p10 = vid(i, j), vid(i + 1, j)
-            p01, p11 = vid(i, j + 1), vid(i + 1, j + 1)
-            if diagonal == "main":
-                tris.append((p00, p10, p11))
-                tris.append((p00, p11, p01))
-            else:
-                tris.append((p00, p10, p01))
-                tris.append((p10, p11, p01))
-    return Triangulation(verts, tris)
+    lo, hi = Fraction(lo), Fraction(hi)
+    den = n * math.lcm(lo.denominator, hi.denominator)
+    coords = int(lo * den) + np.arange(n + 1).astype(object) * int((hi - lo) * den / n)
+    num = np.stack([np.tile(coords, n + 1), np.repeat(coords, n + 1)], axis=1)
+    # Cells row by row; p00 is the lower-left corner of cell (i, j).
+    p00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    p10, p01, p11 = p00 + 1, p00 + n + 1, p00 + n + 2
+    if diagonal == "main":
+        tris = [p00, p10, p11, p00, p11, p01]
+    else:
+        tris = [p00, p10, p01, p10, p11, p01]
+    return Triangulation(num, np.stack(tris, axis=1).reshape(-1, 3), den)
 
 
 # -- serialization -----------------------------------------------------------
@@ -459,17 +462,17 @@ def mesh_document(g) -> dict:
 
 def cpwl_from_document(doc) -> CpwlFunction:
     try:
-        verts = [
-            (Fraction(int(nx), int(dx)), Fraction(int(ny), int(dy)))
-            for nx, dx, ny, dy in doc["vertices"]
-        ]
-        tris = [tuple(int(i) for i in t) for t in doc["triangles"]]
+        rows = [(int(nx), int(dx), int(ny), int(dy)) for nx, dx, ny, dy in doc["vertices"]]
+        tris = [[int(i) for i in t] for t in doc["triangles"]]
         values = [float(v) for v in doc["values"]] if "values" in doc else None
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MeshError(f"malformed mesh document: {exc}") from exc
-    if any(len(t) != 3 for t in tris):
-        raise MeshError("malformed mesh document: a triangle needs exactly 3 vertex indices")
-    mesh = Triangulation(verts, tris)
+    if any(dx == 0 or dy == 0 for _, dx, _, dy in rows):
+        raise MeshError("malformed mesh document: zero denominator")
+    den = math.lcm(*(abs(d) for _, dx, _, dy in rows for d in (dx, dy)))
+    num = np.array([[nx * (den // dx), ny * (den // dy)] for nx, dx, ny, dy in rows],
+                   dtype=object).reshape(-1, 2)
+    mesh = Triangulation(num, tris, den)
     if values is None:
         values = np.zeros(mesh.n_vertices)
     elif len(values) != mesh.n_vertices:

@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hstv.approx import MeshPlan, SquareFrame, _square_local_mesh
+from hstv.errors import PlanError
 from hstv.fields import GridSample
 from hstv.mesh import CpwlFunction, Triangulation, uniform_diagonal_mesh
 
@@ -83,3 +85,14 @@ def random_lattice_mesh(rng, n_interior=8, denom=64) -> Triangulation:
             continue
         if mesh.covers_bbox_exactly():
             return mesh
+
+
+def triangulate_square(frame: SquareFrame, plan: MeshPlan) -> Triangulation:
+    """Conforming triangulation of one cell of the plan."""
+    for sp in plan.squares:
+        if sp.frame is frame or sp.frame.index == frame.index:
+            if sp.frame.angle != frame.angle or sp.frame.x0 != frame.x0:
+                raise PlanError("frame does not match the plan")
+            verts, tris = _square_local_mesh(sp, plan)
+            return Triangulation(verts, tris, plan.den)
+    raise PlanError(f"frame {frame.index} not in plan")

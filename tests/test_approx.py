@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -13,11 +14,11 @@ from hstv.approx import (
     interpolate,
     plan_mesh,
     rational_angle_approx,
-    triangulate_square,
 )
-from hstv.acceptance import synthetic_frames
+from conftest import triangulate_square
+from hstv.acceptance import _ANGLE_POOL, synthetic_frames
 from hstv.errors import HstvError, MeshError, PlanError
-from hstv.fields import builtin_field
+from hstv.fields import builtin_field, parse_field
 from hstv.htv import htv_cpwl
 from hstv.mesh import evaluate_on_grid, min_angle
 from hstv.schatten import Mat2, schatten_norm
@@ -178,6 +179,13 @@ class TestPlans:
             plan_mesh(frames, 0, -1)
         with pytest.raises(PlanError):
             plan_mesh(frames, 0, 0, "fast")
+        # Sum of (m + n + 1)^2 over the four cells: 9,449,476 at K=9,
+        # 37,773,316 at K=10 and 151,044,100 at K=11.
+        iso = build_frames(parse_field("quadratic:iso"), 1)
+        plan_mesh(iso, 1, 9)
+        for K in (10, 11):
+            with pytest.raises(PlanError, match="lattice points"):
+                plan_mesh(iso, 1, K)
 
 
 class TestTriangulateSquare:
@@ -291,6 +299,29 @@ class TestAssembleGlobal:
         )
         with pytest.raises(MeshError):
             assemble_global(plan)
+
+
+class TestFrozenNumbering:
+    """Vertex and triangle numbering pinned by digest: htv_cpwl sums edge
+    contributions in edge-id order, so any renumbering changes CSV bits."""
+
+    # Criterion 4's first N=2 mixed-angle draw, as indices into its pool.
+    MIXED = [0, 0, 1, 5, 5, 1, 1, 1, 4, 1, 0, 0, 5, 5, 4, 4]
+
+    @pytest.mark.parametrize("frames, N, K, digest", [
+        (lambda: build_frames(parse_field("quadratic:iso"), 1), 1, 3,
+         "55a9f53c5b235fc061470f7621131023b450d70b61bdacc0194ab116c7782382"),
+        (lambda: build_frames(parse_field("rotated-quadratic:2,1,0.4636"), 2), 2, 2,
+         "879e72a6aa26eaccc6089568312641a769fd6298484d40d493239361af0e34a6"),
+        (lambda: build_frames(parse_field("product-sine"), 2), 2, 1,
+         "393f12a0615ee5d71d8c36cf304d02ba6ef9d739fb1d9eb4286b4dd254926018"),
+        (lambda: synthetic_frames(2, [_ANGLE_POOL[i] for i in TestFrozenNumbering.MIXED]),
+         2, 1, "7724a7ff80b1d18f583f5830766cd1482409297a96365727db59353366df472b"),
+    ], ids=["iso-N1-K3", "rotated-N2-K2", "sine-N2-K1", "mixed-N2-K1"])
+    def test_mesh_digest(self, frames, N, K, digest):
+        mesh = assemble_global(plan_mesh(frames(), N, K))
+        text = repr((mesh.vertices, mesh.triangles))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestInterpolation:

@@ -147,6 +147,8 @@ def test_exit_codes(tmp_path, capsys):
         "triangles": [[0, 1]],
     }))
     assert main(["htv", str(bad)]) == 1
+    # rejected by the plan's lattice-size ceiling before any geometry
+    assert main(["approx", "--field", "quadratic:iso", "--N", "1", "--K", "11"]) == 1
     capsys.readouterr()
 
 

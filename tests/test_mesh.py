@@ -1,17 +1,22 @@
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import grid_hat
 from hstv.errors import MeshError
 from hstv.mesh import (
     CpwlFunction,
     Triangulation,
+    cpwl_from_document,
     evaluate_on_grid,
     load_mesh,
+    mesh_document,
     min_angle,
     render_svg,
     save_mesh,
@@ -100,18 +105,22 @@ def test_save_load_roundtrip(tmp_path, pyramid):
 
 
 def test_load_rejects_hanging_vertex(tmp_path):
-    doc = {
-        "vertices": [
-            ["0", "1", "0", "1"], ["1", "1", "0", "1"], ["1", "1", "1", "1"],
-            ["0", "1", "1", "1"], ["1", "2", "1", "2"],
-        ],
-        # left triangle keeps the full diagonal; right side uses its midpoint
-        "triangles": [[0, 2, 3], [0, 1, 4], [1, 2, 4]],
-    }
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(MeshError, match="hanging"):
-        load_mesh(path)
+    # scale 2^70 puts the numerators beyond int64: the same verdict on Python ints
+    for scale in (1, 2**70):
+        doc = {
+            "vertices": [
+                [str(nx * scale), dx, str(ny * scale), dy] for nx, dx, ny, dy in (
+                    (0, "1", 0, "1"), (1, "1", 0, "1"), (1, "1", 1, "1"),
+                    (0, "1", 1, "1"), (1, "2", 1, "2"),
+                )
+            ],
+            # left triangle keeps the full diagonal; right side uses its midpoint
+            "triangles": [[0, 2, 3], [0, 1, 4], [1, 2, 4]],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MeshError, match="hanging"):
+            load_mesh(path)
 
 
 def test_load_rejects_malformed(tmp_path):
@@ -135,14 +144,19 @@ def test_load_rejects_malformed(tmp_path):
 
 def test_conformity_check_is_sound():
     """Perturbing one vertex index is always rejected, either structurally or
-    by the exact covering check."""
+    by the exact covering check.  At scale 2^70 the coordinates exceed int64
+    and every check runs on Python ints."""
     pyramid_verts = [(0, 0), (1, 0), (1, 1), (0, 1), (Fraction(1, 2), Fraction(1, 2))]
     pyramid_tris = [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)]
     grid = uniform_diagonal_mesh(2)
-    for verts, tris in (
+    for scale, (verts, tris) in itertools.product((1, 2**70), (
         (pyramid_verts, pyramid_tris),
         (grid.vertices, grid.triangles),
-    ):
+    )):
+        verts = [(x * scale, y * scale) for x, y in verts]
+        intact = Triangulation(verts, tris)
+        assert intact.covers_bbox_exactly()
+        assert intact.numerators.dtype == (object if scale > 1 else np.int64)
         for ti in range(len(tris)):
             for slot in range(3):
                 for repl in range(len(verts)):
@@ -202,3 +216,64 @@ def test_hat_interpolation_has_zero_affine_energy():
     aff = g.with_values(0.7 * fv[:, 0] - 0.4 * fv[:, 1] + 3.0)
     assert htv_cpwl(aff).total <= 1e-12
     assert htv_support(aff, 1e-12).edges == set()
+
+
+# -- parser fuzzing ------------------------------------------------------------
+
+PYRAMID_TRIS = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]
+inside = st.fractions(min_value=Fraction(1, 10**9), max_value=1 - Fraction(1, 10**9),
+                      max_denominator=10**9)
+multipliers = st.lists(st.integers(-(2**80), 2**80).filter(bool), min_size=10, max_size=10)
+
+
+def pyramid_document(cx, cy, ks) -> dict:
+    """The unit square split around (cx, cy); coordinate i written as
+    (num * ks[i]) / (den * ks[i]), so signs and scales vary, values do not."""
+    coords = [Fraction(c) for c in (0, 0, 1, 0, 1, 1, 0, 1, cx, cy)]
+    flat = [str(f(c) * k) for c, k in zip(coords, ks)
+            for f in (lambda c: c.numerator, lambda c: c.denominator)]
+    return {
+        "vertices": [flat[i:i + 4] for i in range(0, 20, 4)],
+        "triangles": [list(t) for t in PYRAMID_TRIS],
+        "values": ["0.0", "0.0", "0.0", "0.0", "1.0"],
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(inside, inside, multipliers)
+@example(Fraction(2**70 + 1, 2**71), Fraction(1, 3), [2**80 + 1] * 10)  # beyond int64
+def test_parser_matches_fractions_and_round_trips(cx, cy, ks):
+    doc = pyramid_document(cx, cy, ks)
+    g = cpwl_from_document(doc)
+    expect = [(Fraction(int(nx), int(dx)), Fraction(int(ny), int(dy)))
+              for nx, dx, ny, dy in doc["vertices"]]
+    assert g.mesh.vertices == expect
+    assert g.mesh.float_vertices.tolist() == [[float(x), float(y)] for x, y in expect]
+    assert g.mesh.covers_bbox_exactly()
+    out = mesh_document(g)
+    back = cpwl_from_document(out)
+    assert back.mesh.vertices == expect
+    assert back.mesh.triangles == g.mesh.triangles
+    assert np.array_equal(back.values, g.values)
+    assert mesh_document(back) == out
+
+
+@settings(max_examples=60, deadline=None)
+@given(inside, inside, multipliers, st.data())
+def test_parser_rejects_corrupt_documents(cx, cy, ks, data):
+    doc = pyramid_document(cx, cy, ks)
+    kind = data.draw(st.sampled_from(["zero_den", "coordinate", "value", "index"]))
+    row = data.draw(st.integers(0, 4))
+    if kind == "zero_den":
+        doc["vertices"][row][data.draw(st.sampled_from([1, 3]))] = "0"
+    elif kind == "coordinate":
+        bad = data.draw(st.sampled_from(["nan", "inf", "-inf", math.nan, math.inf]))
+        doc["vertices"][row][data.draw(st.integers(0, 3))] = bad
+    elif kind == "value":
+        doc["values"][row] = data.draw(st.sampled_from(["nan", "inf", "-inf", math.inf]))
+    else:
+        tri = doc["triangles"][data.draw(st.integers(0, 3))]
+        tri[data.draw(st.integers(0, 2))] = data.draw(
+            st.one_of(st.integers(5, 2**80), st.integers(-(2**80), -1)))
+    with pytest.raises(MeshError):
+        cpwl_from_document(doc)
