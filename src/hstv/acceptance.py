@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from .approx import (
     RationalAngle,
@@ -221,6 +220,8 @@ def random_cpwl(rng, n_interior: int = 8, denom: int = 64) -> CpwlFunction:
     Corners plus random interior lattice points, Delaunay connectivity,
     exact rational coordinates.
     """
+    from scipy.spatial import Delaunay  # a slow import, needed only here
+
     while True:
         pts = {(0, 0), (denom, 0), (denom, denom), (0, denom)}
         while len(pts) < 4 + n_interior:

@@ -183,7 +183,7 @@ def _cmd_extremal(args) -> int:
         "components": [mesh_document(t.cpwl) for t in dec.terms],
     }
     with open(args.out, "w") as f:
-        json.dump(doc, f)
+        f.write(json.dumps(doc))
         f.write("\n")
     print(f"terms={len(dec.terms)} coefficient_sum={dec.coefficient_sum!r} "
           f"residual={dec.residual!r}")

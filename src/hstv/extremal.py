@@ -15,13 +15,15 @@ rigidity identity.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import ExtremalError
-from .htv import htv_cpwl, support_edges_by_jump
+from .htv import htv_cpwl, support_mask_by_jump
 from .mesh import CpwlFunction, Edge, Triangulation
 
 SUPPORT_REL_TOL = 1e-9
@@ -30,55 +32,111 @@ SUPPORT_REL_TOL = 1e-9
 # -- linear structure of a mesh -------------------------------------------------
 
 
-def _affine_basis(mesh: Triangulation) -> np.ndarray:
-    """Orthonormal basis (V, 3) of the affine functions sampled at vertices."""
-    fv = mesh.float_vertices
-    a = np.stack([np.ones(len(fv)), fv[:, 0], fv[:, 1]], axis=1)
-    q, _ = np.linalg.qr(a)
-    return q
+class _MeshAlgebra:
+    """The linear algebra of the extremality constraints on one mesh.
 
-
-def _jump_operators(mesh: Triangulation) -> tuple[np.ndarray, np.ndarray]:
-    """(full, normal) jump operators over interior edges in id order.
-
-    full: (2E, V), rows are both components of the gradient jump across each
-    edge; normal: (E, V), the jump projected on the fixed unit edge normal.
-    Cached on the mesh object.
+    Every part is built on first use and kept for the mesh's lifetime: the
+    affine design matrix and its orthonormal basis, the orthonormal basis of
+    the affine complement, the jump operators and the interior-edge index.
+    Only the mesh's own arrays are referenced, so the cache does not keep
+    the mesh alive.
     """
-    cached = getattr(mesh, "_jump_ops", None)
-    if cached is not None:
-        return cached
-    fv = mesh.float_vertices
-    tris = mesh.triangle_array
-    nv = mesh.n_vertices
-    # Per-triangle gradient coefficient stencils (2 x 3 each).
-    pa, pb, pc = fv[tris[:, 0]], fv[tris[:, 1]], fv[tris[:, 2]]
-    e1 = pb - pa
-    e2 = pc - pa
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    gx = np.stack([(e1[:, 1] - e2[:, 1]) / det, e2[:, 1] / det, -e1[:, 1] / det], axis=1)
-    gy = np.stack([(e2[:, 0] - e1[:, 0]) / det, -e2[:, 0] / det, e1[:, 0] / det], axis=1)
 
-    edges = mesh.interior_edge_array
-    tpairs = mesh.interior_tri_array
-    n_edges = len(edges)
-    full = np.zeros((2 * n_edges, nv))
-    normal = np.zeros((n_edges, nv))
-    for ei in range(n_edges):
-        t1, t2 = int(tpairs[ei, 0]), int(tpairs[ei, 1])
-        u, v = int(edges[ei, 0]), int(edges[ei, 1])
-        dx = fv[v, 0] - fv[u, 0]
-        dy = fv[v, 1] - fv[u, 1]
-        ln = math.hypot(dx, dy)
-        nux, nuy = -dy / ln, dx / ln
-        for sign, t in ((1.0, t2), (-1.0, t1)):
-            for slot in range(3):
-                col = int(tris[t, slot])
-                full[2 * ei, col] += sign * gx[t, slot]
-                full[2 * ei + 1, col] += sign * gy[t, slot]
-                normal[ei, col] += sign * (gx[t, slot] * nux + gy[t, slot] * nuy)
-    mesh._jump_ops = (full, normal)
-    return full, normal
+    def __init__(self, mesh: Triangulation):
+        self._fv = mesh.float_vertices
+        self._tris = mesh.triangle_array
+        self._edges = mesh.interior_edge_array
+        self._tpairs = mesh.interior_tri_array
+
+    @cached_property
+    def design(self) -> np.ndarray:
+        """(V, 3) samples of the affine functions 1, x, y at the vertices."""
+        fv = self._fv
+        return np.stack([np.ones(len(fv)), fv[:, 0], fv[:, 1]], axis=1)
+
+    @cached_property
+    def affine_basis(self) -> np.ndarray:
+        """Orthonormal basis (V, 3) of the affine functions."""
+        q, _ = np.linalg.qr(self.design)
+        return q
+
+    @cached_property
+    def complement(self) -> np.ndarray:
+        """Orthonormal basis (V, V - 3) of the affine complement (read-only)."""
+        u, _, _ = np.linalg.svd(self.affine_basis, full_matrices=True)
+        u.flags.writeable = False
+        return u[:, 3:]
+
+    @cached_property
+    def jump_operators(self) -> tuple[np.ndarray, np.ndarray]:
+        """(full, normal) jump operators over interior edges in id order.
+
+        full: (2E, V), rows are both components of the gradient jump across
+        each edge (second triangle minus first); normal: (E, V), the jump
+        projected on the fixed unit edge normal.
+        """
+        fv, tris = self._fv, self._tris
+        # Per-triangle gradient coefficient stencils (2 x 3 each).
+        pa, pb, pc = fv[tris[:, 0]], fv[tris[:, 1]], fv[tris[:, 2]]
+        e1 = pb - pa
+        e2 = pc - pa
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        gx = np.stack([(e1[:, 1] - e2[:, 1]) / det, e2[:, 1] / det, -e1[:, 1] / det], axis=1)
+        gy = np.stack([(e2[:, 0] - e1[:, 0]) / det, -e2[:, 0] / det, e1[:, 0] / det], axis=1)
+
+        edges, tpairs = self._edges, self._tpairs
+        n_edges, nv = len(edges), len(fv)
+        d = fv[edges[:, 1]] - fv[edges[:, 0]]
+        ln = np.array([math.hypot(dx, dy) for dx, dy in d.tolist()])
+        nux, nuy = -d[:, 1] / ln, d[:, 0] / ln
+        # Six stencil entries per edge: the second triangle's three slots
+        # (+), then the first's (-), accumulated in that order.
+        t = np.repeat(tpairs[:, ::-1], 3, axis=1)
+        slot = np.tile(np.arange(3), 2)
+        sign = np.repeat([1.0, -1.0], 3)
+        col = tris[t, slot]
+        sx, sy = gx[t, slot], gy[t, slot]
+        row = np.arange(n_edges)[:, None]
+        full = np.zeros((2 * n_edges, nv))
+        normal = np.zeros((n_edges, nv))
+        np.add.at(full, (2 * row, col), sign * sx)
+        np.add.at(full, (2 * row + 1, col), sign * sy)
+        np.add.at(normal, (row, col), sign * (sx * nux[:, None] + sy * nuy[:, None]))
+        return full, normal
+
+    @cached_property
+    def edge_index(self) -> dict[Edge, int]:
+        """Interior edge -> its id."""
+        return {(u, v): i for i, (u, v) in enumerate(self._edges.tolist())}
+
+    def support_mask(self, support) -> np.ndarray:
+        """Boolean mask over interior-edge ids for a set of edges, an object
+        with an `edges` set, or a mask already."""
+        n_edges = len(self._edges)
+        if isinstance(support, np.ndarray) and support.dtype == bool:
+            if support.shape != (n_edges,):
+                raise ExtremalError(
+                    f"support mask has shape {support.shape}, expected ({n_edges},)")
+            return support.copy()
+        support_set = set(support.edges) if hasattr(support, "edges") else set(support)
+        index = self.edge_index
+        unknown = support_set.difference(index)
+        if unknown:
+            raise ExtremalError(f"support contains non-interior edges: {sorted(unknown)[:3]}")
+        mask = np.zeros(n_edges, dtype=bool)
+        mask[[index[e] for e in support_set]] = True
+        return mask
+
+
+_ALGEBRA: "weakref.WeakKeyDictionary[Triangulation, _MeshAlgebra]" = (
+    weakref.WeakKeyDictionary())
+
+
+def _algebra(mesh: Triangulation) -> _MeshAlgebra:
+    alg = _ALGEBRA.get(mesh)
+    if alg is None:
+        alg = _ALGEBRA[mesh] = _MeshAlgebra(mesh)
+    return alg
 
 
 # -- quotient representatives ----------------------------------------------------
@@ -106,11 +164,11 @@ def normalize_mod_affine(g: CpwlFunction) -> QuotientRep:
     The energy is unchanged (affine shifts move all gradients equally), and
     the returned values are orthogonal to {1, x, y} at the vertices.
     """
-    fv = g.mesh.float_vertices
-    a = np.stack([np.ones(len(fv)), fv[:, 0], fv[:, 1]], axis=1)
+    alg = _algebra(g.mesh)
+    a = alg.design
     coef, *_ = np.linalg.lstsq(a, g.values, rcond=None)
     reduced = g.values - a @ coef
-    q = _affine_basis(g.mesh)
+    q = alg.affine_basis
     reduced = reduced - q @ (q.T @ reduced)
     return QuotientRep(g.with_values(reduced), tuple(float(c) for c in coef))
 
@@ -128,56 +186,43 @@ class JumpSpaceBasis:
     modulo affine functions."""
 
     mesh: Triangulation
-    support: set[Edge]
+    support_mask: np.ndarray  # (E,) bool over interior-edge ids: S
     basis: np.ndarray  # (V, dim)
     dim: int
+
+    @cached_property
+    def support(self) -> set[Edge]:
+        return {tuple(e) for e in self.mesh.interior_edge_array[self.support_mask].tolist()}
 
 
 def constrained_space(mesh: Triangulation, support) -> JumpSpaceBasis:
     """Nullspace of the jump constraints on edges outside `support`.
 
+    `support` is a set of interior edges, an object with an `edges` set
+    (such as EdgeSupport) or a boolean mask over interior-edge ids.
     Constraints are both gradient-jump components per excluded edge; the
     nullspace is extracted by SVD with threshold 1e-10 times the largest
     singular value, inside the orthogonal complement of the affine span.
     """
-    support_set = set(support.edges) if hasattr(support, "edges") else set(support)
-    interior = mesh.interior_edges
-    unknown = support_set.difference(interior)
-    if unknown:
-        raise ExtremalError(f"support contains non-interior edges: {sorted(unknown)[:3]}")
-    full, _ = _jump_operators(mesh)
-    rows = []
-    for ei, e in enumerate(interior):
-        if e not in support_set:
-            rows.append(2 * ei)
-            rows.append(2 * ei + 1)
-    qa = _affine_basis(mesh)
-    # Orthonormal basis of the affine complement.
-    u, s, _ = np.linalg.svd(qa, full_matrices=True)
-    comp = u[:, 3:]
-    if not rows:
+    alg = _algebra(mesh)
+    mask = alg.support_mask(support)
+    comp = alg.complement
+    if mask.all():
         basis = comp
     else:
-        m = full[rows] @ comp
-        _, sv, vt = np.linalg.svd(m, full_matrices=True)
+        full, _ = alg.jump_operators
+        rows = full.reshape(len(mask), 2, -1)[~mask].reshape(-1, full.shape[1])
+        _, sv, vt = np.linalg.svd(rows @ comp, full_matrices=True)
         thr = 1e-10 * (sv[0] if len(sv) else 0.0)
         rank = int(np.sum(sv > thr))
         basis = comp @ vt[rank:].T
-    return JumpSpaceBasis(mesh=mesh, support=support_set, basis=basis,
-                          dim=basis.shape[1])
+    return JumpSpaceBasis(mesh=mesh, support_mask=mask, basis=basis, dim=basis.shape[1])
 
 
 @dataclass
 class ExtremalCertificate:
     space: JumpSpaceBasis
     witness: Optional[np.ndarray]  # vertex values of a non-span direction
-
-
-def _support_or_raise(g: CpwlFunction, tol: float) -> set[Edge]:
-    support = support_edges_by_jump(g, tol)
-    if not support:
-        raise ExtremalError("function is affine (zero energy): not on the unit sphere")
-    return support
 
 
 def is_extremal(g: Union[CpwlFunction, QuotientRep], tol: float = SUPPORT_REL_TOL
@@ -189,7 +234,14 @@ def is_extremal(g: Union[CpwlFunction, QuotientRep], tol: float = SUPPORT_REL_TO
     of g.
     """
     g = _as_cpwl(g)
-    support = _support_or_raise(g, tol)
+    return _extremality(g, support_mask_by_jump(g, tol))
+
+
+def _extremality(g: CpwlFunction, support: np.ndarray
+                 ) -> tuple[bool, ExtremalCertificate]:
+    """`is_extremal` for g whose support mask is already known."""
+    if not support.any():
+        raise ExtremalError("function is affine (zero energy): not on the unit sphere")
     space = constrained_space(g.mesh, support)
     if space.dim < 1:
         raise ExtremalError("numerical rank failure: g not inside its own constraint space")
@@ -249,40 +301,48 @@ def support_reduce(g: Union[CpwlFunction, QuotientRep], tol: float = SUPPORT_REL
     extremal, cert = is_extremal(g, tol)
     if extremal:
         raise ExtremalError("input is extremal: nothing to reduce")
+    h, lam, nxt, _ = _reduce_step(g, cert, tol)
+    return h, lam, nxt
+
+
+def _reduce_step(g: CpwlFunction, cert: ExtremalCertificate, tol: float
+                 ) -> tuple[CpwlFunction, float, QuotientRep, np.ndarray]:
+    """`support_reduce` for a non-extremal g with its certificate in hand;
+    also returns the support mask of the result."""
     h_vec = cert.witness
-    mesh = g.mesh
-    _, normal_op = _jump_operators(mesh)
+    support = cert.space.support_mask
+    _, normal_op = _algebra(g.mesh).jump_operators
     jn_g = normal_op @ g.values
     jn_h = normal_op @ h_vec
-    support = cert.space.support
-    interior = mesh.interior_edges
     h_thr = tol * float(np.abs(jn_h).max())
-    lam = None
-    for ei, e in enumerate(interior):
-        if e in support and abs(jn_h[ei]) > h_thr:
-            cand = jn_g[ei] / jn_h[ei]
-            if lam is None or abs(cand) < abs(lam):
-                lam = cand
-    if lam is None:
+    usable = support & (np.abs(jn_h) > h_thr)
+    if not usable.any():
         raise ExtremalError("witness has no usable jump inside the support")
+    ratios = jn_g[usable] / jn_h[usable]
+    lam = ratios[np.argmin(np.abs(ratios))]  # the first of the smallest
     nxt = normalize_mod_affine(g.with_values(g.values - lam * h_vec))
-    new_support = support_edges_by_jump(nxt.cpwl, tol)
-    if not new_support < support:
+    new_support = support_mask_by_jump(nxt.cpwl, tol)
+    if not (np.all(new_support <= support) and new_support.sum() < support.sum()):
         raise ExtremalError("support did not strictly decrease: numerical rank failure")
-    return g.with_values(h_vec), float(lam), nxt
+    return g.with_values(h_vec), float(lam), nxt, new_support
 
 
 def find_extremal_in_support(g: Union[CpwlFunction, QuotientRep],
                              tol: float = SUPPORT_REL_TOL) -> QuotientRep:
-    """Extremal direction with support inside g's, normalized to unit energy."""
+    """Extremal direction with support inside g's, normalized to unit energy.
+
+    Each step solves for one constrained space: the extremality test's
+    certificate drives the reduction, and the support the reduction has
+    checked is the next step's support.
+    """
     rep = normalize_mod_affine(_as_cpwl(g))
-    max_steps = len(rep.mesh.interior_edges) + 2
-    for _ in range(max_steps):
-        extremal, _ = is_extremal(rep.cpwl, tol)
+    support = support_mask_by_jump(rep.cpwl, tol)
+    for _ in range(len(support) + 2):
+        extremal, cert = _extremality(rep.cpwl, support)
         if extremal:
             total = htv_cpwl(rep.cpwl).total
             return QuotientRep(rep.cpwl.with_values(rep.values / total), (0.0, 0.0, 0.0))
-        _, _, rep = support_reduce(rep, tol)
+        _, _, rep, support = _reduce_step(rep.cpwl, cert, tol)
     raise ExtremalError("support reduction did not terminate")
 
 
@@ -316,13 +376,11 @@ def decompose(g: Union[CpwlFunction, QuotientRep], tol: float = 1e-8) -> Decompo
     total = htv_cpwl(rep0.cpwl).total
     if total <= tol:
         raise ExtremalError("input is affine: nothing to decompose")
-    mesh = rep0.mesh
-    _, normal_op = _jump_operators(mesh)
-    interior = mesh.interior_edges
+    _, normal_op = _algebra(rep0.mesh).jump_operators
     x = rep0.values.copy()
     terms: list[QuotientRep] = []
     coeffs: list[float] = []
-    for _ in range(len(interior) + 2):
+    for _ in range(len(rep0.mesh.interior_edge_array) + 2):
         current = htv_cpwl(rep0.cpwl.with_values(x)).total
         if current <= tol * max(1.0, total):
             break
@@ -330,15 +388,15 @@ def decompose(g: Union[CpwlFunction, QuotientRep], tol: float = 1e-8) -> Decompo
         jn_x = normal_op @ x
         jn_t = normal_op @ t.values
         t_thr = SUPPORT_REL_TOL * float(np.abs(jn_t).max())
-        ratios = [jn_x[ei] / jn_t[ei] for ei in range(len(interior))
-                  if abs(jn_t[ei]) > t_thr]
-        pos = [r for r in ratios if r > 0]
-        if not pos or min(pos) <= 0 or (min(ratios) < -tol * max(1.0, total)):
+        used = np.abs(jn_t) > t_thr
+        ratios = jn_x[used] / jn_t[used]
+        pos = ratios[ratios > 0]
+        if not len(pos) or ratios.min() < -tol * max(1.0, total):
             raise ExtremalError(
                 "jump signs of the extremal direction disagree with the input: "
                 "numerical rank failure"
             )
-        c = min(pos)
+        c = pos.min()
         terms.append(t)
         coeffs.append(float(c))
         x = x - c * t.values

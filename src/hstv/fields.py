@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .errors import FieldError
 from .schatten import Mat2, check_p, schatten_norms
@@ -216,6 +215,8 @@ def mollify(u: GridSample, radius: float) -> GridSample:
     """
     if radius < u.spacing:
         raise FieldError(f"radius {radius} smaller than grid spacing {u.spacing}")
+    from scipy.signal import convolve2d  # a slow import, needed only here
+
     r = int(math.floor(radius / u.spacing))
     k = bump_kernel(r)
     out = convolve2d(u.samples, k, mode="same", boundary="fill", fillvalue=0.0)

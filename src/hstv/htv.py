@@ -33,10 +33,14 @@ class HtvReport:
 
     total: float
     p: float
-    edges: list[Edge]
+    edge_array: np.ndarray      # (E, 2) interior edges, as Triangulation.interior_edge_array
     jumps: np.ndarray           # (E, 2) gradient jumps, second triangle minus first
     lengths: np.ndarray         # (E,)
     contributions: np.ndarray   # (E,) |jump| * length
+
+    @cached_property
+    def edges(self) -> list[Edge]:
+        return [tuple(e) for e in self.edge_array.tolist()]
 
     @cached_property
     def per_edge(self) -> list[EdgeContribution]:
@@ -63,13 +67,17 @@ def _require_covering(mesh: Triangulation):
         )
 
 
+def _jumps(g: CpwlFunction) -> np.ndarray:
+    """(E, 2) gradient jumps over interior edges in id order."""
+    grads = g.gradients()
+    tpairs = g.mesh.interior_tri_array
+    return grads[tpairs[:, 1]] - grads[tpairs[:, 0]]
+
+
 def _jump_data(g: CpwlFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(jumps, lengths, contributions) over interior edges in id order."""
-    mesh = g.mesh
-    grads = g.gradients()
-    tpairs = mesh.interior_tri_array
-    jumps = grads[tpairs[:, 1]] - grads[tpairs[:, 0]]
-    lengths = mesh.edge_lengths()
+    jumps = _jumps(g)
+    lengths = g.mesh.edge_lengths()
     contributions = np.hypot(jumps[:, 0], jumps[:, 1]) * lengths
     return jumps, lengths, contributions
 
@@ -88,7 +96,7 @@ def htv_cpwl(g: CpwlFunction, p=1) -> HtvReport:
     return HtvReport(
         total=float(np.sum(contributions)),
         p=p,
-        edges=g.mesh.interior_edges,
+        edge_array=g.mesh.interior_edge_array,
         jumps=jumps,
         lengths=lengths,
         contributions=contributions,
@@ -105,18 +113,24 @@ def htv_support(g: CpwlFunction, tol: float = 0.0) -> EdgeSupport:
     return EdgeSupport(edges=edges, total_length=float(np.sum(lengths[mask])))
 
 
-def support_edges_by_jump(g: CpwlFunction, rel_tol: float = 1e-9) -> set[Edge]:
-    """Support detected by jump norm relative to the largest jump.
+def support_mask_by_jump(g: CpwlFunction, rel_tol: float = 1e-9) -> np.ndarray:
+    """Support detected by jump norm relative to the largest jump, as a
+    boolean mask over interior-edge ids.
 
     This is the tolerance rule shared by the extremality pipeline: an edge
     is in the support iff |jump| > rel_tol * max |jump|.
     """
-    jumps, _, _ = _jump_data(g)
+    jumps = _jumps(g)
     if len(jumps) == 0:
-        return set()
+        return np.zeros(0, dtype=bool)
     norms = np.hypot(jumps[:, 0], jumps[:, 1])
-    thr = rel_tol * float(norms.max())
-    return {tuple(e) for e in g.mesh.interior_edge_array[norms > thr].tolist()}
+    return norms > rel_tol * float(norms.max())
+
+
+def support_edges_by_jump(g: CpwlFunction, rel_tol: float = 1e-9) -> set[Edge]:
+    """The edges of `support_mask_by_jump`."""
+    mask = support_mask_by_jump(g, rel_tol)
+    return {tuple(e) for e in g.mesh.interior_edge_array[mask].tolist()}
 
 
 def p_independence_check(g: CpwlFunction) -> float:

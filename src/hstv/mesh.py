@@ -483,7 +483,7 @@ def cpwl_from_document(doc) -> CpwlFunction:
 def save_mesh(g, path) -> None:
     """Write a mesh (Triangulation or CpwlFunction) as JSON; exact round trip."""
     with open(path, "w") as f:
-        json.dump(mesh_document(g), f)
+        f.write(json.dumps(mesh_document(g)))
         f.write("\n")
 
 

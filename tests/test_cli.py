@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import grid_hat
+from conftest import grid_hat, random_lattice_mesh
 from hstv.cli import main
 from hstv.htv import htv_cpwl
 from hstv.mesh import CpwlFunction, load_mesh, save_mesh, uniform_diagonal_mesh
@@ -36,6 +37,16 @@ def test_version_runs_as_script():
     )
     assert out.returncode == 0
     assert out.stdout.startswith("hstv ")
+
+
+def test_import_leaves_scipy_unloaded():
+    """scipy is imported by the two functions that use it (mollify and the
+    acceptance suite's random meshes), not by `import hstv`."""
+    code = ("import sys, hstv, hstv.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_htv_total_and_csv(hat_file, tmp_path, capsys):
@@ -120,6 +131,26 @@ def test_extremal_decompose(two_hat_file, tmp_path, capsys):
     for comp in doc["components"]:
         g = load_mesh_from_doc(comp)
         assert abs(htv_cpwl(g).total - 1.0) <= 1e-9
+
+
+def test_extremal_decompose_digest(tmp_path, capsys):
+    """`extremal decompose` bytes pinned by digest on a seeded 36-vertex
+    random Delaunay function: the greedy loop's floats reach the document
+    unchanged, so any change to the operands or order of its linear algebra
+    shows here.  Captured with numpy 2.4.6 on OpenBLAS 0.3.31."""
+    rng = np.random.default_rng(5)
+    mesh = random_lattice_mesh(rng, n_interior=32)
+    assert mesh.n_vertices == 36
+    src = tmp_path / "g.json"
+    save_mesh(CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices)), src)
+    out = tmp_path / "decomp.json"
+    assert main(["extremal", "decompose", str(src), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("terms=33 ")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "c5286d98378f10f2b790ec216f2dc0ef31644e6d52068ca0c901530da5b94a3d")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "d9e8c7935c40c25bf56ac1f7bbc4fbe9e57f264c09ef80f90aff3436918a7c93")
 
 
 def load_mesh_from_doc(doc):

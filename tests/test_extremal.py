@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_hat, random_lattice_mesh
+from hstv import extremal
 from hstv.errors import ExtremalError
 from hstv.extremal import (
     constrained_space,
@@ -190,6 +191,108 @@ class TestFindExtremal:
             t = find_extremal_in_support(g)
             assert is_extremal(t.cpwl)[0]
             assert support_edges_by_jump(t.cpwl) <= support_edges_by_jump(g)
+
+
+class TestSolveCount:
+    """The greedy loop solves for one constrained space per step: the
+    extremality test's certificate drives the reduction, and the support
+    the reduction checked is the next step's support."""
+
+    def test_one_solve_per_step(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        mesh = random_lattice_mesh(rng, n_interior=8)
+        g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
+        rep = normalize_mod_affine(g)
+        steps = 0
+        while not is_extremal(rep)[0]:
+            _, _, rep = support_reduce(rep)
+            steps += 1
+        assert steps == 8
+        calls = []
+        solve = extremal.constrained_space
+        monkeypatch.setattr(extremal, "constrained_space",
+                            lambda *args: calls.append(args) or solve(*args))
+        t = find_extremal_in_support(g)
+        assert len(calls) == steps + 1
+        # Same floats as the step-by-step public route.
+        np.testing.assert_array_equal(t.values, rep.values / htv_cpwl(rep.cpwl).total)
+        monkeypatch.undo()
+        assert len(decompose(g).terms) == 9  # as before the solves were shared
+
+    def test_support_forms_agree(self):
+        rng = np.random.default_rng(24)
+        mesh = random_lattice_mesh(rng)
+        g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
+        edges = set(list(support_edges_by_jump(g))[::2])
+        by_set = constrained_space(mesh, edges)
+        mask = np.array([e in edges for e in mesh.interior_edges])
+        by_mask = constrained_space(mesh, mask)
+        assert by_set.support == by_mask.support == edges
+        np.testing.assert_array_equal(by_set.basis, by_mask.basis)
+        with pytest.raises(ExtremalError):
+            constrained_space(mesh, mask[1:])
+
+
+def loop_jump_operators(mesh):
+    """Reference (full, normal) jump operators: one edge, triangle and slot
+    at a time, second triangle (+) before first (-)."""
+    fv = mesh.float_vertices
+    tris = mesh.triangle_array
+    full = np.zeros((2 * len(mesh.interior_edge_array), mesh.n_vertices))
+    normal = np.zeros((len(mesh.interior_edge_array), mesh.n_vertices))
+    for ei, ((u, v), (t1, t2)) in enumerate(zip(mesh.interior_edges,
+                                                mesh.interior_tri_array.tolist())):
+        dx, dy = fv[v, 0] - fv[u, 0], fv[v, 1] - fv[u, 1]
+        ln = math.hypot(dx, dy)
+        nux, nuy = -dy / ln, dx / ln
+        for sign, t in ((1.0, t2), (-1.0, t1)):
+            a, b, c = fv[tris[t]]
+            e1, e2 = b - a, c - a
+            det = e1[0] * e2[1] - e1[1] * e2[0]
+            gx = ((e1[1] - e2[1]) / det, e2[1] / det, -e1[1] / det)
+            gy = ((e2[0] - e1[0]) / det, -e2[0] / det, e1[0] / det)
+            for slot in range(3):
+                col = tris[t, slot]
+                full[2 * ei, col] += sign * gx[slot]
+                full[2 * ei + 1, col] += sign * gy[slot]
+                normal[ei, col] += sign * (gx[slot] * nux + gy[slot] * nuy)
+    return full, normal
+
+
+class TestLoopReferences:
+    """The array expressions of the greedy loop against per-edge loops: the
+    arithmetic is unchanged, so the results must be equal bit for bit."""
+
+    def test_jump_operators(self):
+        rng = np.random.default_rng(25)
+        for mesh in (random_lattice_mesh(rng), random_lattice_mesh(rng, 32),
+                     uniform_diagonal_mesh(3, "anti")):
+            full, normal = extremal._algebra(mesh).jump_operators
+            ref_full, ref_normal = loop_jump_operators(mesh)
+            assert np.array_equal(full, ref_full)
+            assert np.array_equal(normal, ref_normal)
+
+    def test_reduction_ratio(self):
+        """lambda is the smallest |ratio| over usable support edges, the
+        first one on ties."""
+        rng = np.random.default_rng(26)
+        mesh = random_lattice_mesh(rng)
+        g = normalize_mod_affine(CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices)))
+        _, normal = loop_jump_operators(mesh)
+        for _ in range(3):
+            _, cert = is_extremal(g)
+            h, lam, nxt = support_reduce(g)
+            support = cert.space.support
+            jn_g, jn_h = normal @ g.values, normal @ h.values
+            h_thr = 1e-9 * float(np.abs(jn_h).max())
+            ref = None
+            for ei, e in enumerate(mesh.interior_edges):
+                if e in support and abs(jn_h[ei]) > h_thr:
+                    cand = jn_g[ei] / jn_h[ei]
+                    if ref is None or abs(cand) < abs(ref):
+                        ref = cand
+            assert lam == float(ref)
+            g = nxt
 
 
 class TestDecompose:
