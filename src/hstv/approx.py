@@ -25,7 +25,7 @@ from .errors import HstvError, MeshError, PlanError
 from .fields import SmoothField, htv_quadrature
 from .htv import htv_cpwl
 from .mesh import CpwlFunction, Triangulation, _first_occurrence, min_angle
-from .schatten import Mat2, schatten_norm, sym_eigen_frame
+from .schatten import Mat2, schatten_norms, sym_eigen_frame
 
 Coord = tuple[Fraction, Fraction]
 
@@ -123,6 +123,13 @@ class SquareFrame:
 
 _TIE_ANGLE = RationalAngle(2, 1)
 
+# The fewest rotated-lattice points one cell can scan: reduced pair (1, 2)
+# at K = 0 has m = 2 and n = 1, so (m + n + 1)^2 = 16.
+_MIN_CELL_LATTICE_POINTS = (2 + 1 + 1) ** 2
+
+# Deviation samples evaluated per array batch (about 2 MB per float array).
+_SAMPLE_BATCH = 1 << 18
+
 
 def build_frames(fld: SmoothField, N: int, samples_per_square: int = 9) -> list[SquareFrame]:
     """One frame per dyadic square of level N.
@@ -131,52 +138,80 @@ def build_frames(fld: SmoothField, N: int, samples_per_square: int = 9) -> list[
     rational angle approximates the eigenframe angle within 1/max(N, 1).
     Isotropic centers (equal eigenvalues) take a fixed arbitrary angle.
     The recorded deviation is the max Schatten-1 distance between the
-    rotated curvature and the diagonal over a samples^2 lattice.
+    rotated curvature and the diagonal over a samples^2 lattice.  Raises
+    PlanError, before any per-cell work, when the 4^N cells could not fit
+    under MAX_LATTICE_POINTS even at the smallest cell.
     """
     if N < 0:
         raise HstvError("N must be >= 0")
     if samples_per_square < 2:
         raise HstvError("samples_per_square must be >= 2")
+    if 4**N * _MIN_CELL_LATTICE_POINTS > MAX_LATTICE_POINTS:
+        raise PlanError(
+            f"N={N}: {4**N} cells scan at least {4**N * _MIN_CELL_LATTICE_POINTS} "
+            f"rotated-lattice points, above {MAX_LATTICE_POINTS}: plan too fine to realize"
+        )
     side = Fraction(1, 2**N)
     eps = 1.0 / max(N, 1)
-    frames = []
-    for iy in range(2**N):
-        for ix in range(2**N):
-            x0 = ix * side
-            y0 = iy * side
-            cx = float(x0 + side / 2)
-            cy = float(y0 + side / 2)
-            hess = fld.hess(cx, cy)
-            diag, theta_hat = sym_eigen_frame(hess, tol=1e-8)
-            d1, d2 = diag.m11, diag.m22
-            if abs(d1 - d2) <= 1e-12 * max(1.0, abs(d1), abs(d2)):
-                angle = _TIE_ANGLE
-            else:
-                angle = rational_angle_approx(theta_hat, eps)
-            rot = angle.rotation()
-            dev = 0.0
-            step = float(side) / (samples_per_square - 1)
-            for i in range(samples_per_square):
-                for j in range(samples_per_square):
-                    x = float(x0) + i * step
-                    y = float(y0) + j * step
-                    m = rot.transpose() @ fld.hess(x, y) @ rot
-                    dev = max(dev, schatten_norm(m - diag, 1))
-            frames.append(
-                SquareFrame(
-                    index=iy * 2**N + ix,
-                    ix=ix,
-                    iy=iy,
-                    x0=x0,
-                    y0=y0,
-                    side=side,
-                    center=(cx, cy),
-                    diag=(d1, d2),
-                    angle=angle,
-                    deviation=dev,
-                )
-            )
-    return frames
+    h = float(side)
+    # Dyadic corners and centers, exact in float; cells in row-major order.
+    iy, ix = np.divmod(np.arange(4**N), 2**N)
+    x0, y0 = ix * h, iy * h
+    cx, cy = x0 + 0.5 * h, y0 + 0.5 * h
+
+    # Angle and diagonal: one scalar eigen-decision per cell center.  Each
+    # angle carries its rotation [[c, -s], [s, c]].
+    def with_rotation(angle):
+        rot = angle.rotation()
+        return angle, rot.m11, rot.m21
+
+    tie = with_rotation(_TIE_ANGLE)
+    by_theta: dict[float, tuple[RationalAngle, float, float]] = {}
+    diags, rotated = [], []
+    for x, y in zip(cx.tolist(), cy.tolist()):
+        diag, theta_hat = sym_eigen_frame(fld.hess(x, y), tol=1e-8)
+        d1, d2 = diag.m11, diag.m22
+        if abs(d1 - d2) <= 1e-12 * max(1.0, abs(d1), abs(d2)):
+            choice = tie
+        else:
+            choice = by_theta.get(theta_hat)
+            if choice is None:
+                choice = by_theta[theta_hat] = with_rotation(
+                    rational_angle_approx(theta_hat, eps))
+        diags.append((d1, d2))
+        rotated.append(choice)
+
+    # Deviation: rot^T hess rot - diag over each cell's samples^2 lattice,
+    # evaluated as arrays in batches of whole cells.
+    d = np.array(diags).reshape(-1, 2)
+    c, s = (np.array([t[k] for t in rotated]) for k in (1, 2))
+    offsets = np.arange(samples_per_square) * (h / (samples_per_square - 1))
+    deviation = np.empty(len(cx))
+    batch = max(1, _SAMPLE_BATCH // samples_per_square**2)
+    for lo in range(0, len(cx), batch):
+        cells = slice(lo, lo + batch)
+        fxx, fxy, fyy = fld.hess_components(x0[cells, None, None] + offsets[:, None],
+                                            y0[cells, None, None] + offsets)
+        ck, sk, d1, d2 = (v[cells, None, None] for v in (c, s, d[:, 0], d[:, 1]))
+        # rot^T @ hess, then @ rot, in the operation order of Mat2.__matmul__.
+        p11, p12 = ck * fxx + sk * fxy, ck * fxy + sk * fyy
+        p21, p22 = -sk * fxx + ck * fxy, -sk * fxy + ck * fyy
+        m = (p11 * ck + p12 * sk - d1, p11 * -sk + p12 * ck - 0.0,
+             p21 * ck + p22 * sk - 0.0, p21 * -sk + p22 * ck - d2)
+        for entry in m:
+            bad = entry[~np.isfinite(entry)]
+            if bad.size:
+                raise HstvError(f"non-finite matrix entry: {float(bad[0])!r}")
+        deviation[cells] = schatten_norms(*m, 1).max(axis=(1, 2), initial=0.0)
+
+    corners = [k * side for k in range(2**N)]
+    return [
+        SquareFrame(index=k, ix=i, iy=j, x0=corners[i], y0=corners[j], side=side,
+                    center=center, diag=dg, angle=rot[0], deviation=dev)
+        for k, (i, j, center, dg, rot, dev) in enumerate(zip(
+            ix.tolist(), iy.tolist(), zip(cx.tolist(), cy.tolist()), diags,
+            rotated, deviation.tolist()))
+    ]
 
 
 # -- mesh plans ----------------------------------------------------------------
@@ -249,24 +284,31 @@ def plan_mesh(frames: Sequence[SquareFrame], N: int, K: int, mode: str = "lcm") 
             f"{lattice} rotated-lattice points to scan, above {MAX_LATTICE_POINTS}: "
             f"plan too fine to realize (angle denominators {qs}, K={K})"
         )
+    side = Fraction(1, 1 << N)
+    # Counts and steps depend on (pp, qq) only: derived and checked once per pair.
+    grids: dict[tuple[int, int], tuple] = {}
     squares = []
     for frame, (pp, qq, refl) in zip(frames, reduced):
-        if frame.side != Fraction(1, 1 << N):
+        if frame.side != side:
             raise PlanError(f"frame {frame.index} has side {frame.side}, expected 2^-{N}")
-        m0 = m0_all
-        if m0 * pp % qq:
-            raise PlanError(f"pitch count {m0}*{pp}/{qq} not integral")
-        n0 = m0 * pp // qq
-        m = m0 << K
-        n = n0 << K
-        r2 = pp * pp + qq * qq
-        hv = (spacing * qq * pp / r2, spacing * qq * qq / r2)
-        hw = (-spacing * qq * qq / r2, spacing * qq * pp / r2)
-        # Alignment invariants, exact: pitch/sin(theta) = spacing, and the
-        # cell corners sit on the rotated lattice.
-        assert (spacing * qq) ** 2 == r2 * (hv[0] ** 2 + hv[1] ** 2)
-        assert n * hv[0] - m * hw[0] == frame.side and n * hv[1] - m * hw[1] == 0
-        assert m * hv[0] + n * hw[0] == 0 and m * hv[1] + n * hw[1] == frame.side
+        grid = grids.get((pp, qq))
+        if grid is None:
+            m0 = m0_all
+            if m0 * pp % qq:
+                raise PlanError(f"pitch count {m0}*{pp}/{qq} not integral")
+            n0 = m0 * pp // qq
+            m = m0 << K
+            n = n0 << K
+            r2 = pp * pp + qq * qq
+            hv = (spacing * qq * pp / r2, spacing * qq * qq / r2)
+            hw = (-spacing * qq * qq / r2, spacing * qq * pp / r2)
+            # Alignment invariants, exact: pitch/sin(theta) = spacing, and the
+            # cell corners sit on the rotated lattice.
+            assert (spacing * qq) ** 2 == r2 * (hv[0] ** 2 + hv[1] ** 2)
+            assert n * hv[0] - m * hw[0] == side and n * hv[1] - m * hw[1] == 0
+            assert m * hv[0] + n * hw[0] == 0 and m * hv[1] + n * hw[1] == side
+            grid = grids[(pp, qq)] = (m, n, m0, n0, hv, hw)
+        m, n, m0, n0, hv, hw = grid
         squares.append(
             SquarePlan(
                 frame=frame, pp=pp, qq=qq, reflected=refl,
@@ -319,32 +361,40 @@ def _band_master(pp: int, qq: int, m0: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _numerators(den: int, *values: Fraction) -> list[int]:
     """Numerators over den of plan-level rationals (MeshError if one is off that grid)."""
-    scaled = [v * den for v in values]
-    if any(q.denominator != 1 for q in scaled):
+    if any(den % v.denominator for v in values):
         raise MeshError(f"plan coordinates are not multiples of 1/{den}")
-    return [q.numerator for q in scaled]
+    return [v.numerator * (den // v.denominator) for v in values]
 
 
-def _square_local_mesh(sp: SquarePlan, plan: MeshPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex numerators over plan.den and CCW triangles of one cell (exact).
+def _cell_type(sp: SquarePlan) -> tuple:
+    """Every SquarePlan field the local mesh depends on: cells with equal
+    types have equal local meshes, exact integer translates of each other.
+    The rationals enter as (numerator, denominator) pairs, which are cheaper
+    to hash than Fractions and equal exactly when they are."""
+    return (sp.pp, sp.qq, sp.reflected, sp.m, sp.n, sp.m0, sp.n0,
+            *((v.numerator, v.denominator) for v in (*sp.hv, *sp.hw, sp.frame.side)))
 
+
+def _square_local_mesh(sp: SquarePlan, plan: MeshPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertex numerators over plan.den, CCW triangles and the cell-boundary
+    mask of one cell placed at the origin (exact).
+
+    Depends on the plan only through K, den and the fields in _cell_type.
     Vertices are numbered by first occurrence in this sequence: the points
     of the band copies (four families of 2^K copies, each in master order),
     then the corners of the inner lattice cells, cell by cell.  Raises
     MeshError unless the inner lattice cells and the band copies tile the
     cell area exactly, so a successful return certifies the tiling.
     """
-    frame = sp.frame
     copies = 1 << plan.K
     one = sp.m0 * (sp.pp * sp.pp + sp.qq * sp.qq)
     master_pts, master_tris = _band_master(sp.pp, sp.qq, sp.m0)
-    x0, y0, side, hvx, hvy, hwx, hwy, unit = _numerators(
-        plan.den, frame.x0, frame.y0, frame.side, *sp.hv, *sp.hw,
-        frame.side / (copies * one))
+    side, hvx, hvy, hwx, hwy, unit = _numerators(
+        plan.den, sp.frame.side, *sp.hv, *sp.hw, sp.frame.side / (copies * one))
     m, n = sp.m, sp.n
     # Coordinates and lattice products below (cell offsets times steps, two
     # terms) stay within 2 * big^2.
-    big = abs(x0) + abs(y0) + side + (m + n + 2) * max(map(abs, (hvx, hvy, hwx, hwy)))
+    big = side + (m + n + 2) * max(map(abs, (hvx, hvy, hwx, hwy)))
     dtype = np.int64 if 2 * big * big < 2**63 else object
 
     # Band copies, as offsets from the cell's lower-left corner: the top
@@ -406,7 +456,7 @@ def _square_local_mesh(sp: SquarePlan, plan: MeshPlan) -> tuple[np.ndarray, np.n
     if covered2 != 2 * side * side:
         raise MeshError(
             "inner cells and transition band do not tile the cell exactly "
-            f"(got {Fraction(covered2, 2 * plan.den ** 2)}, want {frame.side ** 2})"
+            f"(got {Fraction(covered2, 2 * plan.den ** 2)}, want {sp.frame.side ** 2})"
         )
 
     # Inner cell corners p00, p10, p01, p11 and the standard split along the
@@ -428,34 +478,57 @@ def _square_local_mesh(sp: SquarePlan, plan: MeshPlan) -> tuple[np.ndarray, np.n
         # Mirror across the anti-diagonal of the cell; orientation flips.
         verts = np.stack([side - verts[:, 1], side - verts[:, 0]], axis=1)
         tris = tris[:, [0, 2, 1]]
-    return verts + np.array([x0, y0], dtype=dtype), tris
+    return verts, tris, ((verts == 0) | (verts == side)).any(axis=1)
 
 
 def assemble_global(plan: MeshPlan) -> Triangulation:
     """Union of all cell triangulations as one conforming mesh.
 
-    Vertices on cell boundaries are matched exactly (integer numerators
-    over plan.den), each keeping the number of its first occurrence; any
-    spacing mismatch surfaces as a MeshError.
+    Each cell type's local mesh is built (and its tiling checked) once;
+    every cell of that type is placed by adding its corner's integer
+    numerators.  Vertices on cell boundaries are matched exactly (integer
+    numerators over plan.den), each keeping the number of its first
+    occurrence; any spacing mismatch surfaces as a MeshError.
     """
-    verts, tris, on_boundary = [], [], []
-    offset = 0
-    for sp in plan.squares:
-        v, t = _square_local_mesh(sp, plan)
-        x0, y0, side = _numerators(plan.den, sp.frame.x0, sp.frame.y0, sp.frame.side)
-        rel = v - np.array([x0, y0], dtype=v.dtype)
-        on_boundary.append(((rel == 0) | (rel == side)).any(axis=1))
-        verts.append(v)
-        tris.append(t + offset)
-        offset += len(v)
-    pts = np.concatenate(verts)
+    types: dict[tuple, int] = {}
+    local = []
+    kind = np.empty(len(plan.squares), dtype=np.int64)
+    for i, sp in enumerate(plan.squares):
+        key = _cell_type(sp)
+        k = types.get(key)
+        if k is None:
+            k = types[key] = len(local)
+            local.append(_square_local_mesh(sp, plan))
+        kind[i] = k
+    corners = _numerators(plan.den, *(sp.frame.x0 for sp in plan.squares),
+                          *(sp.frame.y0 for sp in plan.squares))
+    # Every coordinate lies in [0, den], so int64 holds the sums when den does.
+    exact = plan.den < 2**62 and all(v.dtype == np.int64 for v, _, _ in local)
+    corner = np.array(corners, dtype=np.int64 if exact else object).reshape(2, -1).T
+
+    # Cells keep plan order: cell i's vertices and triangles start at
+    # vstart[i] and tstart[i].
+    nv = np.array([len(v) for v, _, _ in local])[kind]
+    nt = np.array([len(t) for _, t, _ in local])[kind]
+    vstart = np.cumsum(nv) - nv
+    tstart = np.cumsum(nt) - nt
+    pts = np.empty((int(nv.sum()), 2), dtype=corner.dtype)
+    tris = np.empty((int(nt.sum()), 3), dtype=np.int64)
+    on_boundary = np.empty(len(pts), dtype=bool)
+    for k, (v, t, b) in enumerate(local):
+        cells = np.flatnonzero(kind == k)
+        vrows = vstart[cells, None] + np.arange(len(v))
+        pts[vrows] = corner[cells, None, :] + v
+        on_boundary[vrows] = b
+        tris[tstart[cells, None] + np.arange(len(t))] = vstart[cells, None, None] + t
+
     first = np.arange(len(pts))
-    shared = np.flatnonzero(np.concatenate(on_boundary))
+    shared = np.flatnonzero(on_boundary)
     first[shared] = shared[_first_occurrence(pts[shared])]
     new = first == np.arange(len(pts))
     ids = (np.cumsum(new) - 1)[first]
     try:
-        mesh = Triangulation(pts[new], ids[np.concatenate(tris)], plan.den)
+        mesh = Triangulation(pts[new], ids[tris], plan.den)
     except MeshError as exc:
         raise MeshError(f"cell boundaries do not match: {exc}") from exc
     if not mesh.covers_bbox_exactly():

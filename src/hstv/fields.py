@@ -4,6 +4,7 @@ quadrature, discrete mollification and the one-sided reflection extension."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -128,11 +129,15 @@ def builtin_field(name: str, *params) -> SmoothField:
     """Construct one of the built-in fields by name.
 
     quadratic(a11, a12, a22[, b1, b2, c]), rotated_quadratic(lam1, lam2, theta),
-    gaussian_bump([sigma, cx, cy]), product_sine([omega]).
+    gaussian_bump([sigma, cx, cy]), product_sine([omega]).  Every parameter
+    must be finite.
     """
     key = name.replace("-", "_")
     if key not in _BUILTINS:
         raise FieldError(f"unknown field {name!r}; known: {sorted(_BUILTINS)}")
+    for v in params:
+        if isinstance(v, numbers.Real) and not math.isfinite(v):
+            raise FieldError(f"non-finite parameter {v!r} for field {name!r}")
     try:
         return _BUILTINS[key](*params)
     except TypeError as exc:

@@ -299,9 +299,9 @@ def min_angle(mesh: Triangulation) -> float:
     """Minimum interior angle over all triangles, in radians.
 
     Two-phase: a vectorized float pass finds candidates near the minimum,
-    then those few triangles are recomputed from exact integer coordinate
-    differences divided by the denominator.  The refinement makes the
-    result invariant under exact power-of-two rescaling of triangles
+    then each distinct candidate shape is recomputed from exact integer
+    coordinate differences divided by the denominator.  The refinement
+    makes the result invariant under exact power-of-two rescaling of triangles
     (self-similar meshes report bitwise-identical minima across refinement
     levels).
     """
@@ -320,11 +320,18 @@ def min_angle(mesh: Triangulation) -> float:
     approx = float(tri_min.min())
     cand = tris[tri_min <= approx + 1e-9]
     num, den = mesh.numerators, mesh.den
+    first = num[cand[:, 0]]
+    d = np.concatenate([num[cand[:, 1]] - first, num[cand[:, 2]] - first], axis=1)
+    if d.dtype != object:
+        # Translated copies of one triangle share their exact edge vectors.
+        d = d[np.lexsort(d.T)]
+        d = d[np.r_[True, (d[1:] != d[:-1]).any(axis=1)]]
+    ab, ac = d[:, :2], d[:, 2:]
     best = math.inf
-    for i in range(3):
-        p = num[cand[:, i]]
-        us = ((num[cand[:, (i + 1) % 3]] - p) / den).tolist()
-        vs = ((num[cand[:, (i + 2) % 3]] - p) / den).tolist()
+    # The angles at a, b and c, from exact integer edge vectors.
+    for u, v in ((ab, ac), (ac - ab, -ab), (-ac, ab - ac)):
+        us = (u / den).tolist()
+        vs = (v / den).tolist()
         for (ux, uy), (vx, vy) in zip(us, vs):
             best = min(best, math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy))
     return best

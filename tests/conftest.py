@@ -4,10 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hstv.approx import MeshPlan, SquareFrame, _square_local_mesh
-from hstv.errors import PlanError
+from hstv.approx import (
+    _TIE_ANGLE,
+    MeshPlan,
+    SquareFrame,
+    _numerators,
+    _square_local_mesh,
+    rational_angle_approx,
+)
+from hstv.errors import MeshError, PlanError
 from hstv.fields import GridSample
-from hstv.mesh import CpwlFunction, Triangulation, uniform_diagonal_mesh
+from hstv.mesh import CpwlFunction, Triangulation, _first_occurrence, uniform_diagonal_mesh
+from hstv.schatten import schatten_norm, sym_eigen_frame
 
 
 @pytest.fixture
@@ -93,6 +101,66 @@ def triangulate_square(frame: SquareFrame, plan: MeshPlan) -> Triangulation:
         if sp.frame is frame or sp.frame.index == frame.index:
             if sp.frame.angle != frame.angle or sp.frame.x0 != frame.x0:
                 raise PlanError("frame does not match the plan")
-            verts, tris = _square_local_mesh(sp, plan)
-            return Triangulation(verts, tris, plan.den)
+            verts, tris, _ = _square_local_mesh(sp, plan)
+            corner = _numerators(plan.den, frame.x0, frame.y0)
+            return Triangulation(verts + np.array(corner, dtype=verts.dtype), tris, plan.den)
     raise PlanError(f"frame {frame.index} not in plan")
+
+
+def assemble_reference(plan: MeshPlan) -> Triangulation:
+    """Cell by cell assembly: every cell's local mesh is built from scratch,
+    shifted to its corner and concatenated in plan order; vertices on cell
+    boundaries are then merged by first occurrence.  The oracle for
+    assemble_global's per-type reuse."""
+    verts, tris, on_boundary = [], [], []
+    offset = 0
+    for sp in plan.squares:
+        v, t, b = _square_local_mesh(sp, plan)
+        corner = _numerators(plan.den, sp.frame.x0, sp.frame.y0)
+        verts.append(v + np.array(corner, dtype=v.dtype))
+        tris.append(t + offset)
+        on_boundary.append(b)
+        offset += len(v)
+    pts = np.concatenate(verts)
+    first = np.arange(len(pts))
+    shared = np.flatnonzero(np.concatenate(on_boundary))
+    first[shared] = shared[_first_occurrence(pts[shared])]
+    new = first == np.arange(len(pts))
+    ids = (np.cumsum(new) - 1)[first]
+    mesh = Triangulation(pts[new], ids[np.concatenate(tris)], plan.den)
+    if not mesh.covers_bbox_exactly():
+        raise MeshError("reference assembly does not tile the domain")
+    return mesh
+
+
+def reference_frames(fld, N: int, samples_per_square: int = 9) -> list[SquareFrame]:
+    """Cell by cell, sample by sample frames with scalar Mat2 products: the
+    oracle for build_frames' array evaluation."""
+    side = Fraction(1, 2**N)
+    eps = 1.0 / max(N, 1)
+    frames = []
+    for iy in range(2**N):
+        for ix in range(2**N):
+            x0 = ix * side
+            y0 = iy * side
+            cx = float(x0 + side / 2)
+            cy = float(y0 + side / 2)
+            diag, theta_hat = sym_eigen_frame(fld.hess(cx, cy), tol=1e-8)
+            d1, d2 = diag.m11, diag.m22
+            if abs(d1 - d2) <= 1e-12 * max(1.0, abs(d1), abs(d2)):
+                angle = _TIE_ANGLE
+            else:
+                angle = rational_angle_approx(theta_hat, eps)
+            rot = angle.rotation()
+            dev = 0.0
+            step = float(side) / (samples_per_square - 1)
+            for i in range(samples_per_square):
+                for j in range(samples_per_square):
+                    x = float(x0) + i * step
+                    y = float(y0) + j * step
+                    m = rot.transpose() @ fld.hess(x, y) @ rot
+                    dev = max(dev, schatten_norm(m - diag, 1))
+            frames.append(SquareFrame(
+                index=iy * 2**N + ix, ix=ix, iy=iy, x0=x0, y0=y0, side=side,
+                center=(cx, cy), diag=(d1, d2), angle=angle, deviation=dev))
+    return frames

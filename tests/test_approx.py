@@ -15,8 +15,9 @@ from hstv.approx import (
     plan_mesh,
     rational_angle_approx,
 )
-from conftest import triangulate_square
-from hstv.acceptance import _ANGLE_POOL, synthetic_frames
+import hstv.approx
+from conftest import assemble_reference, reference_frames, triangulate_square
+from hstv.acceptance import _ANGLE_POOL, DEFAULT_SEED, synthetic_frames
 from hstv.errors import HstvError, MeshError, PlanError
 from hstv.fields import builtin_field, parse_field
 from hstv.htv import htv_cpwl
@@ -125,6 +126,57 @@ class TestFrames:
             devs.append(max(fr.deviation for fr in frames))
         assert all(b < a + 1e-12 for a, b in zip(devs, devs[1:]))
         assert devs[-1] < devs[0]
+
+
+FRAME_FIELDS = {
+    "iso": "quadratic:iso",
+    "rotated": "rotated-quadratic:2,1,0.4636",
+    "sine": "product-sine",
+    "bump": "gaussian-bump:0.3,0.45,0.55",
+}
+
+
+def ulps(a: float, b: float) -> float:
+    return abs(a - b) / np.spacing(max(abs(a), abs(b)))
+
+
+class TestFramesReference:
+    """The array build_frames against the scalar loop in conftest."""
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("name", sorted(FRAME_FIELDS))
+    def test_matches_scalar_loop(self, name, N):
+        fld = parse_field(FRAME_FIELDS[name])
+        got = build_frames(fld, N)
+        want = reference_frames(fld, N)
+        assert len(got) == len(want) == 4**N
+        for g, w in zip(got, want):
+            assert (g.index, g.ix, g.iy, g.x0, g.y0, g.side) == (
+                w.index, w.ix, w.iy, w.x0, w.y0, w.side)
+            assert g.angle == w.angle
+            # bit for bit, signed zeros included
+            assert np.array_equal(np.array(g.center + g.diag).view(np.int64),
+                                  np.array(w.center + w.diag).view(np.int64))
+            assert ulps(g.deviation, w.deviation) <= 4
+
+    def test_batches_do_not_change_values(self, monkeypatch):
+        fld = parse_field(FRAME_FIELDS["bump"])
+        whole = build_frames(fld, 3, samples_per_square=5)
+        monkeypatch.setattr(hstv.approx, "_SAMPLE_BATCH", 3 * 5 * 5)  # 3 cells
+        batched = build_frames(fld, 3, samples_per_square=5)
+        assert [f.deviation for f in batched] == [f.deviation for f in whole]
+
+    def test_level_guard_rejects_before_cell_work(self, monkeypatch):
+        # 4^10 cells x 16 points = 2^24 is the ceiling; N = 11 is over it.
+        def no_hessians(*args):
+            raise AssertionError("per-cell work started")
+
+        fld = parse_field("quadratic:iso")
+        monkeypatch.setattr(fld, "hess", no_hessians)
+        monkeypatch.setattr(fld, "hess_components", no_hessians)
+        for N in (11, 12, 40):
+            with pytest.raises(PlanError, match="lattice points"):
+                build_frames(fld, N)
 
 
 class TestPlans:
@@ -299,6 +351,62 @@ class TestAssembleGlobal:
         )
         with pytest.raises(MeshError):
             assemble_global(plan)
+
+
+def criterion_4_angle_sets():
+    """The mixed angle sets criterion 4 draws with the default seed."""
+    rng = np.random.default_rng(DEFAULT_SEED)
+    sets = []
+    for N in (1, 2):
+        for trial in range(2):
+            sets.append((N, trial, [_ANGLE_POOL[int(rng.integers(len(_ANGLE_POOL)))]
+                                    for _ in range(4**N)]))
+    return sets
+
+
+class TestTypeReuse:
+    """assemble_global builds each cell type once; the result must equal the
+    cell-by-cell reference assembly exactly."""
+
+    @pytest.mark.parametrize("K", range(4))
+    @pytest.mark.parametrize("N, trial, angles", criterion_4_angle_sets(),
+                             ids=lambda v: str(v) if isinstance(v, int) else "angles")
+    def test_mixed_plans_match_reference(self, N, trial, angles, K):
+        plan = plan_mesh(synthetic_frames(N, angles), N, K)
+        reflected = {sp.reflected for sp in plan.squares}
+        if N == 2:
+            assert reflected == {False, True}
+        self.assert_same(assemble_global(plan), assemble_reference(plan))
+
+    def test_iso_matches_reference(self):
+        plan = plan_mesh(build_frames(parse_field("quadratic:iso"), 2), 2, 2)
+        self.assert_same(assemble_global(plan), assemble_reference(plan))
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.den == want.den
+        assert np.array_equal(got.numerators, want.numerators)
+        assert np.array_equal(got.triangle_array, want.triangle_array)
+
+    @pytest.mark.parametrize("frames, N, types", [
+        (lambda: build_frames(parse_field("quadratic:iso"), 2), 2, 1),
+        (lambda: synthetic_frames(2, criterion_4_angle_sets()[2][2]), 2, None),
+    ], ids=["iso-N2", "mixed-N2"])
+    def test_one_build_per_type(self, monkeypatch, frames, N, types):
+        builds = []
+        original = hstv.approx._square_local_mesh
+
+        def counting(sp, plan):
+            builds.append(sp)
+            return original(sp, plan)
+
+        monkeypatch.setattr(hstv.approx, "_square_local_mesh", counting)
+        plan = plan_mesh(frames(), N, 1)
+        assemble_global(plan)
+        distinct = {(sp.pp, sp.qq, sp.reflected) for sp in plan.squares}
+        assert len(plan.squares) == 16
+        assert len(builds) == len(distinct) == (types or len(distinct))
+        assert {(sp.pp, sp.qq, sp.reflected) for sp in builds} == distinct
 
 
 class TestFrozenNumbering:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -181,6 +182,15 @@ def test_exit_codes(tmp_path, capsys):
     # rejected by the plan's lattice-size ceiling before any geometry
     assert main(["approx", "--field", "quadratic:iso", "--N", "1", "--K", "11"]) == 1
     capsys.readouterr()
+    # 4^N cells above the ceiling even at the smallest cell: rejected before
+    # any per-cell work, at once
+    for n in ("11", "40"):
+        t0 = time.perf_counter()
+        assert main(["approx", "--field", "quadratic:iso", "--N", n, "--K", "0"]) == 1
+        assert time.perf_counter() - t0 < 2.0
+        assert capsys.readouterr().err.startswith("error: ")
+    assert main(["approx", "--field", "rotated-quadratic:1,1,inf", "--N", "1", "--K", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_threads_env_validation(hat_file, monkeypatch, capsys):

@@ -61,6 +61,29 @@ def test_unknown_field_rejected():
         parse_field("quadratic:1,2")  # wrong arity
 
 
+# A valid parameter list per builtin, covering every parameter it takes.
+FULL_PARAMS = {
+    "quadratic": (1.5, 0.25, 0.75, 0.1, -0.2, 0.3),
+    "rotated_quadratic": (2.0, 1.0, 0.4636),
+    "gaussian_bump": (0.25, 0.4, 0.6),
+    "product_sine": (2.5,),
+}
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name, index", [
+    (name, i) for name, params in FULL_PARAMS.items() for i in range(len(params))])
+def test_non_finite_parameters_rejected(name, index, bad):
+    params = list(FULL_PARAMS[name])
+    builtin_field(name, *params)
+    params[index] = bad
+    with pytest.raises(FieldError, match="non-finite"):
+        builtin_field(name, *params)
+    text = ",".join(repr(v) for v in params)
+    with pytest.raises(FieldError, match="non-finite"):
+        parse_field(f"{name.replace('_', '-')}:{text}")
+
+
 def test_parse_field_descriptors():
     iso = parse_field("quadratic:iso")
     assert iso.eval(0.6, 0.8) == pytest.approx(0.5)

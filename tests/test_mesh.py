@@ -95,6 +95,33 @@ def test_min_angle_equilateral_approx():
     assert abs(min_angle(mesh) - math.pi / 3) <= 1e-6
 
 
+def exact_min_angle(mesh: Triangulation) -> float:
+    """Every angle of every triangle from exact integer differences."""
+    num, den = mesh.numerators.tolist(), mesh.den
+    best = math.inf
+    for t in mesh.triangles:
+        for i in range(3):
+            p, q, r = (num[t[(i + k) % 3]] for k in range(3))
+            ux, uy = (q[0] - p[0]) / den, (q[1] - p[1]) / den
+            vx, vy = (r[0] - p[0]) / den, (r[1] - p[1]) / den
+            best = min(best, math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy))
+    return best
+
+
+def test_min_angle_matches_exact_loop():
+    from hstv.approx import assemble_global, build_frames, plan_mesh
+    from hstv.fields import parse_field
+
+    # 64 translated copies of one cell: the refinement sees one shape per copy.
+    mesh = assemble_global(plan_mesh(build_frames(parse_field("quadratic:iso"), 3), 3, 0))
+    assert min_angle(mesh) == exact_min_angle(mesh)
+    # Numerators beyond int64 take the object path.
+    big = Triangulation(mesh.numerators.astype(object) * 2**60, mesh.triangle_array,
+                        mesh.den * 2**60)
+    assert big.numerators.dtype == object
+    assert min_angle(big) == exact_min_angle(big) == min_angle(mesh)
+
+
 def test_save_load_roundtrip(tmp_path, pyramid):
     path = tmp_path / "hat.json"
     save_mesh(pyramid, path)
