@@ -36,25 +36,17 @@ from .fields import (
     mollify,
     parse_field,
 )
-from .htv import EdgeSupport, HtvReport, htv_cpwl, htv_support, p_independence_check
+from .htv import HtvReport, htv_cpwl, p_independence_check, support_mask_by_jump
 from .mesh import (
     CpwlFunction,
     Triangulation,
-    evaluate_on_grid,
     load_mesh,
     min_angle,
     render_svg,
     save_mesh,
     uniform_diagonal_mesh,
 )
-from .schatten import (
-    Mat2,
-    dual_norm_estimate,
-    schatten_norm,
-    schatten_norms,
-    singular_values,
-    sym_eigen_frame,
-)
+from .schatten import dual_norm_estimate, schatten_norms, sym_eigen_frame
 
 __version__ = "0.1.0"
 

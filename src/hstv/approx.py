@@ -25,7 +25,7 @@ from .errors import HstvError, MeshError, PlanError
 from .fields import SmoothField, htv_quadrature
 from .htv import htv_cpwl
 from .mesh import CpwlFunction, Triangulation, _first_occurrence, min_angle
-from .schatten import Mat2, schatten_norms, sym_eigen_frame
+from .schatten import schatten_norms, sym_eigen_frame
 
 Coord = tuple[Fraction, Fraction]
 
@@ -60,9 +60,10 @@ class RationalAngle:
     def theta(self) -> float:
         return math.atan2(self.q, self.p)
 
-    def rotation(self) -> Mat2:
+    def rotation(self) -> tuple[float, float]:
+        """(c, s) of the rotation [[c, -s], [s, c]] by this angle."""
         r = math.hypot(self.p, self.q)
-        return Mat2(self.p / r, -self.q / r, self.q / r, self.p / r)
+        return self.p / r, self.q / r
 
     def reduced(self) -> tuple[int, int, bool]:
         """(p~, q~, reflected) with q~ > p~: angles below pi/4 are realized
@@ -161,23 +162,18 @@ def build_frames(fld: SmoothField, N: int, samples_per_square: int = 9) -> list[
 
     # Angle and diagonal: one scalar eigen-decision per cell center.  Each
     # angle carries its rotation [[c, -s], [s, c]].
-    def with_rotation(angle):
-        rot = angle.rotation()
-        return angle, rot.m11, rot.m21
-
-    tie = with_rotation(_TIE_ANGLE)
+    tie = (_TIE_ANGLE, *_TIE_ANGLE.rotation())
     by_theta: dict[float, tuple[RationalAngle, float, float]] = {}
     diags, rotated = [], []
-    for x, y in zip(cx.tolist(), cy.tolist()):
-        diag, theta_hat = sym_eigen_frame(fld.hess(x, y), tol=1e-8)
-        d1, d2 = diag.m11, diag.m22
+    for hxx, hxy, hyy in zip(*(v.tolist() for v in fld.hess_components(cx, cy))):
+        (d1, d2), theta_hat = sym_eigen_frame(hxx, hxy, hyy)
         if abs(d1 - d2) <= 1e-12 * max(1.0, abs(d1), abs(d2)):
             choice = tie
         else:
             choice = by_theta.get(theta_hat)
             if choice is None:
-                choice = by_theta[theta_hat] = with_rotation(
-                    rational_angle_approx(theta_hat, eps))
+                angle = rational_angle_approx(theta_hat, eps)
+                choice = by_theta[theta_hat] = (angle, *angle.rotation())
         diags.append((d1, d2))
         rotated.append(choice)
 
@@ -193,7 +189,7 @@ def build_frames(fld: SmoothField, N: int, samples_per_square: int = 9) -> list[
         fxx, fxy, fyy = fld.hess_components(x0[cells, None, None] + offsets[:, None],
                                             y0[cells, None, None] + offsets)
         ck, sk, d1, d2 = (v[cells, None, None] for v in (c, s, d[:, 0], d[:, 1]))
-        # rot^T @ hess, then @ rot, in the operation order of Mat2.__matmul__.
+        # rot^T @ hess, then @ rot, each entry a row-times-column sum.
         p11, p12 = ck * fxx + sk * fxy, ck * fxy + sk * fyy
         p21, p22 = -sk * fxx + ck * fxy, -sk * fxy + ck * fyy
         m = (p11 * ck + p12 * sk - d1, p11 * -sk + p12 * ck - 0.0,

@@ -116,15 +116,14 @@ def _cmd_htv(args) -> int:
     report = htv_cpwl(g, args.p)
     if args.report == "csv":
         lines = ["edge,x1,y1,x2,y2,jump_norm,length,contribution"]
-        fv = g.mesh.float_vertices
-        for c in report.per_edge:
-            u, v = c.edge
-            jn = math.hypot(*c.jump)
-            x1, y1 = (float(t) for t in fv[u])
-            x2, y2 = (float(t) for t in fv[v])
+        fv = g.mesh.float_vertices.tolist()
+        for (u, v), (jx, jy), length, contribution in zip(
+                report.edge_array.tolist(), report.jumps.tolist(),
+                report.lengths.tolist(), report.contributions.tolist()):
+            (x1, y1), (x2, y2) = fv[u], fv[v]
             lines.append(
                 f"{u}-{v},{x1!r},{y1!r},{x2!r},{y2!r},"
-                f"{jn!r},{c.length!r},{c.contribution!r}"
+                f"{math.hypot(jx, jy)!r},{length!r},{contribution!r}"
             )
         text = "\n".join(lines) + "\n"
         if args.out:

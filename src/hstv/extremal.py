@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ExtremalError
 from .htv import htv_cpwl, support_mask_by_jump
-from .mesh import CpwlFunction, Edge, Triangulation
+from .mesh import CpwlFunction, Triangulation
 
 SUPPORT_REL_TOL = 1e-9
 
@@ -37,9 +37,8 @@ class _MeshAlgebra:
 
     Every part is built on first use and kept for the mesh's lifetime: the
     affine design matrix and its orthonormal basis, the orthonormal basis of
-    the affine complement, the jump operators and the interior-edge index.
-    Only the mesh's own arrays are referenced, so the cache does not keep
-    the mesh alive.
+    the affine complement and the jump operators.  Only the mesh's own
+    arrays are referenced, so the cache does not keep the mesh alive.
     """
 
     def __init__(self, mesh: Triangulation):
@@ -104,29 +103,6 @@ class _MeshAlgebra:
         np.add.at(normal, (row, col), sign * (sx * nux[:, None] + sy * nuy[:, None]))
         return full, normal
 
-    @cached_property
-    def edge_index(self) -> dict[Edge, int]:
-        """Interior edge -> its id."""
-        return {(u, v): i for i, (u, v) in enumerate(self._edges.tolist())}
-
-    def support_mask(self, support) -> np.ndarray:
-        """Boolean mask over interior-edge ids for a set of edges, an object
-        with an `edges` set, or a mask already."""
-        n_edges = len(self._edges)
-        if isinstance(support, np.ndarray) and support.dtype == bool:
-            if support.shape != (n_edges,):
-                raise ExtremalError(
-                    f"support mask has shape {support.shape}, expected ({n_edges},)")
-            return support.copy()
-        support_set = set(support.edges) if hasattr(support, "edges") else set(support)
-        index = self.edge_index
-        unknown = support_set.difference(index)
-        if unknown:
-            raise ExtremalError(f"support contains non-interior edges: {sorted(unknown)[:3]}")
-        mask = np.zeros(n_edges, dtype=bool)
-        mask[[index[e] for e in support_set]] = True
-        return mask
-
 
 _ALGEBRA: "weakref.WeakKeyDictionary[Triangulation, _MeshAlgebra]" = (
     weakref.WeakKeyDictionary())
@@ -190,22 +166,23 @@ class JumpSpaceBasis:
     basis: np.ndarray  # (V, dim)
     dim: int
 
-    @cached_property
-    def support(self) -> set[Edge]:
-        return {tuple(e) for e in self.mesh.interior_edge_array[self.support_mask].tolist()}
 
-
-def constrained_space(mesh: Triangulation, support) -> JumpSpaceBasis:
+def constrained_space(mesh: Triangulation, support: np.ndarray) -> JumpSpaceBasis:
     """Nullspace of the jump constraints on edges outside `support`.
 
-    `support` is a set of interior edges, an object with an `edges` set
-    (such as EdgeSupport) or a boolean mask over interior-edge ids.
-    Constraints are both gradient-jump components per excluded edge; the
-    nullspace is extracted by SVD with threshold 1e-10 times the largest
-    singular value, inside the orthogonal complement of the affine span.
+    `support` is an (E,) boolean mask over interior-edge ids; anything else
+    raises ExtremalError.  Constraints are both gradient-jump components per
+    excluded edge; the nullspace is extracted by SVD with threshold 1e-10
+    times the largest singular value, inside the orthogonal complement of
+    the affine span.
     """
+    n_edges = len(mesh.interior_edge_array)
+    if not (isinstance(support, np.ndarray) and support.dtype == bool
+            and support.shape == (n_edges,)):
+        raise ExtremalError(
+            f"support must be a boolean mask of shape ({n_edges},) over interior-edge ids")
+    mask = support.copy()
     alg = _algebra(mesh)
-    mask = alg.support_mask(support)
     comp = alg.complement
     if mask.all():
         basis = comp

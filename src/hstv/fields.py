@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FieldError
-from .schatten import Mat2, check_p, schatten_norms
+from .schatten import check_p, schatten_norms
 
 
 @dataclass
@@ -19,7 +19,7 @@ class SmoothField:
     """Scalar field with analytic gradient and Hessian.
 
     The six callables accept scalars or numpy arrays (they are built from
-    numpy ufuncs).  `hess` is symmetric by construction: only the three
+    numpy ufuncs).  The Hessian is symmetric by construction: only the three
     distinct second derivatives are stored.
     """
 
@@ -38,12 +38,8 @@ class SmoothField:
     def grad(self, x, y) -> tuple[float, float]:
         return float(self.fx(x, y)), float(self.fy(x, y))
 
-    def hess(self, x, y) -> Mat2:
-        b = float(self.fxy(x, y))
-        return Mat2(float(self.fxx(x, y)), b, b, float(self.fyy(x, y)))
-
     def hess_components(self, x, y):
-        """Vectorized (fxx, fxy, fyy) for array inputs."""
+        """Hessian entries (fxx, fxy, fyy), broadcast to the shape of x and y."""
         shape = np.broadcast(x, y).shape
         return (np.broadcast_to(self.fxx(x, y), shape),
                 np.broadcast_to(self.fxy(x, y), shape),
@@ -87,6 +83,13 @@ def _gaussian_bump(sigma=0.2, cx=0.5, cy=0.5) -> SmoothField:
     if sigma <= 0:
         raise FieldError("gaussian_bump needs sigma > 0")
     s2 = sigma * sigma
+    # |x - cx| and |y - cy| stay below `reach` on the extended domain
+    # (-1/2, 1] x [0, 1]; the second derivatives scale up to reach^2 / sigma^4.
+    reach = 1.5 + max(abs(cx), abs(cy))
+    if s2 * s2 == 0.0 or not math.isfinite(reach * reach / (s2 * s2)):
+        raise FieldError(
+            f"gaussian_bump(sigma={sigma!r}, cx={cx!r}, cy={cy!r}): sigma^4 underflows "
+            "or the derivatives overflow")
 
     def g(x, y):
         return np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2 * s2))

@@ -20,14 +20,6 @@ from .schatten import INF, check_p, schatten_norms
 
 
 @dataclass
-class EdgeContribution:
-    edge: Edge
-    jump: tuple[float, float]
-    length: float
-    contribution: float
-
-
-@dataclass
 class HtvReport:
     """Total CPWL energy plus the per-edge breakdown, edges in id order."""
 
@@ -40,24 +32,8 @@ class HtvReport:
 
     @cached_property
     def edges(self) -> list[Edge]:
+        """edge_array as a list of vertex-id pairs, built on first read."""
         return [tuple(e) for e in self.edge_array.tolist()]
-
-    @cached_property
-    def per_edge(self) -> list[EdgeContribution]:
-        return [
-            EdgeContribution(e, (float(jx), float(jy)), float(ln), float(co))
-            for e, (jx, jy), ln, co in zip(
-                self.edges, self.jumps, self.lengths, self.contributions
-            )
-        ]
-
-
-@dataclass
-class EdgeSupport:
-    """A set of interior edges together with its total H^1 length."""
-
-    edges: set[Edge]
-    total_length: float
 
 
 def _require_covering(mesh: Triangulation):
@@ -103,16 +79,6 @@ def htv_cpwl(g: CpwlFunction, p=1) -> HtvReport:
     )
 
 
-def htv_support(g: CpwlFunction, tol: float = 0.0) -> EdgeSupport:
-    """Interior edges whose contribution exceeds tol (tol = 0: exact nonzero)."""
-    if tol < 0:
-        raise MeshError("tol must be >= 0")
-    jumps, lengths, contributions = _jump_data(g)
-    mask = contributions > tol
-    edges = {tuple(e) for e in g.mesh.interior_edge_array[mask].tolist()}
-    return EdgeSupport(edges=edges, total_length=float(np.sum(lengths[mask])))
-
-
 def support_mask_by_jump(g: CpwlFunction, rel_tol: float = 1e-9) -> np.ndarray:
     """Support detected by jump norm relative to the largest jump, as a
     boolean mask over interior-edge ids.
@@ -125,12 +91,6 @@ def support_mask_by_jump(g: CpwlFunction, rel_tol: float = 1e-9) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     norms = np.hypot(jumps[:, 0], jumps[:, 1])
     return norms > rel_tol * float(norms.max())
-
-
-def support_edges_by_jump(g: CpwlFunction, rel_tol: float = 1e-9) -> set[Edge]:
-    """The edges of `support_mask_by_jump`."""
-    mask = support_mask_by_jump(g, rel_tol)
-    return {tuple(e) for e in g.mesh.interior_edge_array[mask].tolist()}
 
 
 def p_independence_check(g: CpwlFunction) -> float:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -145,8 +146,6 @@ class Triangulation:
         self._interior_tri_arr = np.stack([ia, ib], axis=1)
         bkeys = sk[starts[~int_mask]]
         self._boundary_edge_arr = np.stack([bkeys // nv, bkeys % nv], axis=1)
-        self._boundary_tri_arr = st[starts[~int_mask]]
-        self._edge_table: Optional[dict[Edge, list[int]]] = None
         self._check_hanging_vertices()
 
     def _check_hanging_vertices(self):
@@ -228,14 +227,6 @@ class Triangulation:
         return len(self._tri_array)
 
     @property
-    def interior_edges(self) -> list[Edge]:
-        return [tuple(e) for e in self._interior_edge_arr.tolist()]
-
-    @property
-    def boundary_edges(self) -> list[Edge]:
-        return [tuple(e) for e in self._boundary_edge_arr.tolist()]
-
-    @property
     def interior_edge_array(self) -> np.ndarray:
         """Interior edges (E, 2), lexicographically sorted vertex pairs."""
         return self._interior_edge_arr
@@ -244,20 +235,6 @@ class Triangulation:
     def interior_tri_array(self) -> np.ndarray:
         """For each interior edge the two incident triangles, smaller id first."""
         return self._interior_tri_arr
-
-    @property
-    def edge_table(self) -> dict[Edge, list[int]]:
-        """Undirected edge -> incident triangle ids (lexicographic key order)."""
-        if self._edge_table is None:
-            table: dict[Edge, list[int]] = {}
-            for (u, v), (t1, t2) in zip(self._interior_edge_arr.tolist(),
-                                        self._interior_tri_arr.tolist()):
-                table[(u, v)] = [t1, t2]
-            for (u, v), t in zip(self._boundary_edge_arr.tolist(),
-                                 self._boundary_tri_arr.tolist()):
-                table[(u, v)] = [t]
-            self._edge_table = dict(sorted(table.items()))
-        return self._edge_table
 
     def triangle_areas(self) -> np.ndarray:
         fv = self._float_vertices
@@ -377,48 +354,6 @@ class CpwlFunction:
         return CpwlFunction(self.mesh, np.asarray(values, dtype=float))
 
 
-def evaluate_on_grid(g: CpwlFunction, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate g on an n x n grid of cell-center probe points over its bbox.
-
-    Point location scans each triangle's bounding box; intended for
-    moderate mesh sizes (tests and error measurements).
-    """
-    x0, x1, y0, y1 = (float(v) for v in g.mesh.bbox())
-    xs = x0 + (np.arange(n) + 0.5) * (x1 - x0) / n
-    ys = y0 + (np.arange(n) + 0.5) * (y1 - y0) / n
-    zz = np.full((n, n), np.nan)
-    fv = g.mesh.float_vertices
-    grads = g.gradients()
-    hx = (x1 - x0) / n
-    hy = (y1 - y0) / n
-    for ti, (a, b, c) in enumerate(g.mesh.triangle_array):
-        pa, pb, pc = fv[a], fv[b], fv[c]
-        xmin = min(pa[0], pb[0], pc[0])
-        xmax = max(pa[0], pb[0], pc[0])
-        ymin = min(pa[1], pb[1], pc[1])
-        ymax = max(pa[1], pb[1], pc[1])
-        i0 = max(0, int(math.floor((xmin - x0) / hx - 0.5)))
-        i1 = min(n - 1, int(math.ceil((xmax - x0) / hx)))
-        j0 = max(0, int(math.floor((ymin - y0) / hy - 0.5)))
-        j1 = min(n - 1, int(math.ceil((ymax - y0) / hy)))
-        if i0 > i1 or j0 > j1:
-            continue
-        gx, gy = grads[ti]
-        px = xs[i0:i1 + 1][:, None]
-        py = ys[j0:j1 + 1][None, :]
-        d1 = (pb[0] - pa[0]) * (py - pa[1]) - (pb[1] - pa[1]) * (px - pa[0])
-        d2 = (pc[0] - pb[0]) * (py - pb[1]) - (pc[1] - pb[1]) * (px - pb[0])
-        d3 = (pa[0] - pc[0]) * (py - pc[1]) - (pa[1] - pc[1]) * (px - pc[0])
-        eps = -1e-12
-        inside = (d1 >= eps) & (d2 >= eps) & (d3 >= eps)
-        vals = g.values[a] + gx * (px - pa[0]) + gy * (py - pa[1])
-        block = zz[i0:i1 + 1, j0:j1 + 1]
-        block[inside] = vals[inside]
-    if np.isnan(zz).any():
-        raise MeshError("probe grid not fully covered by the mesh")
-    return xs, ys, zz
-
-
 def uniform_diagonal_mesh(n: int, diagonal: str = "main",
                           lo=Fraction(0), hi=Fraction(1)) -> Triangulation:
     """Axis-aligned n x n grid of the square [lo, hi]^2, every cell split by
@@ -468,9 +403,21 @@ def mesh_document(g) -> dict:
 
 
 def cpwl_from_document(doc) -> CpwlFunction:
+    """The CPWL function of a mesh document, as written by `mesh_document`.
+
+    Numerators, denominators and triangle indices must be decimal strings
+    or JSON integers; a float or a boolean, which int() would truncate,
+    raises MeshError like every other malformed entry.
+    """
     try:
-        rows = [(int(nx), int(dx), int(ny), int(dy)) for nx, dx, ny, dy in doc["vertices"]]
-        tris = [[int(i) for i in t] for t in doc["triangles"]]
+        vertices, triangles = doc["vertices"], doc["triangles"]
+        kinds = set(map(type, chain.from_iterable(chain(vertices, triangles))))
+        if not kinds <= {int, str}:
+            raise MeshError(
+                "malformed mesh document: "
+                f"{', '.join(sorted(k.__name__ for k in kinds - {int, str}))} "
+                "where an integer or a decimal string is expected")
+        rows = [(int(nx), int(dx), int(ny), int(dy)) for nx, dx, ny, dy in vertices]
         values = [float(v) for v in doc["values"]] if "values" in doc else None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MeshError(f"malformed mesh document: {exc}") from exc
@@ -479,7 +426,7 @@ def cpwl_from_document(doc) -> CpwlFunction:
     den = math.lcm(*(abs(d) for _, dx, _, dy in rows for d in (dx, dy)))
     num = np.array([[nx * (den // dx), ny * (den // dy)] for nx, dx, ny, dy in rows],
                    dtype=object).reshape(-1, 2)
-    mesh = Triangulation(num, tris, den)
+    mesh = Triangulation(num, triangles, den)  # int64 indices, strings parsed like int()
     if values is None:
         values = np.zeros(mesh.n_vertices)
     elif len(values) != mesh.n_vertices:
@@ -499,7 +446,8 @@ def load_mesh(path) -> CpwlFunction:
     try:
         with open(path) as f:
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    # RecursionError: arrays or objects nested deeper than the decoder follows.
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise MeshError(f"cannot read mesh file {path}: {exc}") from exc
     return cpwl_from_document(doc)
 

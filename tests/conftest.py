@@ -15,7 +15,7 @@ from hstv.approx import (
 from hstv.errors import MeshError, PlanError
 from hstv.fields import GridSample
 from hstv.mesh import CpwlFunction, Triangulation, _first_occurrence, uniform_diagonal_mesh
-from hstv.schatten import schatten_norm, sym_eigen_frame
+from hstv.schatten import schatten_norms, sym_eigen_frame
 
 
 @pytest.fixture
@@ -51,6 +51,59 @@ def grid_sample(fld, n: int) -> GridSample:
     return GridSample(h, np.asarray(fld.eval(xx, yy), dtype=float))
 
 
+def edge_table(mesh: Triangulation) -> dict[tuple[int, int], list[int]]:
+    """Undirected edge (smaller vertex id first) -> its incident triangle
+    ids in increasing order, keys sorted: a plain loop over triangle_array,
+    the oracle for the mesh's interior and boundary edge arrays."""
+    table: dict[tuple[int, int], list[int]] = {}
+    for t, tri in enumerate(mesh.triangle_array.tolist()):
+        for u, v in zip(tri, tri[1:] + tri[:1]):
+            table.setdefault((min(u, v), max(u, v)), []).append(t)
+    return dict(sorted(table.items()))
+
+
+def evaluate_on_grid(g: CpwlFunction, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate g on an n x n grid of cell-center probe points over its bbox.
+
+    Point location scans each triangle's bounding box; meant for moderate
+    mesh sizes.
+    """
+    x0, x1, y0, y1 = (float(v) for v in g.mesh.bbox())
+    xs = x0 + (np.arange(n) + 0.5) * (x1 - x0) / n
+    ys = y0 + (np.arange(n) + 0.5) * (y1 - y0) / n
+    zz = np.full((n, n), np.nan)
+    fv = g.mesh.float_vertices
+    grads = g.gradients()
+    hx = (x1 - x0) / n
+    hy = (y1 - y0) / n
+    for ti, (a, b, c) in enumerate(g.mesh.triangle_array):
+        pa, pb, pc = fv[a], fv[b], fv[c]
+        xmin = min(pa[0], pb[0], pc[0])
+        xmax = max(pa[0], pb[0], pc[0])
+        ymin = min(pa[1], pb[1], pc[1])
+        ymax = max(pa[1], pb[1], pc[1])
+        i0 = max(0, int(math.floor((xmin - x0) / hx - 0.5)))
+        i1 = min(n - 1, int(math.ceil((xmax - x0) / hx)))
+        j0 = max(0, int(math.floor((ymin - y0) / hy - 0.5)))
+        j1 = min(n - 1, int(math.ceil((ymax - y0) / hy)))
+        if i0 > i1 or j0 > j1:
+            continue
+        gx, gy = grads[ti]
+        px = xs[i0:i1 + 1][:, None]
+        py = ys[j0:j1 + 1][None, :]
+        d1 = (pb[0] - pa[0]) * (py - pa[1]) - (pb[1] - pa[1]) * (px - pa[0])
+        d2 = (pc[0] - pb[0]) * (py - pb[1]) - (pc[1] - pb[1]) * (px - pb[0])
+        d3 = (pa[0] - pc[0]) * (py - pc[1]) - (pa[1] - pc[1]) * (px - pc[0])
+        eps = -1e-12
+        inside = (d1 >= eps) & (d2 >= eps) & (d3 >= eps)
+        vals = g.values[a] + gx * (px - pa[0]) + gy * (py - pa[1])
+        block = zz[i0:i1 + 1, j0:j1 + 1]
+        block[inside] = vals[inside]
+    if np.isnan(zz).any():
+        raise MeshError("probe grid not fully covered by the mesh")
+    return xs, ys, zz
+
+
 def brute_force_htv(g: CpwlFunction) -> tuple[float, dict]:
     """Independent CPWL energy: least-squares plane fits per triangle and a
     plain loop over the edge table.  Used as the oracle against htv_cpwl."""
@@ -65,7 +118,7 @@ def brute_force_htv(g: CpwlFunction) -> tuple[float, dict]:
         grads[ti] = coef[1:]
     total = 0.0
     per_edge = {}
-    for e, tids in mesh.edge_table.items():
+    for e, tids in edge_table(mesh).items():
         if len(tids) != 2:
             continue
         jump = grads[tids[1]] - grads[tids[0]]
@@ -133,9 +186,15 @@ def assemble_reference(plan: MeshPlan) -> Triangulation:
     return mesh
 
 
+def matmul2(m, n):
+    """Product of two 2x2 matrices given as entry tuples (m11, m12, m21, m22)."""
+    return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
+            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
+
+
 def reference_frames(fld, N: int, samples_per_square: int = 9) -> list[SquareFrame]:
-    """Cell by cell, sample by sample frames with scalar Mat2 products: the
-    oracle for build_frames' array evaluation."""
+    """Cell by cell, sample by sample frames with scalar Hessians and scalar
+    2x2 products: the oracle for build_frames' array evaluation."""
     side = Fraction(1, 2**N)
     eps = 1.0 / max(N, 1)
     frames = []
@@ -145,22 +204,60 @@ def reference_frames(fld, N: int, samples_per_square: int = 9) -> list[SquareFra
             y0 = iy * side
             cx = float(x0 + side / 2)
             cy = float(y0 + side / 2)
-            diag, theta_hat = sym_eigen_frame(fld.hess(cx, cy), tol=1e-8)
-            d1, d2 = diag.m11, diag.m22
+            (d1, d2), theta_hat = sym_eigen_frame(
+                *(float(f(cx, cy)) for f in (fld.fxx, fld.fxy, fld.fyy)))
             if abs(d1 - d2) <= 1e-12 * max(1.0, abs(d1), abs(d2)):
                 angle = _TIE_ANGLE
             else:
                 angle = rational_angle_approx(theta_hat, eps)
-            rot = angle.rotation()
+            c, s = angle.rotation()
             dev = 0.0
             step = float(side) / (samples_per_square - 1)
             for i in range(samples_per_square):
                 for j in range(samples_per_square):
                     x = float(x0) + i * step
                     y = float(y0) + j * step
-                    m = rot.transpose() @ fld.hess(x, y) @ rot
-                    dev = max(dev, schatten_norm(m - diag, 1))
+                    hxy = float(fld.fxy(x, y))
+                    hess = (float(fld.fxx(x, y)), hxy, hxy, float(fld.fyy(x, y)))
+                    m = matmul2(matmul2((c, s, -s, c), hess), (c, -s, s, c))
+                    dev = max(dev, float(schatten_norms(
+                        m[0] - d1, m[1] - 0.0, m[2] - 0.0, m[3] - d2, 1)))
             frames.append(SquareFrame(
                 index=iy * 2**N + ix, ix=ix, iy=iy, x0=x0, y0=y0, side=side,
                 center=(cx, cy), diag=(d1, d2), angle=angle, deviation=dev))
     return frames
+
+
+def dual_norm_reference(mats, p: float, samples: int) -> list[float]:
+    """Sampled dual-norm lower bound of each matrix (m11, m12, m21, m22),
+    one matrix and one test matrix at a time in Python floats: the oracle
+    for the stacked dual_norm_estimate.  The test matrices
+    R(alpha) diag(g1, g2) R(beta)^T, (g1, g2) of unit lp* norm, are a
+    Kronecker lattice over (alpha, beta, psi), then aligned frames with
+    sign-pattern diagonals."""
+    pstar = math.inf if p == 1.0 else 1.0 if p == math.inf else p / (p - 1.0)
+    angles = []
+    for k in range(samples):
+        angles.append((math.pi * math.fmod(k * 0.8191725133961644, 1.0),
+                       math.pi * math.fmod(k * 0.6710436067037892, 1.0),
+                       2.0 * math.pi * math.fmod(k * 0.5497004779019703, 1.0)))
+    n_axis = min(samples, 90)
+    for t in range(n_axis):
+        for i in range(8):
+            angles.append((math.pi * t / n_axis, math.pi * t / n_axis, i * math.pi / 4.0))
+    tests = []
+    for alpha, beta, psi in angles:
+        g1, g2 = math.cos(psi), math.sin(psi)
+        if pstar == math.inf:
+            nrm = max(abs(g1), abs(g2))
+        elif pstar == 1.0:
+            nrm = abs(g1) + abs(g2)
+        else:
+            nrm = (abs(g1) ** pstar + abs(g2) ** pstar) ** (1.0 / pstar)
+        g1, g2 = (g1 / nrm, g2 / nrm) if nrm else (0.0, 0.0)
+        ca, sa, cb, sb = math.cos(alpha), math.sin(alpha), math.cos(beta), math.sin(beta)
+        tests.append((ca * g1 * cb + sa * g2 * sb, ca * g1 * sb - sa * g2 * cb,
+                      sa * g1 * cb - ca * g2 * sb, sa * g1 * sb + ca * g2 * cb))
+    return [max(0.0, *[m11 * n11 + m12 * n12 + m21 * n21 + m22 * n22
+                       for n11, n12, n21, n22 in tests])
+            for m11, m12, m21, m22 in mats]

@@ -16,19 +16,20 @@ from hstv.approx import (
     rational_angle_approx,
 )
 import hstv.approx
-from conftest import assemble_reference, reference_frames, triangulate_square
+from conftest import assemble_reference, evaluate_on_grid, reference_frames, triangulate_square
 from hstv.acceptance import _ANGLE_POOL, DEFAULT_SEED, synthetic_frames
 from hstv.errors import HstvError, MeshError, PlanError
 from hstv.fields import builtin_field, parse_field
 from hstv.htv import htv_cpwl
-from hstv.mesh import evaluate_on_grid, min_angle
-from hstv.schatten import Mat2, schatten_norm
+from hstv.mesh import min_angle
+from hstv.schatten import schatten_norms
 
 
 def rotation_gap(angle: RationalAngle, theta_hat: float) -> float:
-    r = angle.rotation()
-    rh = Mat2.rotation(theta_hat)
-    return schatten_norm(r - rh, 1)
+    """Schatten-1 distance between the rotations by angle and theta_hat."""
+    c, s = angle.rotation()
+    dc, ds = c - math.cos(theta_hat), s - math.sin(theta_hat)
+    return float(schatten_norms(dc, -ds, ds, dc, 1))
 
 
 class TestRationalAngles:
@@ -54,11 +55,10 @@ class TestRationalAngles:
             q = int(rng.integers(1, 30))
             if p == q or math.gcd(p, q) != 1:
                 continue
-            a = RationalAngle(p, q)
-            r = a.rotation()
+            c, s = RationalAngle(p, q).rotation()
             scale = math.hypot(p, q)
-            inv = r.transpose()  # rotations: inverse = transpose
-            for entry in (inv.m11, inv.m12, inv.m21, inv.m22):
+            # the inverse rotation [[c, s], [-s, c]]
+            for entry in (c, s, -s, c):
                 assert abs(entry * scale - round(entry * scale)) <= 1e-9
 
     def test_quarter_pi_excluded_but_approximated(self):
@@ -172,7 +172,6 @@ class TestFramesReference:
             raise AssertionError("per-cell work started")
 
         fld = parse_field("quadratic:iso")
-        monkeypatch.setattr(fld, "hess", no_hessians)
         monkeypatch.setattr(fld, "hess_components", no_hessians)
         for N in (11, 12, 40):
             with pytest.raises(PlanError, match="lattice points"):

@@ -191,6 +191,24 @@ def test_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
     assert main(["approx", "--field", "rotated-quadratic:1,1,inf", "--N", "1", "--K", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    # Finite parameters whose derivatives underflow or overflow: sigma^4 is 0
+    # for the first two bumps, |x - cx|^2 overflows for the third, and the
+    # Hessian (or its eigenvalues) is not finite for the last two.
+    for field in ("gaussian-bump:1e-200", "gaussian-bump:1e-160",
+                  "gaussian-bump:0.2,1e308,0.5", "product-sine:1e200",
+                  "quadratic:1e308,1e308,1e308"):
+        assert main(["approx", "--field", field, "--N", "0", "--K", "0"]) == 1, field
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, err
+    # JSON nested deeper than the decoder follows
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 10**5 + "]" * 10**5)
+    for argv in (["htv", str(deep)], ["mesh", "render", str(deep), "--out",
+                                      str(tmp_path / "deep.svg")],
+                 ["extremal", "test", str(deep)]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, err
 
 
 def test_threads_env_validation(hat_file, monkeypatch, capsys):

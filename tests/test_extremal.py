@@ -16,7 +16,7 @@ from hstv.extremal import (
     rigidity_check,
     support_reduce,
 )
-from hstv.htv import htv_cpwl, htv_support, support_edges_by_jump
+from hstv.htv import htv_cpwl, support_mask_by_jump
 from hstv.mesh import CpwlFunction, uniform_diagonal_mesh
 
 
@@ -30,6 +30,12 @@ def two_hats(scale_a=1.0, scale_b=1.0):
     return (CpwlFunction(mesh, va * scale_a),
             CpwlFunction(mesh, vb * scale_b),
             CpwlFunction(mesh, va * scale_a + vb * scale_b))
+
+
+def support_length(g, tol) -> float:
+    """Total length of the interior edges whose contribution exceeds tol."""
+    report = htv_cpwl(g)
+    return float(np.sum(report.lengths[report.contributions > tol]))
 
 
 class TestQuotient:
@@ -63,17 +69,18 @@ class TestQuotient:
 
 class TestConstrainedSpace:
     def test_full_support_dimension(self, pyramid):
-        space = constrained_space(pyramid.mesh, set(pyramid.mesh.interior_edges))
-        assert space.dim == pyramid.mesh.n_vertices - 3
+        mesh = pyramid.mesh
+        space = constrained_space(mesh, np.ones(len(mesh.interior_edge_array), dtype=bool))
+        assert space.dim == mesh.n_vertices - 3
 
     def test_empty_support_dimension(self):
         mesh = uniform_diagonal_mesh(3)
-        space = constrained_space(mesh, set())
+        space = constrained_space(mesh, np.zeros(len(mesh.interior_edge_array), dtype=bool))
         assert space.dim == 0
 
     def test_hat_support_dimension_is_one(self):
         g = grid_hat(4, 2, 2)
-        space = constrained_space(g.mesh, support_edges_by_jump(g))
+        space = constrained_space(g.mesh, support_mask_by_jump(g))
         assert space.dim == 1
         # the line is spanned by the hat itself
         rep = normalize_mod_affine(g)
@@ -81,9 +88,15 @@ class TestConstrainedSpace:
         assert abs(abs(gn @ space.basis[:, 0]) - 1.0) <= 1e-9
 
     def test_rejects_non_interior_edges(self):
+        """Only an (E,) boolean mask names a support: edge sets, index
+        arrays and masks of another length are rejected."""
         mesh = uniform_diagonal_mesh(2)
-        with pytest.raises(ExtremalError):
-            constrained_space(mesh, {(0, 1), (999, 1000)})
+        n_edges = len(mesh.interior_edge_array)
+        for bad in ({(0, 1), (999, 1000)}, {(0, 4)}, [True] * n_edges,
+                    np.arange(n_edges), np.ones(n_edges + 1, dtype=bool),
+                    np.ones((n_edges, 1), dtype=bool)):
+            with pytest.raises(ExtremalError, match="boolean mask"):
+                constrained_space(mesh, bad)
 
 
 class TestIsExtremal:
@@ -104,8 +117,8 @@ class TestIsExtremal:
         assert cert.space.dim == 2
         w = cert.witness
         assert w is not None
-        sw = support_edges_by_jump(two.with_values(w))
-        assert sw <= (support_edges_by_jump(a) | support_edges_by_jump(b))
+        sw = support_mask_by_jump(two.with_values(w))
+        assert not (sw & ~(support_mask_by_jump(a) | support_mask_by_jump(b))).any()
         rep = normalize_mod_affine(two)
         gn = rep.values / np.linalg.norm(rep.values)
         assert abs(w @ gn) < 0.99
@@ -142,8 +155,8 @@ class TestSupportReduce:
     def test_two_hat_single_step(self):
         a, b, two = two_hats()
         h, lam, nxt = support_reduce(two)
-        sn = support_edges_by_jump(nxt.cpwl)
-        assert sn in (support_edges_by_jump(a), support_edges_by_jump(b))
+        sn = support_mask_by_jump(nxt.cpwl)
+        assert any(np.array_equal(sn, support_mask_by_jump(h)) for h in (a, b))
 
     def test_extremal_input_rejected(self):
         with pytest.raises(ExtremalError):
@@ -154,13 +167,13 @@ class TestSupportReduce:
         mesh = random_lattice_mesh(rng, n_interior=8)
         g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
         rep = normalize_mod_affine(g)
-        lengths = [htv_support(rep.cpwl, 1e-10).total_length]
-        for _ in range(len(mesh.interior_edges) + 2):
+        lengths = [support_length(rep.cpwl, 1e-10)]
+        for _ in range(len(mesh.interior_edge_array) + 2):
             verdict, _ = is_extremal(rep.cpwl)
             if verdict:
                 break
             _, _, rep = support_reduce(rep)
-            lengths.append(htv_support(rep.cpwl, 1e-10).total_length)
+            lengths.append(support_length(rep.cpwl, 1e-10))
         else:
             pytest.fail("reduction did not reach an extremal function")
         assert all(b < a for a, b in zip(lengths, lengths[1:]))
@@ -180,8 +193,8 @@ class TestFindExtremal:
     def test_two_hat_returns_one_hat(self):
         a, b, two = two_hats()
         t = find_extremal_in_support(two)
-        st = support_edges_by_jump(t.cpwl)
-        assert st in (support_edges_by_jump(a), support_edges_by_jump(b))
+        st = support_mask_by_jump(t.cpwl)
+        assert any(np.array_equal(st, support_mask_by_jump(h)) for h in (a, b))
 
     def test_random_result_is_extremal(self):
         rng = np.random.default_rng(21)
@@ -190,7 +203,7 @@ class TestFindExtremal:
             g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
             t = find_extremal_in_support(g)
             assert is_extremal(t.cpwl)[0]
-            assert support_edges_by_jump(t.cpwl) <= support_edges_by_jump(g)
+            assert not (support_mask_by_jump(t.cpwl) & ~support_mask_by_jump(g)).any()
 
 
 class TestSolveCount:
@@ -219,19 +232,6 @@ class TestSolveCount:
         monkeypatch.undo()
         assert len(decompose(g).terms) == 9  # as before the solves were shared
 
-    def test_support_forms_agree(self):
-        rng = np.random.default_rng(24)
-        mesh = random_lattice_mesh(rng)
-        g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
-        edges = set(list(support_edges_by_jump(g))[::2])
-        by_set = constrained_space(mesh, edges)
-        mask = np.array([e in edges for e in mesh.interior_edges])
-        by_mask = constrained_space(mesh, mask)
-        assert by_set.support == by_mask.support == edges
-        np.testing.assert_array_equal(by_set.basis, by_mask.basis)
-        with pytest.raises(ExtremalError):
-            constrained_space(mesh, mask[1:])
-
 
 def loop_jump_operators(mesh):
     """Reference (full, normal) jump operators: one edge, triangle and slot
@@ -240,7 +240,7 @@ def loop_jump_operators(mesh):
     tris = mesh.triangle_array
     full = np.zeros((2 * len(mesh.interior_edge_array), mesh.n_vertices))
     normal = np.zeros((len(mesh.interior_edge_array), mesh.n_vertices))
-    for ei, ((u, v), (t1, t2)) in enumerate(zip(mesh.interior_edges,
+    for ei, ((u, v), (t1, t2)) in enumerate(zip(mesh.interior_edge_array.tolist(),
                                                 mesh.interior_tri_array.tolist())):
         dx, dy = fv[v, 0] - fv[u, 0], fv[v, 1] - fv[u, 1]
         ln = math.hypot(dx, dy)
@@ -282,12 +282,12 @@ class TestLoopReferences:
         for _ in range(3):
             _, cert = is_extremal(g)
             h, lam, nxt = support_reduce(g)
-            support = cert.space.support
+            support = cert.space.support_mask.tolist()
             jn_g, jn_h = normal @ g.values, normal @ h.values
             h_thr = 1e-9 * float(np.abs(jn_h).max())
             ref = None
-            for ei, e in enumerate(mesh.interior_edges):
-                if e in support and abs(jn_h[ei]) > h_thr:
+            for ei in range(len(mesh.interior_edge_array)):
+                if support[ei] and abs(jn_h[ei]) > h_thr:
                     cand = jn_g[ei] / jn_h[ei]
                     if ref is None or abs(cand) < abs(ref):
                         ref = cand

@@ -17,6 +17,11 @@ from hstv.fields import (
 from hstv.schatten import INF, sym_eigen_frame
 
 
+def hess(fld, x, y) -> tuple[float, float, float]:
+    """The Hessian entries (fxx, fxy, fyy) of fld at one point."""
+    return tuple(float(v) for v in fld.hess_components(x, y))
+
+
 ALL_FIELDS = [
     builtin_field("quadratic", 1.5, 0.25, 0.75, 0.1, -0.2, 0.3),
     builtin_field("rotated_quadratic", 2, 1, math.atan(0.5)),
@@ -28,17 +33,16 @@ ALL_FIELDS = [
 def test_builtin_quadratic_identity_hessian():
     fld = builtin_field("quadratic", 1, 0, 1)
     for x, y in ((0.1, 0.2), (0.9, 0.5), (0.33, 0.71)):
-        h = fld.hess(x, y)
-        assert (h.m11, h.m12, h.m21, h.m22) == (1.0, 0.0, 0.0, 1.0)
+        assert hess(fld, x, y) == (1.0, 0.0, 1.0)
         assert abs(fld.eval(x, y) - 0.5 * (x * x + y * y)) <= 1e-15
 
 
 def test_builtin_rotated_quadratic_eigenvalues():
     fld = builtin_field("rotated_quadratic", 2, 1, math.atan(0.5))
     for x, y in ((0.2, 0.3), (0.8, 0.1)):
-        d, theta = sym_eigen_frame(fld.hess(x, y))
-        assert abs(d.m11 - 2.0) <= 1e-12
-        assert abs(d.m22 - 1.0) <= 1e-12
+        (d1, d2), theta = sym_eigen_frame(*hess(fld, x, y))
+        assert abs(d1 - 2.0) <= 1e-12
+        assert abs(d2 - 1.0) <= 1e-12
         assert abs(theta - math.atan(0.5)) <= 1e-12
 
 
@@ -48,10 +52,10 @@ def test_gaussian_bump_laplacian():
     fld = builtin_field("gaussian_bump", sigma, cx, cy)
     s2 = sigma * sigma
     for x, y in ((0.1, 0.9), (0.5, 0.5), (0.42, 0.58)):
-        h = fld.hess(x, y)
+        hxx, _, hyy = hess(fld, x, y)
         r2 = (x - cx) ** 2 + (y - cy) ** 2
         expect = (r2 / s2 - 2.0) / s2 * math.exp(-r2 / (2 * s2))
-        assert abs((h.m11 + h.m22) - expect) <= 1e-12
+        assert abs((hxx + hyy) - expect) <= 1e-12
 
 
 def test_unknown_field_rejected():
@@ -84,6 +88,14 @@ def test_non_finite_parameters_rejected(name, index, bad):
         parse_field(f"{name.replace('_', '-')}:{text}")
 
 
+@pytest.mark.parametrize("params", [(1e-200,), (1e-160,), (1e-80,), (0.2, 1e308, 0.5),
+                                    (0.2, 0.5, -1e200)])
+def test_gaussian_bump_out_of_range_rejected(params):
+    # sigma^4 underflows, or reach^2 / sigma^4 overflows
+    with pytest.raises(FieldError, match="gaussian_bump"):
+        builtin_field("gaussian_bump", *params)
+
+
 def test_parse_field_descriptors():
     iso = parse_field("quadratic:iso")
     assert iso.eval(0.6, 0.8) == pytest.approx(0.5)
@@ -104,15 +116,17 @@ def test_derivatives_match_finite_differences(fld):
         scale = max(1.0, abs(gx), abs(gy))
         assert abs(gx - fdx) <= 1e-5 * scale
         assert abs(gy - fdy) <= 1e-5 * scale
-        hm = fld.hess(x, y)
-        assert hm.m12 == hm.m21
+        m11, m12, m22 = hess(fld, x, y)
+        # the mixed derivative both ways: d/dy of fx and d/dx of fy
         hxx = (fld.grad(x + h, y)[0] - fld.grad(x - h, y)[0]) / (2 * h)
         hxy = (fld.grad(x, y + h)[0] - fld.grad(x, y - h)[0]) / (2 * h)
+        hyx = (fld.grad(x + h, y)[1] - fld.grad(x - h, y)[1]) / (2 * h)
         hyy = (fld.grad(x, y + h)[1] - fld.grad(x, y - h)[1]) / (2 * h)
-        hscale = max(1.0, abs(hm.m11), abs(hm.m22))
-        assert abs(hm.m11 - hxx) <= 1e-5 * hscale
-        assert abs(hm.m12 - hxy) <= 1e-5 * hscale
-        assert abs(hm.m22 - hyy) <= 1e-5 * hscale
+        hscale = max(1.0, abs(m11), abs(m22))
+        assert abs(m11 - hxx) <= 1e-5 * hscale
+        assert abs(m12 - hxy) <= 1e-5 * hscale
+        assert abs(m12 - hyx) <= 1e-5 * hscale
+        assert abs(m22 - hyy) <= 1e-5 * hscale
 
 
 def test_htv_quadrature_reference_values():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import brute_force_htv, grid_hat, random_lattice_mesh
 from hstv.errors import MeshError
-from hstv.htv import htv_cpwl, htv_support, p_independence_check
+from hstv.htv import htv_cpwl, p_independence_check, support_mask_by_jump
 from hstv.mesh import CpwlFunction, Triangulation
 from hstv.schatten import INF
 
@@ -26,7 +26,7 @@ def test_pyramid_hat_frozen_value(pyramid):
     assert abs(report.total - oracle) <= 1e-12
     assert abs(report.total - 8.0) <= 1e-12
     assert htv_cpwl(pyramid, INF).total == report.total
-    assert len(report.per_edge) == 4
+    assert len(report.edges) == len(report.contributions) == 4
 
 
 def test_affine_is_energy_free(pyramid):
@@ -34,7 +34,7 @@ def test_affine_is_energy_free(pyramid):
     aff = pyramid.with_values(1.5 * fv[:, 0] - 0.5 * fv[:, 1] + 2.0)
     report = htv_cpwl(aff)
     assert report.total <= 1e-12
-    assert htv_support(aff, 0.0).edges == set() or report.total == 0.0
+    assert not (report.contributions > 0.0).any() or report.total == 0.0
     assert p_independence_check(aff) == 0.0
 
 
@@ -42,24 +42,25 @@ def test_report_consistency_and_order(pyramid):
     report = htv_cpwl(pyramid)
     assert abs(report.total - float(np.sum(report.contributions))) <= 1e-12
     assert report.edges == sorted(report.edges)
-    for c in report.per_edge:
-        assert c.contribution >= 0.0
-        assert abs(c.contribution - math.hypot(*c.jump) * c.length) <= 1e-12
+    assert report.edges == [tuple(e) for e in report.edge_array.tolist()]
+    for (jx, jy), length, contribution in zip(report.jumps.tolist(), report.lengths.tolist(),
+                                              report.contributions.tolist()):
+        assert contribution >= 0.0
+        assert abs(contribution - math.hypot(jx, jy) * length) <= 1e-12
 
 
 def test_support_of_hat(pyramid):
-    support = htv_support(pyramid, 0.0)
-    apex = 4
-    assert support.edges == {(0, 4), (1, 4), (2, 4), (3, 4)}
-    assert abs(support.total_length - 4 * math.sqrt(0.5)) <= 1e-12
+    mask = support_mask_by_jump(pyramid)
+    edges = pyramid.mesh.interior_edge_array
+    assert edges[mask].tolist() == [[0, 4], [1, 4], [2, 4], [3, 4]]
+    length = float(np.sum(pyramid.mesh.edge_lengths()[mask]))
+    assert abs(length - 4 * math.sqrt(0.5)) <= 1e-12
 
 
 def test_support_excludes_flat_region():
     g = grid_hat(4, 1, 1)
-    support = htv_support(g, 1e-12)
-    star_verts = set()
-    for u, v in support.edges:
-        star_verts.update((u, v))
+    mask = support_mask_by_jump(g)
+    star_verts = set(g.mesh.interior_edge_array[mask].ravel().tolist())
     # the far half of the mesh is flat: no supported edge touches it
     far = {j * 5 + i for i in (3, 4) for j in range(5)}
     assert not (star_verts & far)
@@ -110,12 +111,11 @@ def test_jumps_parallel_to_edge_normals():
     g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
     report = htv_cpwl(g)
     fv = mesh.float_vertices
-    for c in report.per_edge:
-        u, v = c.edge
+    for (u, v), jump in zip(report.edge_array, report.jumps):
         t = fv[v] - fv[u]
         t /= math.hypot(*t)
-        tangential = abs(c.jump[0] * t[0] + c.jump[1] * t[1])
-        assert tangential <= 1e-9 * max(1.0, math.hypot(*c.jump))
+        tangential = abs(jump[0] * t[0] + jump[1] * t[1])
+        assert tangential <= 1e-9 * max(1.0, math.hypot(*jump))
 
 
 def test_non_covering_meshes_rejected():

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_hat
+from conftest import edge_table, evaluate_on_grid, grid_hat, random_lattice_mesh
 from hstv.errors import MeshError
 from hstv.mesh import (
     CpwlFunction,
     Triangulation,
     cpwl_from_document,
-    evaluate_on_grid,
     load_mesh,
     mesh_document,
     min_angle,
@@ -24,17 +23,28 @@ from hstv.mesh import (
 )
 
 
+def assert_interior_arrays_match_table(mesh: Triangulation) -> dict:
+    """interior_edge_array and interior_tri_array hold exactly the edges
+    with two incident triangles in the conftest edge table, in key order."""
+    table = edge_table(mesh)
+    interior = [(e, t) for e, t in table.items() if len(t) == 2]
+    assert mesh.interior_edge_array.reshape(-1, 2).tolist() == [list(e) for e, _ in interior]
+    assert mesh.interior_tri_array.reshape(-1, 2).tolist() == [t for _, t in interior]
+    return table
+
+
 def test_adjacency_square_with_diagonal(diag_square):
-    table = diag_square.edge_table
+    table = assert_interior_arrays_match_table(diag_square)
     assert len(table) == 5
-    assert len(diag_square.interior_edges) == 1
-    assert diag_square.interior_edges[0] == (0, 2)
+    assert diag_square.interior_edge_array.tolist() == [[0, 2]]
+    assert diag_square.interior_tri_array.tolist() == [[0, 1]]
 
 
 def test_adjacency_single_triangle():
     mesh = Triangulation([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-    assert len(mesh.boundary_edges) == 3
-    assert len(mesh.interior_edges) == 0
+    table = assert_interior_arrays_match_table(mesh)
+    assert sorted(len(t) for t in table.values()) == [1, 1, 1]
+    assert len(mesh.interior_edge_array) == 0
 
 
 def test_adjacency_two_triangles_sharing_a_vertex():
@@ -42,8 +52,16 @@ def test_adjacency_two_triangles_sharing_a_vertex():
         [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2)],
         [(0, 1, 2), (3, 4, 5)],
     )
-    assert len(mesh.edge_table) == 6
-    assert len(mesh.interior_edges) == 0
+    assert len(assert_interior_arrays_match_table(mesh)) == 6
+    assert len(mesh.interior_edge_array) == 0
+
+
+def test_adjacency_random_meshes():
+    rng = np.random.default_rng(28)
+    for mesh in (random_lattice_mesh(rng), random_lattice_mesh(rng, 24),
+                 uniform_diagonal_mesh(3, "anti")):
+        table = assert_interior_arrays_match_table(mesh)
+        assert all(len(t) in (1, 2) for t in table.values())
 
 
 def test_orientation_normalized_and_duplicates_rejected():
@@ -74,8 +92,6 @@ def test_triangle_gradient_examples():
 
 def test_triangle_gradient_affine_reproduction():
     rng = np.random.default_rng(10)
-    from conftest import random_lattice_mesh
-
     mesh = random_lattice_mesh(rng)
     fv = mesh.float_vertices
     g = CpwlFunction(mesh, 3.0 * fv[:, 0] + 2.0 * fv[:, 1] - 1.0)
@@ -236,13 +252,14 @@ def test_uniform_diagonal_mesh_shapes():
 def test_hat_interpolation_has_zero_affine_energy():
     """Interpolating an affine map on any mesh gives zero energy (support
     empty), tying the mesh layer to the affine quotient."""
-    from hstv.htv import htv_cpwl, htv_support
+    from hstv.htv import htv_cpwl
 
     g = grid_hat(4, 2, 2)
     fv = g.mesh.float_vertices
     aff = g.with_values(0.7 * fv[:, 0] - 0.4 * fv[:, 1] + 3.0)
-    assert htv_cpwl(aff).total <= 1e-12
-    assert htv_support(aff, 1e-12).edges == set()
+    report = htv_cpwl(aff)
+    assert report.total <= 1e-12
+    assert not (report.contributions > 1e-12).any()
 
 
 # -- parser fuzzing ------------------------------------------------------------
@@ -289,9 +306,18 @@ def test_parser_matches_fractions_and_round_trips(cx, cy, ks):
 @given(inside, inside, multipliers, st.data())
 def test_parser_rejects_corrupt_documents(cx, cy, ks, data):
     doc = pyramid_document(cx, cy, ks)
-    kind = data.draw(st.sampled_from(["zero_den", "coordinate", "value", "index"]))
+    kind = data.draw(st.sampled_from(
+        ["zero_den", "coordinate", "value", "index", "float", "bool"]))
     row = data.draw(st.integers(0, 4))
-    if kind == "zero_den":
+    if kind in ("float", "bool"):
+        # int() would truncate these: 0.5 to 0, 2.5 to 2, True to 1
+        bad = data.draw(st.floats(allow_nan=False, allow_infinity=False)
+                        if kind == "float" else st.booleans())
+        if data.draw(st.booleans()):
+            doc["vertices"][row][data.draw(st.integers(0, 3))] = bad
+        else:
+            doc["triangles"][data.draw(st.integers(0, 3))][data.draw(st.integers(0, 2))] = bad
+    elif kind == "zero_den":
         doc["vertices"][row][data.draw(st.sampled_from([1, 3]))] = "0"
     elif kind == "coordinate":
         bad = data.draw(st.sampled_from(["nan", "inf", "-inf", math.nan, math.inf]))
