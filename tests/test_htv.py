@@ -50,20 +50,23 @@ def test_report_consistency_and_order(pyramid):
 
 
 def test_support_of_hat(pyramid):
-    mask = support_mask_by_jump(pyramid)
-    edges = pyramid.mesh.interior_edge_array
-    assert edges[mask].tolist() == [[0, 4], [1, 4], [2, 4], [3, 4]]
-    length = float(np.sum(pyramid.mesh.edge_lengths()[mask]))
+    report = htv_cpwl(pyramid)
+    mask = report.contributions > 0.0
+    assert report.edge_array[mask].tolist() == [[0, 4], [1, 4], [2, 4], [3, 4]]
+    length = float(np.sum(report.lengths[mask]))
     assert abs(length - 4 * math.sqrt(0.5)) <= 1e-12
+    assert np.array_equal(support_mask_by_jump(pyramid), mask)
 
 
 def test_support_excludes_flat_region():
     g = grid_hat(4, 1, 1)
-    mask = support_mask_by_jump(g)
-    star_verts = set(g.mesh.interior_edge_array[mask].ravel().tolist())
+    report = htv_cpwl(g)
+    mask = report.contributions > 1e-12
+    star_verts = set(report.edge_array[mask].ravel().tolist())
     # the far half of the mesh is flat: no supported edge touches it
     far = {j * 5 + i for i in (3, 4) for j in range(5)}
     assert not (star_verts & far)
+    assert np.array_equal(support_mask_by_jump(g), mask)
 
 
 def test_p_independence_examples(pyramid):
