@@ -24,6 +24,7 @@ from .approx import (
     interpolate,
     plan_mesh,
 )
+from .errors import MeshError
 from .extremal import (
     decompose,
     is_extremal,
@@ -59,11 +60,9 @@ def _iso_context(ctx: dict) -> dict:
     if "iso" in ctx:
         return ctx["iso"]
     fld = builtin_field("quadratic", 1, 0, 1)
-    frames = build_frames(fld, 1)
     meshes = {}
     table = convergence_experiment(
         fld, 1, range(1, 7), p=1, mode="lcm",
-        frames=frames,
         collect=lambda K, plan, mesh, g: meshes.__setitem__(K, g),
     )
     ctx["iso"] = {"field": fld, "table": table, "interpolants": meshes}
@@ -231,7 +230,7 @@ def random_cpwl(rng, n_interior: int = 8, denom: int = 64) -> CpwlFunction:
         simplices = Delaunay(arr).simplices
         try:
             mesh = Triangulation(np.array(ordered), simplices, denom)
-        except Exception:
+        except MeshError:
             continue
         if mesh.covers_bbox_exactly():
             return CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))

@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .acceptance import DEFAULT_SEED, run_all
-from .approx import build_frames, convergence_experiment
+from .approx import convergence_experiment
 from .errors import HstvError
 from .extremal import decompose, is_extremal
 from .fields import parse_field
@@ -137,7 +137,6 @@ def _cmd_htv(args) -> int:
 
 def _cmd_approx(args) -> int:
     fld = parse_field(args.field)
-    frames = build_frames(fld, args.N)
     collected = {}
 
     def collect(K, plan, mesh, g):
@@ -145,7 +144,7 @@ def _cmd_approx(args) -> int:
 
     table = convergence_experiment(
         fld, args.N, args.K, p=args.p, mode=args.mode,
-        ref_resolution=args.ref_resolution, frames=frames,
+        ref_resolution=args.ref_resolution,
         collect=collect if (args.emit_mesh or args.emit_svg) else None,
     )
     text = table.to_csv()

@@ -244,7 +244,8 @@ def perturbation_identity_check(g: Union[CpwlFunction, QuotientRep],
     """
     g = _as_cpwl(g)
     h = _as_cpwl(h)
-    jumps_g = htv_cpwl(g).jumps
+    report_g = htv_cpwl(g)
+    jumps_g = report_g.jumps
     norms_g = np.hypot(jumps_g[:, 0], jumps_g[:, 1])
     jumps_h = htv_cpwl(h).jumps
     norms_h = np.hypot(jumps_h[:, 0], jumps_h[:, 1])
@@ -256,10 +257,9 @@ def perturbation_identity_check(g: Union[CpwlFunction, QuotientRep],
     if len(nonzero) == 0:
         raise ExtremalError("g has empty support")
     eps = float(nonzero.min()) / delta_cap
-    total = htv_cpwl(g).total
     plus = htv_cpwl(g.with_values(g.values + eps * h.values)).total
     minus = htv_cpwl(g.with_values(g.values - eps * h.values)).total
-    return abs(plus + minus - 2.0 * total)
+    return abs(plus + minus - 2.0 * report_g.total)
 
 
 # -- greedy support reduction ----------------------------------------------------

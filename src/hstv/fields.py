@@ -45,12 +45,6 @@ class SmoothField:
                 np.broadcast_to(self.fxy(x, y), shape),
                 np.broadcast_to(self.fyy(x, y), shape))
 
-    @property
-    def descriptor(self) -> str:
-        parts = ",".join(repr(v) if not isinstance(v, (int, float)) else f"{v:g}"
-                         for v in self.params.values())
-        return f"{self.name}:{parts}" if parts else self.name
-
 
 def _quadratic(a11, a12, a22, b1=0.0, b2=0.0, c=0.0) -> SmoothField:
     a11, a12, a22, b1, b2, c = map(float, (a11, a12, a22, b1, b2, c))
@@ -199,9 +193,6 @@ class GridSample:
             raise FieldError("samples must be a 2D array")
         if not self.spacing > 0:
             raise FieldError("spacing must be positive")
-
-    def mass(self) -> float:
-        return float(np.sum(self.samples)) * self.spacing**2
 
 
 def bump_kernel(radius_cells: int) -> np.ndarray:

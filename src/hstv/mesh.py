@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -21,7 +20,6 @@ import numpy as np
 
 from .errors import MeshError
 
-Coord = tuple[Fraction, Fraction]
 Edge = tuple[int, int]
 
 
@@ -44,10 +42,10 @@ class Triangulation:
     """A conforming 2D triangulation with exact rational vertex coordinates.
 
     `Triangulation(vertices, triangles, den)` puts vertex k at
-    vertices[k] / den, where `vertices` is either an integer (V, 2) array
-    (an integer dtype, or object dtype holding Python ints) or a sequence
-    of rational pairs (int, Fraction or float, converted once).  The
-    vertices are held as one integer numerator array over one denominator.
+    vertices[k] / den, where `vertices` holds integer numerators, shape
+    (V, 2): an integer-dtype array, or an array or sequence of Python or
+    numpy ints.  Floats, Fractions, strings and booleans raise MeshError
+    rather than being truncated.
 
     Construction validates the mesh: distinct vertex coordinates, positive
     (counterclockwise, auto-normalized) triangle orientation, no duplicate
@@ -57,21 +55,31 @@ class Triangulation:
     """
 
     def __init__(self, vertices, triangles: Sequence, den: int = 1):
-        if den < 1:
+        if isinstance(den, bool) or not isinstance(den, (int, np.integer)) or den < 1:
             raise MeshError("the denominator must be a positive integer")
-        if isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iuO":
-            num = vertices
-        else:
-            coords = [(Fraction(xy[0]), Fraction(xy[1])) for xy in vertices]
-            scale = math.lcm(*(c.denominator for xy in coords for c in xy))
-            num = np.array([[c.numerator * (scale // c.denominator) for c in xy]
-                            for xy in coords], dtype=object).reshape(-1, 2)
-            den *= scale
+        try:
+            # A sequence keeps its Python ints: numpy would infer float64
+            # for values in [2^63, 2^64).
+            num = (vertices if isinstance(vertices, np.ndarray)
+                   else np.array(vertices, dtype=object))
+        except (TypeError, ValueError) as exc:
+            raise MeshError(f"malformed vertices: {exc}") from None
         if num.ndim != 2 or num.shape[1] != 2:
             raise MeshError("vertices must be coordinate pairs")
         nv = len(num)
         if nv < 3:
             raise MeshError("a triangulation needs at least 3 vertices")
+        kinds = set(map(type, num.flat)) if num.dtype.kind == "O" else set()
+        bad = {t.__name__ for t in kinds
+               if t is bool or not issubclass(t, (int, np.integer))}
+        if num.dtype.kind not in "iuO":
+            bad.add(num.dtype.name)
+        if bad:
+            raise MeshError("vertex coordinates must be integer numerators, "
+                            f"not {', '.join(sorted(bad))}")
+        if kinds - {int}:
+            # numpy ints beside Python ints would wrap on overflow
+            num = np.frompyfunc(int, 1, 1)(num)
         try:
             tris = np.array(triangles, dtype=np.int64)
         except (OverflowError, TypeError, ValueError) as exc:
@@ -83,8 +91,8 @@ class Triangulation:
         if tris.min() < 0 or tris.max() >= nv:
             raise MeshError("triangle references a missing vertex")
 
-        # int64 is exact when numerators and den stay below 2^53 (so num / den
-        # rounds once, like float(Fraction)) and every orientation or dot
+        # int64 is exact when numerators and den stay below 2^53 (so both are
+        # exact floats and num / den rounds once) and every orientation or dot
         # product of coordinate differences (at most 2 w^2, w the coordinate
         # range), summed over all triangles, stays below 2^63; otherwise the
         # same expressions run on Python ints.
@@ -118,33 +126,32 @@ class Triangulation:
         self._tri_array = tris
         self._area2 = int(np.abs(cross).sum())  # twice the exact area, over den^2
 
-        # Directed-edge conformity: each directed edge used at most once.  Two
-        # copies of one triangle, both CCW, share all three directed edges.
+        # Directed-edge conformity by one sort of the keys
+        # 2 * (min * V + max) + direction: a repeated key is a directed edge
+        # used twice (two copies of one CCW triangle share all three).  With
+        # distinct keys an undirected edge has at most two triangles, one per
+        # direction, adjacent in key order.
         t_count = len(tris)
         directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-        dkeys = np.sort(directed[:, 0] * nv + directed[:, 1])
-        if (dkeys[1:] == dkeys[:-1]).any():
+        keys = (2 * (directed.min(axis=1) * nv + directed.max(axis=1))
+                + (directed[:, 0] > directed[:, 1]))
+        order = np.argsort(keys)
+        sk = keys[order]
+        if (sk[1:] == sk[:-1]).any():
             raise MeshError(
                 "a directed edge is used twice: duplicate, overlapping or "
                 "inconsistently oriented triangles"
             )
-        ukeys = directed.min(axis=1) * nv + directed.max(axis=1)
-        tri_ids = np.concatenate([np.arange(t_count)] * 3)
-        order = np.argsort(ukeys, kind="stable")
-        sk = ukeys[order]
-        st = tri_ids[order]
-        starts = np.nonzero(np.r_[True, sk[1:] != sk[:-1]])[0]
-        counts = np.diff(np.r_[starts, len(sk)])
-        if counts.max() > 2:
-            raise MeshError("an edge has more than 2 incident triangles")
-        int_mask = counts == 2
-        int_starts = starts[int_mask]
-        ikeys = sk[int_starts]
-        ia = np.minimum(st[int_starts], st[int_starts + 1])
-        ib = np.maximum(st[int_starts], st[int_starts + 1])
+        uk = sk >> 1
+        st = order % t_count  # the triangle of each sorted directed edge
+        pair = np.flatnonzero(uk[1:] == uk[:-1])  # interior edge at pair, pair + 1
+        single = np.ones(len(uk), dtype=bool)
+        single[pair] = single[pair + 1] = False
+        ikeys = uk[pair]
+        ta, tb = st[pair], st[pair + 1]
         self._interior_edge_arr = np.stack([ikeys // nv, ikeys % nv], axis=1)
-        self._interior_tri_arr = np.stack([ia, ib], axis=1)
-        bkeys = sk[starts[~int_mask]]
+        self._interior_tri_arr = np.stack([np.minimum(ta, tb), np.maximum(ta, tb)], axis=1)
+        bkeys = uk[single]
         self._boundary_edge_arr = np.stack([bkeys // nv, bkeys % nv], axis=1)
         self._check_hanging_vertices()
 
@@ -192,11 +199,6 @@ class Triangulation:
 
     # -- views -------------------------------------------------------------
 
-    @cached_property
-    def vertices(self) -> list[Coord]:
-        den = self._den
-        return [(Fraction(x, den), Fraction(y, den)) for x, y in self._num.tolist()]
-
     @property
     def numerators(self) -> np.ndarray:
         """Integer vertex numerators (V, 2) over `den`."""
@@ -205,10 +207,6 @@ class Triangulation:
     @property
     def den(self) -> int:
         return self._den
-
-    @property
-    def triangles(self) -> list[tuple[int, int, int]]:
-        return [tuple(t) for t in self._tri_array.tolist()]
 
     @property
     def triangle_array(self) -> np.ndarray:
@@ -235,16 +233,6 @@ class Triangulation:
     def interior_tri_array(self) -> np.ndarray:
         """For each interior edge the two incident triangles, smaller id first."""
         return self._interior_tri_arr
-
-    def triangle_areas(self) -> np.ndarray:
-        fv = self._float_vertices
-        a, b, c = (fv[self._tri_array[:, i]] for i in range(3))
-        return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                      - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
-
-    def total_area_exact(self) -> Fraction:
-        """Exact sum of triangle areas."""
-        return Fraction(self._area2, 2 * self._den ** 2)
 
     def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         (x0, y0), (x1, y1) = self._num.min(axis=0).tolist(), self._num.max(axis=0).tolist()
@@ -354,18 +342,15 @@ class CpwlFunction:
         return CpwlFunction(self.mesh, np.asarray(values, dtype=float))
 
 
-def uniform_diagonal_mesh(n: int, diagonal: str = "main",
-                          lo=Fraction(0), hi=Fraction(1)) -> Triangulation:
-    """Axis-aligned n x n grid of the square [lo, hi]^2, every cell split by
-    the same diagonal ("main" = lower-left to upper-right, "anti" = the other).
+def uniform_diagonal_mesh(n: int, diagonal: str = "main") -> Triangulation:
+    """Axis-aligned n x n grid of the unit square, every cell split by the
+    same diagonal ("main" = lower-left to upper-right, "anti" = the other).
     """
     if n < 1:
         raise MeshError("n must be >= 1")
     if diagonal not in ("main", "anti"):
         raise MeshError("diagonal must be 'main' or 'anti'")
-    lo, hi = Fraction(lo), Fraction(hi)
-    den = n * math.lcm(lo.denominator, hi.denominator)
-    coords = int(lo * den) + np.arange(n + 1).astype(object) * int((hi - lo) * den / n)
+    coords = np.arange(n + 1)
     num = np.stack([np.tile(coords, n + 1), np.repeat(coords, n + 1)], axis=1)
     # Cells row by row; p00 is the lower-left corner of cell (i, j).
     p00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
@@ -374,7 +359,7 @@ def uniform_diagonal_mesh(n: int, diagonal: str = "main",
         tris = [p00, p10, p11, p00, p11, p01]
     else:
         tris = [p00, p10, p01, p10, p11, p01]
-    return Triangulation(num, np.stack(tris, axis=1).reshape(-1, 3), den)
+    return Triangulation(num, np.stack(tris, axis=1).reshape(-1, 3), n)
 
 
 # -- serialization -----------------------------------------------------------
@@ -383,19 +368,20 @@ def uniform_diagonal_mesh(n: int, diagonal: str = "main",
 def mesh_document(g) -> dict:
     """JSON-ready dict for a Triangulation or CpwlFunction.
 
-    Vertices are serialized as [num_x, den_x, num_y, den_y] strings so the
-    save/load round trip is exact; values, when present, as decimal strings.
+    Vertices are serialized as [num_x, den_x, num_y, den_y] strings, each
+    coordinate in lowest terms, so the save/load round trip is exact; values,
+    when present, as decimal strings.
     """
     if isinstance(g, CpwlFunction):
         mesh, values = g.mesh, g.values
     else:
         mesh, values = g, None
+    num = mesh.numerators
+    common = np.gcd(num, mesh.den)
+    reduced = np.stack([num // common, mesh.den // common], axis=2).reshape(-1, 4)
     doc = {
-        "vertices": [
-            [str(x.numerator), str(x.denominator), str(y.numerator), str(y.denominator)]
-            for x, y in mesh.vertices
-        ],
-        "triangles": [list(t) for t in mesh.triangles],
+        "vertices": [list(map(str, row)) for row in reduced.tolist()],
+        "triangles": mesh.triangle_array.tolist(),
     }
     if values is not None:
         doc["values"] = [repr(float(v)) for v in values]

@@ -21,9 +21,9 @@ from hstv.schatten import schatten_norms, sym_eigen_frame
 @pytest.fixture
 def pyramid() -> CpwlFunction:
     """Unit square split into 4 triangles around the center, hat at the apex."""
-    verts = [(0, 0), (1, 0), (1, 1), (0, 1), (Fraction(1, 2), Fraction(1, 2))]
+    verts = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)]
     tris = [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)]
-    mesh = Triangulation(verts, tris)
+    mesh = Triangulation(verts, tris, 2)
     return CpwlFunction(mesh, np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
 
 
@@ -60,6 +60,27 @@ def edge_table(mesh: Triangulation) -> dict[tuple[int, int], list[int]]:
         for u, v in zip(tri, tri[1:] + tri[:1]):
             table.setdefault((min(u, v), max(u, v)), []).append(t)
     return dict(sorted(table.items()))
+
+
+def fraction_pairs(mesh: Triangulation) -> list[tuple[Fraction, Fraction]]:
+    """Each vertex as an exact (x, y) pair of Fractions, built in the test
+    suite from numerators and den."""
+    return [(Fraction(x, mesh.den), Fraction(y, mesh.den))
+            for x, y in mesh.numerators.tolist()]
+
+
+def numbering_text(mesh: Triangulation) -> str:
+    """repr((vertex Fraction pairs, triangle tuples)), the text behind the
+    pinned numbering digests."""
+    return repr((fraction_pairs(mesh), [tuple(t) for t in mesh.triangle_array.tolist()]))
+
+
+def same_vertices(a: Triangulation, b: Triangulation) -> bool:
+    """Exact vertex equality across meshes with different denominators:
+    a.num * b.den == b.num * a.den, numerator by numerator."""
+    return (a.numerators.shape == b.numerators.shape
+            and bool((a.numerators.astype(object) * b.den
+                      == b.numerators.astype(object) * a.den).all()))
 
 
 def evaluate_on_grid(g: CpwlFunction, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,7 +131,7 @@ def brute_force_htv(g: CpwlFunction) -> tuple[float, dict]:
     mesh = g.mesh
     fv = mesh.float_vertices
     grads = {}
-    for ti, (a, b, c) in enumerate(mesh.triangles):
+    for ti, (a, b, c) in enumerate(mesh.triangle_array.tolist()):
         design = np.array([[1.0, fv[a][0], fv[a][1]],
                            [1.0, fv[b][0], fv[b][1]],
                            [1.0, fv[c][0], fv[c][1]]])
@@ -139,10 +160,9 @@ def random_lattice_mesh(rng, n_interior=8, denom=64) -> Triangulation:
         ordered = sorted(pts)
         arr = np.array(ordered, dtype=float) / denom
         simplices = Delaunay(arr).simplices
-        verts = [(Fraction(x, denom), Fraction(y, denom)) for x, y in ordered]
         try:
-            mesh = Triangulation(verts, [tuple(int(v) for v in t) for t in simplices])
-        except Exception:
+            mesh = Triangulation(np.array(ordered), simplices, denom)
+        except MeshError:
             continue
         if mesh.covers_bbox_exactly():
             return mesh

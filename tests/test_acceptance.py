@@ -1,8 +1,10 @@
 """Acceptance gate: every criterion runs at its stated tolerance and prints
 one pass/fail line (use -s to see them as they complete)."""
 
+import numpy as np
 import pytest
 
+import conftest
 from hstv import acceptance
 
 
@@ -47,3 +49,24 @@ def test_criterion_6_schatten_suite(ctx):
 
 def test_criterion_7_field_calculus(ctx):
     _run(acceptance.criterion_7, ctx)
+
+
+@pytest.mark.parametrize("module, build", [
+    (acceptance, acceptance.random_cpwl),
+    (conftest, conftest.random_lattice_mesh),
+], ids=["random_cpwl", "random_lattice_mesh"])
+def test_random_mesh_retries_only_mesh_errors(monkeypatch, module, build):
+    """Only a MeshError (a Delaunay mesh that fails validation) means draw
+    again; any other error propagates instead of retrying forever."""
+    calls = []
+
+    def fake_triangulation(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise TypeError("not a mesh error")
+        pytest.fail("retried after a TypeError")
+
+    monkeypatch.setattr(module, "Triangulation", fake_triangulation)
+    with pytest.raises(TypeError, match="not a mesh error"):
+        build(np.random.default_rng(0))
+    assert len(calls) == 1

@@ -16,7 +16,14 @@ from hstv.approx import (
     rational_angle_approx,
 )
 import hstv.approx
-from conftest import assemble_reference, evaluate_on_grid, reference_frames, triangulate_square
+from conftest import (
+    assemble_reference,
+    evaluate_on_grid,
+    fraction_pairs,
+    numbering_text,
+    reference_frames,
+    triangulate_square,
+)
 from hstv.acceptance import _ANGLE_POOL, DEFAULT_SEED, synthetic_frames
 from hstv.errors import HstvError, MeshError, PlanError
 from hstv.fields import builtin_field, parse_field
@@ -308,7 +315,7 @@ class TestTriangulateSquare:
             mesh = triangulate_square(fr, plan)
             x0, y0 = fr.x0, fr.y0
             x1, y1 = x0 + fr.side, y0 + fr.side
-            for (px, py) in mesh.vertices:
+            for (px, py) in fraction_pairs(mesh):
                 on = (px in (x0, x1)) or (py in (y0, y1))
                 if not on:
                     continue
@@ -427,7 +434,7 @@ class TestFrozenNumbering:
     ], ids=["iso-N1-K3", "rotated-N2-K2", "sine-N2-K1", "mixed-N2-K1"])
     def test_mesh_digest(self, frames, N, K, digest):
         mesh = assemble_global(plan_mesh(frames(), N, K))
-        text = repr((mesh.vertices, mesh.triangles))
+        text = numbering_text(mesh)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

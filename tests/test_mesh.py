@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import edge_table, evaluate_on_grid, grid_hat, random_lattice_mesh
+from conftest import (
+    edge_table,
+    evaluate_on_grid,
+    fraction_pairs,
+    grid_hat,
+    random_lattice_mesh,
+    same_vertices,
+)
 from hstv.errors import MeshError
 from hstv.mesh import (
     CpwlFunction,
@@ -66,7 +73,7 @@ def test_adjacency_random_meshes():
 
 def test_orientation_normalized_and_duplicates_rejected():
     mesh = Triangulation([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)])  # CW input
-    assert mesh.triangle_areas()[0] > 0
+    assert mesh.triangle_array.tolist() == [[0, 1, 2]]
     with pytest.raises(MeshError):
         Triangulation([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1, 2), (2, 1, 0)])
     with pytest.raises(MeshError):
@@ -78,8 +85,69 @@ def test_orientation_normalized_and_duplicates_rejected():
 def test_more_than_two_incident_triangles_rejected():
     verts = [(0, 0), (1, 0), (0, 1), (0, -1), (1, 1)]
     tris = [(0, 1, 2), (0, 3, 1), (0, 1, 4)]
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match="directed edge"):
         Triangulation(verts, tris)
+
+
+@pytest.mark.parametrize("vertices", [
+    np.array([[Fraction(1, 2), 0], [1, 0], [0, 1]], dtype=object),
+    np.array([[0.5, 0], [1, 0], [0, 1]], dtype=object),
+    np.array([[0.5, 0.0], [1.75, 0.0], [0.0, 1.0]]),
+    np.array([[True, False], [False, False], [False, True]]),
+    [(Fraction(1, 2), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))],
+    [("1", "0"), ("0", "0"), ("0", "1")],
+], ids=["object-fraction", "object-float", "float64", "bool", "fraction-pairs", "strings"])
+def test_non_integer_vertices_rejected(vertices):
+    """Vertices are integer numerators over den; anything else raises
+    instead of being truncated (Fraction(1, 2) and 0.5 to 0)."""
+    with pytest.raises(MeshError, match="integer numerators"):
+        Triangulation(vertices, [(0, 1, 2)])
+
+
+def test_denominator_must_be_a_positive_integer():
+    for den in (0, -2, 2.0, Fraction(1, 2), True):
+        with pytest.raises(MeshError, match="denominator"):
+            Triangulation([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)], den)
+
+
+def test_int_sequences_stay_exact():
+    """Python ints beyond int64, which numpy alone would turn into float64
+    (2^63) or keep as objects (2^70), and numpy ints, all stay exact."""
+    for big in (2**63, 2**70):
+        verts = [(0, big), (np.int64(1), 0), (0, 1)]
+        mesh = Triangulation(verts, [(0, 1, 2)], np.int64(3))
+        assert mesh.numerators.dtype == object and mesh.den == 3
+        assert mesh.numerators.tolist() == [[0, big], [1, 0], [0, 1]]
+
+
+def test_mesh_round_trip_creates_no_fraction(tmp_path, monkeypatch):
+    """Construction from integer arrays, serialization and loading work on
+    numerators over den alone: no Fraction is created per vertex."""
+    from hstv.approx import assemble_global, build_frames, interpolate, plan_mesh
+    from hstv.fields import parse_field
+
+    fld = parse_field("quadratic:iso")
+    mesh = assemble_global(plan_mesh(build_frames(fld, 1), 1, 3))
+    g = interpolate(fld, mesh)
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    Fraction(1, 2)
+    assert len(made) == 1  # the patch counts
+    made.clear()
+    fresh = Triangulation(mesh.numerators, mesh.triangle_array, mesh.den)
+    doc = mesh_document(g)
+    save_mesh(g, tmp_path / "iso.json")
+    back = load_mesh(tmp_path / "iso.json")
+    assert made == []
+    monkeypatch.undo()
+    assert same_vertices(fresh, mesh) and same_vertices(back.mesh, mesh)
+    assert doc == mesh_document(back)
 
 
 def test_triangle_gradient_examples():
@@ -106,8 +174,9 @@ def test_min_angle_square_diagonal(diag_square):
 
 
 def test_min_angle_equilateral_approx():
-    height = Fraction(866025403784438647, 10**18)  # ~ sqrt(3)/2
-    mesh = Triangulation([(0, 0), (1, 0), (Fraction(1, 2), height)], [(0, 1, 2)])
+    den = 10**18
+    height = 866025403784438647  # ~ sqrt(3)/2 * den
+    mesh = Triangulation([(0, 0), (den, 0), (den // 2, height)], [(0, 1, 2)], den)
     assert abs(min_angle(mesh) - math.pi / 3) <= 1e-6
 
 
@@ -115,7 +184,7 @@ def exact_min_angle(mesh: Triangulation) -> float:
     """Every angle of every triangle from exact integer differences."""
     num, den = mesh.numerators.tolist(), mesh.den
     best = math.inf
-    for t in mesh.triangles:
+    for t in mesh.triangle_array.tolist():
         for i in range(3):
             p, q, r = (num[t[(i + k) % 3]] for k in range(3))
             ux, uy = (q[0] - p[0]) / den, (q[1] - p[1]) / den
@@ -142,8 +211,8 @@ def test_save_load_roundtrip(tmp_path, pyramid):
     path = tmp_path / "hat.json"
     save_mesh(pyramid, path)
     back = load_mesh(path)
-    assert back.mesh.vertices == pyramid.mesh.vertices
-    assert back.mesh.triangles == pyramid.mesh.triangles
+    assert same_vertices(back.mesh, pyramid.mesh)
+    assert np.array_equal(back.mesh.triangle_array, pyramid.mesh.triangle_array)
     assert np.array_equal(back.values, pyramid.values)
 
 
@@ -189,15 +258,15 @@ def test_conformity_check_is_sound():
     """Perturbing one vertex index is always rejected, either structurally or
     by the exact covering check.  At scale 2^70 the coordinates exceed int64
     and every check runs on Python ints."""
-    pyramid_verts = [(0, 0), (1, 0), (1, 1), (0, 1), (Fraction(1, 2), Fraction(1, 2))]
+    pyramid_verts = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)]
     pyramid_tris = [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)]
     grid = uniform_diagonal_mesh(2)
-    for scale, (verts, tris) in itertools.product((1, 2**70), (
-        (pyramid_verts, pyramid_tris),
-        (grid.vertices, grid.triangles),
+    for scale, (verts, tris, den) in itertools.product((1, 2**70), (
+        (pyramid_verts, pyramid_tris, 2),
+        (grid.numerators.tolist(), grid.triangle_array.tolist(), grid.den),
     )):
         verts = [(x * scale, y * scale) for x, y in verts]
-        intact = Triangulation(verts, tris)
+        intact = Triangulation(verts, tris, den)
         assert intact.covers_bbox_exactly()
         assert intact.numerators.dtype == (object if scale > 1 else np.int64)
         for ti in range(len(tris)):
@@ -208,7 +277,7 @@ def test_conformity_check_is_sound():
                     mutated = [list(t) for t in tris]
                     mutated[ti][slot] = repl
                     try:
-                        m = Triangulation(verts, mutated)
+                        m = Triangulation(verts, mutated, den)
                     except MeshError:
                         continue
                     assert not m.covers_bbox_exactly()
@@ -291,13 +360,16 @@ def test_parser_matches_fractions_and_round_trips(cx, cy, ks):
     g = cpwl_from_document(doc)
     expect = [(Fraction(int(nx), int(dx)), Fraction(int(ny), int(dy)))
               for nx, dx, ny, dy in doc["vertices"]]
-    assert g.mesh.vertices == expect
+    assert fraction_pairs(g.mesh) == expect
     assert g.mesh.float_vertices.tolist() == [[float(x), float(y)] for x, y in expect]
     assert g.mesh.covers_bbox_exactly()
     out = mesh_document(g)
+    assert out["vertices"] == [  # lowest terms, denominators positive
+        [str(x.numerator), str(x.denominator), str(y.numerator), str(y.denominator)]
+        for x, y in expect]
     back = cpwl_from_document(out)
-    assert back.mesh.vertices == expect
-    assert back.mesh.triangles == g.mesh.triangles
+    assert same_vertices(back.mesh, g.mesh)
+    assert np.array_equal(back.mesh.triangle_array, g.mesh.triangle_array)
     assert np.array_equal(back.values, g.values)
     assert mesh_document(back) == out
 
