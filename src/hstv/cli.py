@@ -116,13 +116,13 @@ def _cmd_htv(args) -> int:
     report = htv_cpwl(g, args.p)
     if args.report == "csv":
         lines = ["edge,x1,y1,x2,y2,jump_norm,length,contribution"]
-        fv = g.mesh.float_vertices.tolist()
+        # Each vertex is an endpoint of several edges: format it once.
+        xs, ys = (list(map(repr, c)) for c in g.mesh.float_vertices.T.tolist())
         for (u, v), (jx, jy), length, contribution in zip(
                 report.edge_array.tolist(), report.jumps.tolist(),
                 report.lengths.tolist(), report.contributions.tolist()):
-            (x1, y1), (x2, y2) = fv[u], fv[v]
             lines.append(
-                f"{u}-{v},{x1!r},{y1!r},{x2!r},{y2!r},"
+                f"{u}-{v},{xs[u]},{ys[u]},{xs[v]},{ys[v]},"
                 f"{math.hypot(jx, jy)!r},{length!r},{contribution!r}"
             )
         text = "\n".join(lines) + "\n"

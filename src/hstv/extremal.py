@@ -189,7 +189,10 @@ def constrained_space(mesh: Triangulation, support: np.ndarray) -> JumpSpaceBasi
     else:
         full, _ = alg.jump_operators
         rows = full.reshape(len(mask), 2, -1)[~mask].reshape(-1, full.shape[1])
-        _, sv, vt = np.linalg.svd(rows @ comp, full_matrices=True)
+        a = rows @ comp
+        # A tall a's reduced V^T is already square; a wide a needs the
+        # full one for its nullspace rows.
+        _, sv, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
         thr = 1e-10 * (sv[0] if len(sv) else 0.0)
         rank = int(np.sum(sv > thr))
         basis = comp @ vt[rank:].T

@@ -392,8 +392,11 @@ def cpwl_from_document(doc) -> CpwlFunction:
     """The CPWL function of a mesh document, as written by `mesh_document`.
 
     Numerators, denominators and triangle indices must be decimal strings
-    or JSON integers; a float or a boolean, which int() would truncate,
-    raises MeshError like every other malformed entry.
+    or JSON integers, parsed like int(); a float or a boolean there, which
+    int() would truncate, and a boolean value, which float() would read as
+    1.0 or 0.0, raise MeshError like every other malformed entry.  Vertex
+    rows and triangles are each parsed in one int64 conversion; vertex
+    entries or scaled numerators beyond int64 take an exact Python-int path.
     """
     try:
         vertices, triangles = doc["vertices"], doc["triangles"]
@@ -403,16 +406,32 @@ def cpwl_from_document(doc) -> CpwlFunction:
                 "malformed mesh document: "
                 f"{', '.join(sorted(k.__name__ for k in kinds - {int, str}))} "
                 "where an integer or a decimal string is expected")
-        rows = [(int(nx), int(dx), int(ny), int(dy)) for nx, dx, ny, dy in vertices]
+        try:
+            rows = np.array(vertices, dtype=np.int64)
+        except OverflowError:
+            rows = np.frompyfunc(int, 1, 1)(np.array(vertices, dtype=object))
+        if rows.ndim != 2 or rows.shape[1] != 4:
+            raise MeshError("malformed mesh document: a vertex needs "
+                            "[num_x, den_x, num_y, den_y]")
+        # A string row would pass the type scan one character at a time.
+        if not (set(map(type, triangles)) <= {list, tuple}
+                and set(map(len, triangles)) <= {3}):
+            raise MeshError("a triangle needs a list of exactly 3 vertex indices")
+        tris = np.fromiter(chain.from_iterable(triangles), dtype=np.int64).reshape(-1, 3)
         values = [float(v) for v in doc["values"]] if "values" in doc else None
+        if values is not None and bool in set(map(type, doc["values"])):
+            raise MeshError("malformed mesh document: bool where a value is expected")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MeshError(f"malformed mesh document: {exc}") from exc
-    if any(dx == 0 or dy == 0 for _, dx, _, dy in rows):
+    num, dens = rows[:, [0, 2]], rows[:, [1, 3]]
+    if (dens == 0).any():
         raise MeshError("malformed mesh document: zero denominator")
-    den = math.lcm(*(abs(d) for _, dx, _, dy in rows for d in (dx, dy)))
-    num = np.array([[nx * (den // dx), ny * (den // dy)] for nx, dx, ny, dy in rows],
-                   dtype=object).reshape(-1, 2)
-    mesh = Triangulation(num, triangles, den)  # int64 indices, strings parsed like int()
+    den = math.lcm(*np.unique(dens).tolist())  # lcm ignores signs
+    # int64 holds den and every n * (den // d) when max(|n|, 1) * den < 2^63.
+    lo, hi = int(num.min()), int(num.max())
+    if num.dtype == object or max(-lo, hi, 1) * den >= 2**63:
+        num, dens = num.astype(object), dens.astype(object)
+    mesh = Triangulation(num * (den // dens), tris, den)
     if values is None:
         values = np.zeros(mesh.n_vertices)
     elif len(values) != mesh.n_vertices:

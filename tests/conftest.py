@@ -150,6 +150,33 @@ def brute_force_htv(g: CpwlFunction) -> tuple[float, dict]:
     return total, per_edge
 
 
+def jittered_document(rng, n: int) -> dict:
+    """Mesh document of an n x n-cell grid of the unit square, as the energy
+    benchmark writes: node (i, j) at ((i + a/b) / n, (j + c/d) / n) with
+    b, d in 2..12 and |a/b|, |c/d| <= 1/5 (boundary nodes move only along
+    their side), coordinates as lowest-terms decimal strings, a random
+    diagonal per cell and standard-normal values."""
+    b = rng.integers(2, 13, size=(2, n + 1, n + 1))
+    a = rng.integers(-(b // 5), b // 5 + 1)
+    a[0, [0, n], :] = 0
+    a[1, :, [0, n]] = 0
+    vertices = []
+    for j in range(n + 1):
+        for i in range(n + 1):
+            x = Fraction(i * int(b[0, i, j]) + int(a[0, i, j]), n * int(b[0, i, j]))
+            y = Fraction(j * int(b[1, i, j]) + int(a[1, i, j]), n * int(b[1, i, j]))
+            vertices.append([str(x.numerator), str(x.denominator),
+                             str(y.numerator), str(y.denominator)])
+    triangles = []
+    for p00, anti in zip((np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel().tolist(),
+                         rng.integers(2, size=n * n).tolist()):
+        p10, p01, p11 = p00 + 1, p00 + n + 1, p00 + n + 2
+        triangles += ([[p00, p10, p01], [p10, p11, p01]] if anti
+                      else [[p00, p10, p11], [p00, p11, p01]])
+    values = [repr(v) for v in rng.standard_normal(len(vertices)).tolist()]
+    return {"vertices": vertices, "triangles": triangles, "values": values}
+
+
 def random_lattice_mesh(rng, n_interior=8, denom=64) -> Triangulation:
     from scipy.spatial import Delaunay
 

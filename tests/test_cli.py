@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import grid_hat, random_lattice_mesh
+from conftest import grid_hat, jittered_document, random_lattice_mesh
 from hstv.cli import main
 from hstv.htv import htv_cpwl
 from hstv.mesh import CpwlFunction, load_mesh, save_mesh, uniform_diagonal_mesh
@@ -154,6 +154,22 @@ def test_extremal_decompose_digest(tmp_path, capsys):
         "d9e8c7935c40c25bf56ac1f7bbc4fbe9e57f264c09ef80f90aff3436918a7c93")
 
 
+def test_htv_csv_report_digest(tmp_path, capsys):
+    """`htv --report csv` bytes pinned by digest on a seeded jittered 8 x 8-cell
+    mesh with denominators 2..12 x 8: every coordinate, jump, length and
+    contribution repr reaches the CSV, so a change to the parser, the edge
+    order or the row format shows here.  A CPWL jump is rank one, so --p 1
+    and --p inf print the same bytes.  Captured with numpy 2.4.6."""
+    src = tmp_path / "g.json"
+    src.write_text(json.dumps(jittered_document(np.random.default_rng(7), 8)))
+    for p in ("1", "inf"):
+        assert main(["htv", str(src), "--p", p, "--report", "csv"]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.count("\n") == 1 + 176 + 1  # header, interior edges, total
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "c27170f5b4e7774bc41ce00dee10aacaaa5bb5c510dfa1d766ad28c7744b18e1"), p
+
+
 def load_mesh_from_doc(doc):
     from hstv.mesh import cpwl_from_document
 
@@ -179,6 +195,15 @@ def test_exit_codes(tmp_path, capsys):
         "triangles": [[0, 1]],
     }))
     assert main(["htv", str(bad)]) == 1
+    capsys.readouterr()
+    # float() would read the booleans as 1.0 and 0.0
+    bad.write_text(json.dumps({
+        "vertices": [["0", "1", "0", "1"], ["1", "1", "0", "1"], ["1", "1", "1", "1"],
+                     ["0", "1", "1", "1"]],
+        "triangles": [[0, 1, 2], [0, 2, 3]], "values": [True, False, 0, 1],
+    }))
+    assert main(["htv", str(bad)]) == 1
+    assert "bool" in capsys.readouterr().err
     # rejected by the plan's lattice-size ceiling before any geometry
     assert main(["approx", "--field", "quadratic:iso", "--N", "1", "--K", "11"]) == 1
     capsys.readouterr()

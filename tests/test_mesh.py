@@ -13,6 +13,7 @@ from conftest import (
     evaluate_on_grid,
     fraction_pairs,
     grid_hat,
+    jittered_document,
     random_lattice_mesh,
     same_vertices,
 )
@@ -248,6 +249,9 @@ def test_load_rejects_malformed(tmp_path):
          "values": ["abc", "0", "0", "0"]},
         {"vertices": square, "triangles": [[0, 1, 2], [0, 2, 3]], "values": 5},
         {"vertices": square, "triangles": [[0, 1]]},
+        {"vertices": square, "triangles": [[0, 1, 2, 3], [0, 2, 3]]},
+        {"vertices": square, "triangles": [[0, 1], [2, 0, 2, 3]]},  # 6 indices in all
+        {"vertices": square, "triangles": ["012", [0, 2, 3]]},  # scans as 3 digit strings
     ):
         path.write_text(json.dumps(doc))
         with pytest.raises(MeshError):
@@ -395,10 +399,52 @@ def test_parser_rejects_corrupt_documents(cx, cy, ks, data):
         bad = data.draw(st.sampled_from(["nan", "inf", "-inf", math.nan, math.inf]))
         doc["vertices"][row][data.draw(st.integers(0, 3))] = bad
     elif kind == "value":
-        doc["values"][row] = data.draw(st.sampled_from(["nan", "inf", "-inf", math.inf]))
+        # float() would read a boolean as 1.0 or 0.0
+        doc["values"][row] = data.draw(
+            st.sampled_from(["nan", "inf", "-inf", math.inf, True, False]))
     else:
         tri = doc["triangles"][data.draw(st.integers(0, 3))]
         tri[data.draw(st.integers(0, 2))] = data.draw(
             st.one_of(st.integers(5, 2**80), st.integers(-(2**80), -1)))
     with pytest.raises(MeshError):
         cpwl_from_document(doc)
+
+
+BIG = 2**62  # fits int64; six times it does not
+ORACLE_CASES = {
+    "ints-and-strings": [[0, "1", "0", 1], [1, 1, "0", "1"], ["3", 3, 2, "2"],
+                         [0, "5", "7", 7], ["1", 2, 1, "3"]],
+    "negative-denominators": [["0", "-1", "0", "1"], ["-1", "-1", "0", "5"],
+                              ["2", "2", "-3", "-3"], ["0", "1", "-4", "-4"],
+                              ["-1", "-2", "1", "3"]],
+    "int-spellings": [["+0", "1", " 0", "1"], ["1", "+1", "0", "1 "], ["1_0", "10", "7", " 7"],
+                      ["0", "1", "+3", "3"], ["1_000", "2_000", " 7", "+21"]],
+    # den = 6, so the corner numerators scale to 6 * 2^62 > 2^63
+    "scaled-beyond-int64": [["0", "1", "0", "1"], [str(BIG), "1", "0", "1"],
+                            [str(BIG), "1", str(BIG), "1"], ["0", "1", str(BIG), "1"],
+                            [str(BIG), "2", str(BIG), "3"]],
+    "denominator-beyond-int64": [["0", "1", "0", "1"], [str(2**63), str(2**63), "0", "1"],
+                                 ["1", "1", str(2**64), str(2**64)], ["0", "1", "1", "1"],
+                                 [str(2**62), str(2**63), "1", "3"]],
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_parser_matches_int_oracle(case):
+    """The bulk int64 parse and its exact Python-int fallback read every
+    coordinate as Fraction(int(num), int(den))."""
+    doc = {"vertices": ORACLE_CASES[case], "triangles": PYRAMID_TRIS}
+    g = cpwl_from_document(doc)
+    assert fraction_pairs(g.mesh) == [(Fraction(int(nx), int(dx)), Fraction(int(ny), int(dy)))
+                                      for nx, dx, ny, dy in doc["vertices"]]
+    assert g.mesh.covers_bbox_exactly()
+    assert (g.mesh.numerators.dtype == object) == case.endswith("beyond-int64")
+
+
+def test_parser_numerator_dtype():
+    """Energy-style documents parse to int64 numerators; at scale 2^70 they
+    stay exact Python ints."""
+    g = cpwl_from_document(jittered_document(np.random.default_rng(1), 16))
+    assert g.mesh.numerators.dtype == np.int64
+    g = cpwl_from_document(pyramid_document(Fraction(1, 2), Fraction(1, 3), [2**70] * 10))
+    assert g.mesh.numerators.dtype == object
