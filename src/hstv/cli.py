@@ -111,26 +111,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Interior edges per written block of the CSV report.
+_CSV_CHUNK_EDGES = 4096
+
+
+def _write_edge_csv(f, g, report) -> None:
+    """Write the per-edge CSV report to f, one block of rows at a time."""
+    f.write("edge,x1,y1,x2,y2,jump_norm,length,contribution\n")
+    # Each vertex is an endpoint of several edges: format it once.
+    xs, ys = (list(map(repr, c)) for c in g.mesh.float_vertices.T.tolist())
+    for lo in range(0, len(report.edge_array), _CSV_CHUNK_EDGES):
+        block = slice(lo, lo + _CSV_CHUNK_EDGES)
+        f.write("".join(
+            f"{u}-{v},{xs[u]},{ys[u]},{xs[v]},{ys[v]},"
+            f"{math.hypot(jx, jy)!r},{length!r},{contribution!r}\n"
+            for (u, v), (jx, jy), length, contribution in zip(
+                report.edge_array[block].tolist(), report.jumps[block].tolist(),
+                report.lengths[block].tolist(), report.contributions[block].tolist())))
+
+
 def _cmd_htv(args) -> int:
     g = load_mesh(args.mesh)
     report = htv_cpwl(g, args.p)
     if args.report == "csv":
-        lines = ["edge,x1,y1,x2,y2,jump_norm,length,contribution"]
-        # Each vertex is an endpoint of several edges: format it once.
-        xs, ys = (list(map(repr, c)) for c in g.mesh.float_vertices.T.tolist())
-        for (u, v), (jx, jy), length, contribution in zip(
-                report.edge_array.tolist(), report.jumps.tolist(),
-                report.lengths.tolist(), report.contributions.tolist()):
-            lines.append(
-                f"{u}-{v},{xs[u]},{ys[u]},{xs[v]},{ys[v]},"
-                f"{math.hypot(jx, jy)!r},{length!r},{contribution!r}"
-            )
-        text = "\n".join(lines) + "\n"
         if args.out:
             with open(args.out, "w") as f:
-                f.write(text)
+                _write_edge_csv(f, g, report)
         else:
-            sys.stdout.write(text)
+            _write_edge_csv(sys.stdout, g, report)
     print(f"htv_total={report.total!r}")
     return 0
 

@@ -22,9 +22,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ExtremalError
-from .htv import htv_cpwl, support_mask_by_jump
-from .mesh import CpwlFunction, Triangulation
+from .errors import ExtremalError, MeshError
+from .htv import _jumps, _support_mask, htv_cpwl, support_mask_by_jump
+from .mesh import CpwlFunction, Triangulation, _GradientStencil
 
 SUPPORT_REL_TOL = 1e-9
 
@@ -35,10 +35,12 @@ SUPPORT_REL_TOL = 1e-9
 class _MeshAlgebra:
     """The linear algebra of the extremality constraints on one mesh.
 
-    Every part is built on first use and kept for the mesh's lifetime: the
-    affine design matrix and its orthonormal basis, the orthonormal basis of
-    the affine complement and the jump operators.  Only the mesh's own
-    arrays are referenced, so the cache does not keep the mesh alive.
+    Every part is kept for the mesh's lifetime: the gradient stencil, and,
+    built on first use, the affine design matrix and its orthonormal basis,
+    the orthonormal basis of the affine complement and the jump operators.
+    The greedy steps run on plain value vectors through `normalize`,
+    `support`, `witness` and `reduce`.  Only the mesh's own arrays are
+    referenced, so the cache does not keep the mesh alive.
     """
 
     def __init__(self, mesh: Triangulation):
@@ -46,6 +48,7 @@ class _MeshAlgebra:
         self._tris = mesh.triangle_array
         self._edges = mesh.interior_edge_array
         self._tpairs = mesh.interior_tri_array
+        self._stencil = _GradientStencil(mesh)
 
     @cached_property
     def design(self) -> np.ndarray:
@@ -76,12 +79,10 @@ class _MeshAlgebra:
         """
         fv, tris = self._fv, self._tris
         # Per-triangle gradient coefficient stencils (2 x 3 each).
-        pa, pb, pc = fv[tris[:, 0]], fv[tris[:, 1]], fv[tris[:, 2]]
-        e1 = pb - pa
-        e2 = pc - pa
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        gx = np.stack([(e1[:, 1] - e2[:, 1]) / det, e2[:, 1] / det, -e1[:, 1] / det], axis=1)
-        gy = np.stack([(e2[:, 0] - e1[:, 0]) / det, -e2[:, 0] / det, e1[:, 0] / det], axis=1)
+        st = self._stencil
+        e1x, e1y, e2x, e2y, det = st.e1x, st.e1y, st.e2x, st.e2y, st.det
+        gx = np.stack([(e1y - e2y) / det, e2y / det, -e1y / det], axis=1)
+        gy = np.stack([(e2x - e1x) / det, -e2x / det, e1x / det], axis=1)
 
         edges, tpairs = self._edges, self._tpairs
         n_edges, nv = len(edges), len(fv)
@@ -102,6 +103,63 @@ class _MeshAlgebra:
         np.add.at(full, (2 * row + 1, col), sign * sy)
         np.add.at(normal, (row, col), sign * (sx * nux[:, None] + sy * nuy[:, None]))
         return full, normal
+
+    # -- the greedy step on value vectors -----------------------------------------
+
+    def normalize(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(values minus their least-squares affine part, its coefficients).
+
+        The result is orthogonal to {1, x, y} at the vertices.
+        """
+        a = self.design
+        coef, *_ = np.linalg.lstsq(a, values, rcond=None)
+        reduced = values - a @ coef
+        q = self.affine_basis
+        return reduced - q @ (q.T @ reduced), coef
+
+    def support(self, values: np.ndarray, tol: float) -> np.ndarray:
+        """Support mask of `values` by jump norm (`support_mask_by_jump`)."""
+        return _support_mask(_jumps(self._stencil.gradients(values), self._tpairs), tol)
+
+    def witness(self, values: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """Unit column of the span of `basis` farthest from the line of the
+        affine-normalized `values`."""
+        rep, _ = self.normalize(values)
+        gn = rep / np.linalg.norm(rep)
+        # np.outer(gn, gn @ basis) and np.linalg.norm(resid, axis=0),
+        # spelled out: the same products and sums without the wrappers.
+        resid = basis - gn[:, None] * (gn @ basis)
+        norms = np.sqrt(np.add.reduce(resid * resid, axis=0))
+        w = resid[:, int(np.argmax(norms))]
+        return w / np.linalg.norm(w)
+
+    def reduce(self, values: np.ndarray, witness: np.ndarray, support: np.ndarray,
+               tol: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """One support reduction of `values` along `witness`.
+
+        Returns (lambda, the normalized values - lambda * witness, their
+        affine coefficients, their support mask); lambda is the
+        smallest-magnitude jump ratio over the usable support edges, and
+        the new support must be a strict subset of `support`.  Non-finite
+        values raise MeshError, as a CpwlFunction of them would.
+        """
+        _, normal_op = self.jump_operators
+        jn_g = normal_op @ values
+        jn_h = normal_op @ witness
+        abs_h = np.abs(jn_h)
+        usable = support & (abs_h > tol * float(abs_h.max()))
+        if not usable.any():
+            raise ExtremalError("witness has no usable jump inside the support")
+        ratios = jn_g[usable] / jn_h[usable]
+        lam = ratios[np.argmin(np.abs(ratios))]  # the first of the smallest
+        nxt, coef = self.normalize(values - lam * witness)
+        if not np.isfinite(nxt).all():
+            raise MeshError("non-finite vertex value")
+        new_support = self.support(nxt, tol)
+        if (new_support > support).any() or (
+                np.count_nonzero(new_support) >= np.count_nonzero(support)):
+            raise ExtremalError("support did not strictly decrease: numerical rank failure")
+        return float(lam), nxt, coef, new_support
 
 
 _ALGEBRA: "weakref.WeakKeyDictionary[Triangulation, _MeshAlgebra]" = (
@@ -140,12 +198,7 @@ def normalize_mod_affine(g: CpwlFunction) -> QuotientRep:
     The energy is unchanged (affine shifts move all gradients equally), and
     the returned values are orthogonal to {1, x, y} at the vertices.
     """
-    alg = _algebra(g.mesh)
-    a = alg.design
-    coef, *_ = np.linalg.lstsq(a, g.values, rcond=None)
-    reduced = g.values - a @ coef
-    q = alg.affine_basis
-    reduced = reduced - q @ (q.T @ reduced)
+    reduced, coef = _algebra(g.mesh).normalize(g.values)
     return QuotientRep(g.with_values(reduced), tuple(float(c) for c in coef))
 
 
@@ -194,7 +247,7 @@ def constrained_space(mesh: Triangulation, support: np.ndarray) -> JumpSpaceBasi
         # full one for its nullspace rows.
         _, sv, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
         thr = 1e-10 * (sv[0] if len(sv) else 0.0)
-        rank = int(np.sum(sv > thr))
+        rank = np.count_nonzero(sv > thr)
         basis = comp @ vt[rank:].T
     return JumpSpaceBasis(mesh=mesh, support_mask=mask, basis=basis, dim=basis.shape[1])
 
@@ -214,25 +267,21 @@ def is_extremal(g: Union[CpwlFunction, QuotientRep], tol: float = SUPPORT_REL_TO
     of g.
     """
     g = _as_cpwl(g)
-    return _extremality(g, support_mask_by_jump(g, tol))
+    cert = _certify(g.mesh, g.values, support_mask_by_jump(g, tol))
+    return cert.witness is None, cert
 
 
-def _extremality(g: CpwlFunction, support: np.ndarray
-                 ) -> tuple[bool, ExtremalCertificate]:
-    """`is_extremal` for g whose support mask is already known."""
+def _certify(mesh: Triangulation, values: np.ndarray, support: np.ndarray
+             ) -> ExtremalCertificate:
+    """The extremality certificate of `values`, whose support mask is known."""
     if not support.any():
         raise ExtremalError("function is affine (zero energy): not on the unit sphere")
-    space = constrained_space(g.mesh, support)
+    space = constrained_space(mesh, support)
     if space.dim < 1:
         raise ExtremalError("numerical rank failure: g not inside its own constraint space")
     if space.dim == 1:
-        return True, ExtremalCertificate(space, None)
-    rep = normalize_mod_affine(g)
-    gn = rep.values / np.linalg.norm(rep.values)
-    resid = space.basis - np.outer(gn, gn @ space.basis)
-    norms = np.linalg.norm(resid, axis=0)
-    w = resid[:, int(np.argmax(norms))]
-    return False, ExtremalCertificate(space, w / np.linalg.norm(w))
+        return ExtremalCertificate(space, None)
+    return ExtremalCertificate(space, _algebra(mesh).witness(values, space.basis))
 
 
 def perturbation_identity_check(g: Union[CpwlFunction, QuotientRep],
@@ -281,30 +330,10 @@ def support_reduce(g: Union[CpwlFunction, QuotientRep], tol: float = SUPPORT_REL
     extremal, cert = is_extremal(g, tol)
     if extremal:
         raise ExtremalError("input is extremal: nothing to reduce")
-    h, lam, nxt, _ = _reduce_step(g, cert, tol)
-    return h, lam, nxt
-
-
-def _reduce_step(g: CpwlFunction, cert: ExtremalCertificate, tol: float
-                 ) -> tuple[CpwlFunction, float, QuotientRep, np.ndarray]:
-    """`support_reduce` for a non-extremal g with its certificate in hand;
-    also returns the support mask of the result."""
-    h_vec = cert.witness
-    support = cert.space.support_mask
-    _, normal_op = _algebra(g.mesh).jump_operators
-    jn_g = normal_op @ g.values
-    jn_h = normal_op @ h_vec
-    h_thr = tol * float(np.abs(jn_h).max())
-    usable = support & (np.abs(jn_h) > h_thr)
-    if not usable.any():
-        raise ExtremalError("witness has no usable jump inside the support")
-    ratios = jn_g[usable] / jn_h[usable]
-    lam = ratios[np.argmin(np.abs(ratios))]  # the first of the smallest
-    nxt = normalize_mod_affine(g.with_values(g.values - lam * h_vec))
-    new_support = support_mask_by_jump(nxt.cpwl, tol)
-    if not (np.all(new_support <= support) and new_support.sum() < support.sum()):
-        raise ExtremalError("support did not strictly decrease: numerical rank failure")
-    return g.with_values(h_vec), float(lam), nxt, new_support
+    lam, nxt, coef, _ = _algebra(g.mesh).reduce(
+        g.values, cert.witness, cert.space.support_mask, tol)
+    return (g.with_values(cert.witness), lam,
+            QuotientRep(g.with_values(nxt), tuple(float(c) for c in coef)))
 
 
 def find_extremal_in_support(g: Union[CpwlFunction, QuotientRep],
@@ -316,13 +345,15 @@ def find_extremal_in_support(g: Union[CpwlFunction, QuotientRep],
     checked is the next step's support.
     """
     rep = normalize_mod_affine(_as_cpwl(g))
-    support = support_mask_by_jump(rep.cpwl, tol)
+    mesh, values = rep.mesh, rep.values
+    alg = _algebra(mesh)
+    support = alg.support(values, tol)
     for _ in range(len(support) + 2):
-        extremal, cert = _extremality(rep.cpwl, support)
-        if extremal:
-            total = htv_cpwl(rep.cpwl).total
-            return QuotientRep(rep.cpwl.with_values(rep.values / total), (0.0, 0.0, 0.0))
-        _, _, rep, support = _reduce_step(rep.cpwl, cert, tol)
+        cert = _certify(mesh, values, support)
+        if cert.witness is None:
+            total = htv_cpwl(CpwlFunction(mesh, values)).total
+            return QuotientRep(CpwlFunction(mesh, values / total), (0.0, 0.0, 0.0))
+        _, values, _, support = alg.reduce(values, cert.witness, support, tol)
     raise ExtremalError("support reduction did not terminate")
 
 
@@ -351,20 +382,19 @@ def decompose(g: Union[CpwlFunction, QuotientRep], tol: float = 1e-8) -> Decompo
     the loop terminates, and because no sign ever flips the energies add up:
     the coefficient sum equals the input energy (rigidity).
     """
-    g = _as_cpwl(g)
-    rep0 = normalize_mod_affine(g)
+    rep0 = normalize_mod_affine(_as_cpwl(g))
+    mesh, x = rep0.mesh, rep0.values
     total = htv_cpwl(rep0.cpwl).total
     if total <= tol:
         raise ExtremalError("input is affine: nothing to decompose")
-    _, normal_op = _algebra(rep0.mesh).jump_operators
-    x = rep0.values.copy()
+    _, normal_op = _algebra(mesh).jump_operators
     terms: list[QuotientRep] = []
     coeffs: list[float] = []
-    for _ in range(len(rep0.mesh.interior_edge_array) + 2):
-        current = htv_cpwl(rep0.cpwl.with_values(x)).total
-        if current <= tol * max(1.0, total):
+    for _ in range(len(mesh.interior_edge_array) + 2):
+        current_g = CpwlFunction(mesh, x)
+        if htv_cpwl(current_g).total <= tol * max(1.0, total):
             break
-        t = find_extremal_in_support(rep0.cpwl.with_values(x))
+        t = find_extremal_in_support(current_g)
         jn_x = normal_op @ x
         jn_t = normal_op @ t.values
         t_thr = SUPPORT_REL_TOL * float(np.abs(jn_t).max())
@@ -380,7 +410,7 @@ def decompose(g: Union[CpwlFunction, QuotientRep], tol: float = 1e-8) -> Decompo
         terms.append(t)
         coeffs.append(float(c))
         x = x - c * t.values
-    residual = htv_cpwl(rep0.cpwl.with_values(x)).total
+    residual = htv_cpwl(CpwlFunction(mesh, x)).total
     if residual > tol * max(1.0, total):
         raise ExtremalError(
             f"decomposition stalled: achieved energy residual {residual:.3e} > {tol:.1e}"

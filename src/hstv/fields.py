@@ -158,21 +158,30 @@ def parse_field(descriptor: str) -> SmoothField:
     return builtin_field(name, *params)
 
 
+# Grid rows per block of the quadrature: 32 rows of 512 points keep each
+# temporary at 128 KB.
+_QUADRATURE_BLOCK_ROWS = 32
+
+
 def htv_quadrature(fld: SmoothField, p, resolution: int = 512) -> float:
     """Midpoint-rule approximation of the Hessian-Schatten energy of a smooth
     field over the open unit square.
 
     Integrates the Schatten p-norm of the analytic Hessian on a resolution^2
     grid of cell midpoints; O(resolution^-2) accurate for smooth fields.
-    Deterministic: numpy pairwise summation in fixed row-major order.
+    Deterministic: numpy pairwise summation in fixed row-major order.  The
+    norms are evaluated in blocks of rows, which bounds the temporaries, and
+    summed in one pass over the whole grid.
     """
     p = check_p(p)
     if resolution < 2:
         raise FieldError("resolution must be >= 2")
     t = (np.arange(resolution) + 0.5) / resolution
-    xx, yy = np.meshgrid(t, t, indexing="ij")
-    a, b, c = fld.hess_components(xx, yy)
-    vals = schatten_norms(a, b, b, c, p)
+    vals = np.empty((resolution, resolution))
+    for i in range(0, resolution, _QUADRATURE_BLOCK_ROWS):
+        xx, yy = np.meshgrid(t[i:i + _QUADRATURE_BLOCK_ROWS], t, indexing="ij")
+        a, b, c = fld.hess_components(xx, yy)
+        vals[i:i + _QUADRATURE_BLOCK_ROWS] = schatten_norms(a, b, b, c, p)
     return float(np.sum(vals)) / (resolution * resolution)
 
 

@@ -43,16 +43,15 @@ def _require_covering(mesh: Triangulation):
         )
 
 
-def _jumps(g: CpwlFunction) -> np.ndarray:
-    """(E, 2) gradient jumps over interior edges in id order."""
-    grads = g.gradients()
-    tpairs = g.mesh.interior_tri_array
-    return grads[tpairs[:, 1]] - grads[tpairs[:, 0]]
+def _jumps(grads: np.ndarray, tpairs: np.ndarray) -> np.ndarray:
+    """(E, 2) jumps of the per-triangle gradients `grads` across the interior
+    edges whose triangle pairs are `tpairs`, second triangle minus first."""
+    return grads.take(tpairs[:, 1], axis=0) - grads.take(tpairs[:, 0], axis=0)
 
 
 def _jump_data(g: CpwlFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(jumps, lengths, contributions) over interior edges in id order."""
-    jumps = _jumps(g)
+    jumps = _jumps(g.gradients(), g.mesh.interior_tri_array)
     lengths = g.mesh.edge_lengths()
     contributions = np.hypot(jumps[:, 0], jumps[:, 1]) * lengths
     return jumps, lengths, contributions
@@ -86,7 +85,11 @@ def support_mask_by_jump(g: CpwlFunction, rel_tol: float = 1e-9) -> np.ndarray:
     This is the tolerance rule shared by the extremality pipeline: an edge
     is in the support iff |jump| > rel_tol * max |jump|.
     """
-    jumps = _jumps(g)
+    return _support_mask(_jumps(g.gradients(), g.mesh.interior_tri_array), rel_tol)
+
+
+def _support_mask(jumps: np.ndarray, rel_tol: float) -> np.ndarray:
+    """The mask |jump| > rel_tol * max |jump| over the rows of `jumps`."""
     if len(jumps) == 0:
         return np.zeros(0, dtype=bool)
     norms = np.hypot(jumps[:, 0], jumps[:, 1])

@@ -302,6 +302,31 @@ def min_angle(mesh: Triangulation) -> float:
     return best
 
 
+class _GradientStencil:
+    """The geometry of the per-triangle gradient: for each triangle (a, b, c)
+    the edge vectors e1 = b - a and e2 = c - a, by coordinate, and
+    det = e1 x e2.  It depends on the mesh only, so a caller that
+    differentiates many value vectors on one mesh builds it once."""
+
+    def __init__(self, mesh: Triangulation):
+        self.t0, self.t1, self.t2 = t0, t1, t2 = np.ascontiguousarray(mesh.triangle_array.T)
+        x, y = mesh.float_vertices.T
+        self.e1x, self.e1y = x[t1] - x[t0], y[t1] - y[t0]
+        self.e2x, self.e2y = x[t2] - x[t0], y[t2] - y[t0]
+        self.det = self.e1x * self.e2y - self.e1y * self.e2x
+
+    def gradients(self, z: np.ndarray) -> np.ndarray:
+        """Per-triangle gradients (T, 2) of the vertex values z."""
+        za = z[self.t0]
+        r1 = z[self.t1] - za
+        r2 = z[self.t2] - za
+        grads = np.empty((len(self.det), 2))
+        # Solve [b-a; c-a] grad = [zb-za; zc-za] by Cramer's rule.
+        np.divide(r1 * self.e2y - r2 * self.e1y, self.det, out=grads[:, 0])
+        np.divide(r2 * self.e1x - r1 * self.e2x, self.det, out=grads[:, 1])
+        return grads
+
+
 @dataclass
 class CpwlFunction:
     """A continuous piecewise linear function: mesh plus one value per vertex."""
@@ -323,19 +348,7 @@ class CpwlFunction:
     def gradients(self) -> np.ndarray:
         """Per-triangle gradient vectors, shape (n_triangles, 2)."""
         if self._gradients is None:
-            fv = self.mesh.float_vertices
-            tris = self.mesh.triangle_array
-            pa, pb, pc = fv[tris[:, 0]], fv[tris[:, 1]], fv[tris[:, 2]]
-            z = self.values
-            # Solve [b-a; c-a] grad = [zb-za; zc-za] by Cramer's rule.
-            e1 = pb - pa
-            e2 = pc - pa
-            r1 = z[tris[:, 1]] - z[tris[:, 0]]
-            r2 = z[tris[:, 2]] - z[tris[:, 0]]
-            det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-            gx = (r1 * e2[:, 1] - r2 * e1[:, 1]) / det
-            gy = (r2 * e1[:, 0] - r1 * e2[:, 0]) / det
-            self._gradients = np.stack([gx, gy], axis=1)
+            self._gradients = _GradientStencil(self.mesh).gradients(self.values)
         return self._gradients
 
     def with_values(self, values) -> "CpwlFunction":

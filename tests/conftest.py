@@ -43,6 +43,15 @@ def grid_hat(n: int, i: int, j: int) -> CpwlFunction:
     return CpwlFunction(mesh, vals)
 
 
+def quadrature_reference(fld, p, resolution: int) -> float:
+    """Midpoint-rule Hessian-Schatten energy evaluated on the whole
+    resolution^2 grid at once: the oracle for htv_quadrature's row blocks."""
+    t = (np.arange(resolution) + 0.5) / resolution
+    xx, yy = np.meshgrid(t, t, indexing="ij")
+    a, b, c = fld.hess_components(xx, yy)
+    return float(np.sum(schatten_norms(a, b, b, c, p))) / (resolution * resolution)
+
+
 def grid_sample(fld, n: int) -> GridSample:
     """Samples of fld on the n x n grid of [0, 1]^2, spacing 1/(n - 1)."""
     h = 1.0 / (n - 1)

@@ -154,20 +154,64 @@ def test_extremal_decompose_digest(tmp_path, capsys):
         "d9e8c7935c40c25bf56ac1f7bbc4fbe9e57f264c09ef80f90aff3436918a7c93")
 
 
-def test_htv_csv_report_digest(tmp_path, capsys):
-    """`htv --report csv` bytes pinned by digest on a seeded jittered 8 x 8-cell
-    mesh with denominators 2..12 x 8: every coordinate, jump, length and
-    contribution repr reaches the CSV, so a change to the parser, the edge
-    order or the row format shows here.  A CPWL jump is rank one, so --p 1
-    and --p inf print the same bytes.  Captured with numpy 2.4.6."""
+def test_extremal_decompose_digest_68(tmp_path, capsys):
+    """`extremal decompose` bytes pinned on a seeded 68-vertex random Delaunay
+    function of the 1/128 lattice: 65 greedy steps, each with a wide
+    constraint matrix at first and a tall one at the end.  Captured with
+    numpy 2.4.6 on OpenBLAS 0.3.31."""
+    rng = np.random.default_rng(6)
+    mesh = random_lattice_mesh(rng, n_interior=64, denom=128)
+    assert mesh.n_vertices == 68
     src = tmp_path / "g.json"
-    src.write_text(json.dumps(jittered_document(np.random.default_rng(7), 8)))
-    for p in ("1", "inf"):
-        assert main(["htv", str(src), "--p", p, "--report", "csv"]) == 0
-        stdout = capsys.readouterr().out
-        assert stdout.count("\n") == 1 + 176 + 1  # header, interior edges, total
-        assert hashlib.sha256(stdout.encode()).hexdigest() == (
-            "c27170f5b4e7774bc41ce00dee10aacaaa5bb5c510dfa1d766ad28c7744b18e1"), p
+    save_mesh(CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices)), src)
+    out = tmp_path / "decomp.json"
+    assert main(["extremal", "decompose", str(src), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("terms=65 ")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "218af2963e3ad6901c9ae7ef3f5d411b6ef334d23a8fa4d02c9f5e631864436c")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "3218e49b07e62ebfba2685050133f5241169fdf0c8e1089a955e58174838bbf9")
+
+
+@pytest.mark.parametrize("seed, n_interior, denom, expected", [
+    (5, 32, 64, "not extremal (dim=33)\n"),
+    (6, 64, 128, "not extremal (dim=65)\n"),
+], ids=["v36", "v68"])
+def test_extremal_test_stdout(tmp_path, capsys, seed, n_interior, denom, expected):
+    """`extremal test` stdout on the 36- and 68-vertex digest inputs."""
+    rng = np.random.default_rng(seed)
+    mesh = random_lattice_mesh(rng, n_interior=n_interior, denom=denom)
+    src = tmp_path / "g.json"
+    save_mesh(CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices)), src)
+    assert main(["extremal", "test", str(src)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_htv_csv_report_digest(tmp_path, capsys):
+    """`htv --report csv` bytes pinned by digest on seeded jittered n x n-cell
+    meshes with denominators 2..12 x n: every coordinate, jump, length and
+    contribution repr reaches the CSV, so a change to the parser, the edge
+    order or the row format shows here.  The 48 x 48 mesh has more interior
+    edges than one written chunk.  A CPWL jump is rank one, so --p 1 and
+    --p inf print the same bytes, and --out holds the bytes stdout shows
+    before the total.  Captured with numpy 2.4.6."""
+    src = tmp_path / "g.json"
+    out = tmp_path / "report.csv"
+    for cells, edges, digest in (
+            (8, 176, "c27170f5b4e7774bc41ce00dee10aacaaa5bb5c510dfa1d766ad28c7744b18e1"),
+            (48, 6816, "7112fbf8804175480aec9bf70ab5ddbaae1734d0ff2a7b32374cccca9cb46617")):
+        src.write_text(json.dumps(jittered_document(np.random.default_rng(7), cells)))
+        for p in ("1", "inf"):
+            assert main(["htv", str(src), "--p", p, "--report", "csv"]) == 0
+            stdout = capsys.readouterr().out
+            assert stdout.count("\n") == 1 + edges + 1  # header, interior edges, total
+            assert hashlib.sha256(stdout.encode()).hexdigest() == digest, (cells, p)
+            assert main(["htv", str(src), "--p", p, "--report", "csv",
+                         "--out", str(out)]) == 0
+            total = capsys.readouterr().out
+            assert total.startswith("htv_total=") and stdout.endswith(total)
+            assert out.read_text() + total == stdout, (cells, p)
 
 
 def load_mesh_from_doc(doc):

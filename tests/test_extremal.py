@@ -5,7 +5,7 @@ import pytest
 
 from conftest import grid_hat, random_lattice_mesh
 from hstv import extremal
-from hstv.errors import ExtremalError
+from hstv.errors import ExtremalError, MeshError
 from hstv.extremal import (
     constrained_space,
     decompose,
@@ -161,6 +161,17 @@ class TestSupportReduce:
     def test_extremal_input_rejected(self):
         with pytest.raises(ExtremalError):
             support_reduce(grid_hat(4, 2, 2))
+
+    def test_non_finite_step_rejected(self):
+        """A step whose values turn non-finite raises MeshError, as a
+        CpwlFunction of them would."""
+        _, _, two = two_hats()
+        _, cert = is_extremal(two)
+        values = two.values.copy()
+        values[0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(MeshError, match="non-finite"):
+            extremal._algebra(two.mesh).reduce(
+                values, cert.witness, cert.space.support_mask, 1e-9)
 
     def test_strictly_decreasing_support_length(self):
         rng = np.random.default_rng(20)
@@ -334,6 +345,21 @@ class TestDecompose:
         fv = mesh.float_vertices
         with pytest.raises(ExtremalError):
             decompose(CpwlFunction(mesh, fv[:, 0]))
+
+    def test_builds_few_functions(self, monkeypatch):
+        """The greedy loop runs on value vectors: decompose on the 36-vertex
+        input of test_cli's digest builds at most five CpwlFunctions per
+        term."""
+        rng = np.random.default_rng(5)
+        mesh = random_lattice_mesh(rng, n_interior=32)
+        g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
+        built = []
+        init = CpwlFunction.__post_init__
+        monkeypatch.setattr(CpwlFunction, "__post_init__",
+                            lambda self: built.append(1) or init(self))
+        dec = decompose(g)
+        assert len(dec.terms) == 33
+        assert len(built) <= 5 * len(dec.terms)
 
 
 class TestRigidity:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import grid_sample
+from conftest import grid_sample, quadrature_reference
 from hstv.errors import FieldError
 from hstv.fields import (
     GridSample,
@@ -150,6 +150,20 @@ def test_htv_quadrature_frozen_values():
         fld = parse_field(descriptor)
         got = [repr(htv_quadrature(fld, p, 512)) for p in (1, 2, INF, 1.7)]
         assert got == reprs
+
+
+def test_htv_quadrature_blocks_match_whole_grid():
+    """Row blocks change neither the norms nor their summation: equal bits
+    to the whole-grid evaluation, also where the block size does not divide
+    the resolution."""
+    for descriptor in ("quadratic:iso", "quadratic:1,0.3,2", "rotated-quadratic:2,1,0.4636",
+                       "product-sine", "product-sine:7.3", "gaussian-bump",
+                       "gaussian-bump:0.15,0.3,0.7"):
+        fld = parse_field(descriptor)
+        for resolution in (2, 37, 100):
+            for p in (1, 2, INF, 1.5, 3):
+                assert htv_quadrature(fld, p, resolution) == quadrature_reference(
+                    fld, p, resolution), (descriptor, resolution, p)
 
 
 def test_htv_quadrature_p_ordering():
