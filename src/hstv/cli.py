@@ -14,7 +14,6 @@ import os
 import sys
 
 from . import __version__
-from .acceptance import DEFAULT_SEED, run_all
 from .approx import convergence_experiment
 from .errors import HstvError
 from .extremal import decompose, is_extremal
@@ -107,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_s = sub.add_parser("selftest", help="run the acceptance suite")
     p_s.add_argument("--only", default=None,
                      help="comma-separated criterion numbers, e.g. 1,5")
-    p_s.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_s.add_argument("--seed", type=int, default=None)
     return parser
 
 
@@ -197,10 +196,13 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    # The suite's module is compiled and imported only when it runs.
+    from .acceptance import DEFAULT_SEED, run_all
+
     numbers = None
     if args.only:
         numbers = {int(tok) for tok in args.only.split(",")}
-    results = run_all(numbers, seed=args.seed)
+    results = run_all(numbers, seed=DEFAULT_SEED if args.seed is None else args.seed)
     for r in results:
         print(r.line())
     return 0 if all(r.passed for r in results) else 1
@@ -228,6 +230,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
     parser.error("unknown command")
     return 2

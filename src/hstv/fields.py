@@ -39,11 +39,12 @@ class SmoothField:
         return float(self.fx(x, y)), float(self.fy(x, y))
 
     def hess_components(self, x, y):
-        """Hessian entries (fxx, fxy, fyy), broadcast to the shape of x and y."""
-        shape = np.broadcast(x, y).shape
-        return (np.broadcast_to(self.fxx(x, y), shape),
-                np.broadcast_to(self.fxy(x, y), shape),
-                np.broadcast_to(self.fyy(x, y), shape))
+        """Hessian entries (fxx, fxy, fyy), broadcast against each other.
+
+        On an open grid (x a column, y a row) an entry that depends on x
+        only stays a column: the entries broadcast to the grid only where
+        the field needs it."""
+        return np.broadcast_arrays(self.fxx(x, y), self.fxy(x, y), self.fyy(x, y))
 
 
 def _quadratic(a11, a12, a22, b1=0.0, b2=0.0, c=0.0) -> SmoothField:
@@ -171,7 +172,9 @@ def htv_quadrature(fld: SmoothField, p, resolution: int = 512) -> float:
     grid of cell midpoints; O(resolution^-2) accurate for smooth fields.
     Deterministic: numpy pairwise summation in fixed row-major order.  The
     norms are evaluated in blocks of rows, which bounds the temporaries, and
-    summed in one pass over the whole grid.
+    summed in one pass over the whole grid.  Each block passes the open grid
+    (a column of x, the row of y), so the field's ufuncs run once per row
+    and per column and the norms only as often as the entries vary.
     """
     p = check_p(p)
     if resolution < 2:
@@ -179,8 +182,7 @@ def htv_quadrature(fld: SmoothField, p, resolution: int = 512) -> float:
     t = (np.arange(resolution) + 0.5) / resolution
     vals = np.empty((resolution, resolution))
     for i in range(0, resolution, _QUADRATURE_BLOCK_ROWS):
-        xx, yy = np.meshgrid(t[i:i + _QUADRATURE_BLOCK_ROWS], t, indexing="ij")
-        a, b, c = fld.hess_components(xx, yy)
+        a, b, c = fld.hess_components(t[i:i + _QUADRATURE_BLOCK_ROWS, None], t[None, :])
         vals[i:i + _QUADRATURE_BLOCK_ROWS] = schatten_norms(a, b, b, c, p)
     return float(np.sum(vals)) / (resolution * resolution)
 

@@ -24,10 +24,22 @@ Edge = tuple[int, int]
 
 
 def _first_occurrence(pts: np.ndarray) -> np.ndarray:
-    """For each row of the integer (n, 2) array, the index of the first equal row."""
-    order = np.lexsort((pts[:, 1], pts[:, 0]))  # stable: equal rows keep index order
-    s = pts[order]
-    start = np.r_[True, (s[1:] != s[:-1]).any(axis=1)]
+    """For each row of the integer (n, 2) array, the index of the first equal row.
+
+    Rows are ordered by one packed int64 key (x - xlo) * (yspan + 1) + (y - ylo)
+    when it fits, else, and for Python-int rows, by a two-key lexsort.
+    """
+    x, y = pts.T
+    xlo, xhi, ylo, yhi = (int(v) for v in (x.min(), x.max(), y.min(), y.max()))
+    if pts.dtype != object and (xhi - xlo + 1) * (yhi - ylo + 1) < 2**63:
+        key = (x - xlo) * (yhi - ylo + 1) + (y - ylo)
+        order = np.argsort(key, kind="stable")  # equal rows keep index order
+        s = key[order]
+        start = np.r_[True, s[1:] != s[:-1]]
+    else:
+        order = np.lexsort((y, x))
+        s = pts[order]
+        start = np.r_[True, (s[1:] != s[:-1]).any(axis=1)]
     first = np.empty(len(pts), dtype=np.int64)
     first[order] = order[start][np.cumsum(start) - 1]
     return first
@@ -113,11 +125,11 @@ class Triangulation:
                 | (tris[:, 0] == tris[:, 2])).any():
             raise MeshError("triangle repeats a vertex")
 
-        # Orientation: exact, normalized to CCW.
-        a, b, c = (self._num[tris[:, i]] for i in range(3))
-        cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-            c[:, 0] - a[:, 0]
-        )
+        # Orientation: exact, normalized to CCW, on 1-D coordinate columns.
+        x, y = self._num.T
+        t0, t1, t2 = tris.T
+        xa, ya = x[t0], y[t0]
+        cross = (x[t1] - xa) * (y[t2] - ya) - (y[t1] - ya) * (x[t2] - xa)
         zero = np.flatnonzero(cross == 0)
         if len(zero):
             raise MeshError(f"degenerate (zero-area) triangle {tris[zero[0]].tolist()}")
@@ -130,11 +142,11 @@ class Triangulation:
         # 2 * (min * V + max) + direction: a repeated key is a directed edge
         # used twice (two copies of one CCW triangle share all three).  With
         # distinct keys an undirected edge has at most two triangles, one per
-        # direction, adjacent in key order.
+        # direction, adjacent in key order.  Directed edge j * T + t is edge j
+        # of triangle t.
         t_count = len(tris)
-        directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-        keys = (2 * (directed.min(axis=1) * nv + directed.max(axis=1))
-                + (directed[:, 0] > directed[:, 1]))
+        src, dst = np.concatenate([t0, t1, t2]), np.concatenate([t1, t2, t0])
+        keys = 2 * (np.minimum(src, dst) * nv + np.maximum(src, dst)) + (src > dst)
         order = np.argsort(keys)
         sk = keys[order]
         if (sk[1:] == sk[:-1]).any():
@@ -143,16 +155,13 @@ class Triangulation:
                 "inconsistently oriented triangles"
             )
         uk = sk >> 1
-        st = order % t_count  # the triangle of each sorted directed edge
         pair = np.flatnonzero(uk[1:] == uk[:-1])  # interior edge at pair, pair + 1
         single = np.ones(len(uk), dtype=bool)
         single[pair] = single[pair + 1] = False
-        ikeys = uk[pair]
-        ta, tb = st[pair], st[pair + 1]
-        self._interior_edge_arr = np.stack([ikeys // nv, ikeys % nv], axis=1)
+        ta, tb = order[pair] % t_count, order[pair + 1] % t_count
+        self._interior_edge_arr = np.stack(np.divmod(uk[pair], nv), axis=1)
         self._interior_tri_arr = np.stack([np.minimum(ta, tb), np.maximum(ta, tb)], axis=1)
-        bkeys = uk[single]
-        self._boundary_edge_arr = np.stack([bkeys // nv, bkeys % nv], axis=1)
+        self._boundary_edge_arr = np.stack(np.divmod(uk[single], nv), axis=1)
         self._check_hanging_vertices()
 
     def _check_hanging_vertices(self):
@@ -265,23 +274,23 @@ def min_angle(mesh: Triangulation) -> float:
 
     Two-phase: a vectorized float pass finds candidates near the minimum,
     then each distinct candidate shape is recomputed from exact integer
-    coordinate differences divided by the denominator.  The refinement
-    makes the result invariant under exact power-of-two rescaling of triangles
-    (self-similar meshes report bitwise-identical minima across refinement
-    levels).
+    coordinate differences divided by the denominator.  The float pass
+    takes one angle per triangle, the one opposite its shortest side, which
+    is the smallest: all three angles share the doubled area |cross|, so
+    the smallest has the largest dot product (cot = dot / |cross|).  The
+    refinement makes the result invariant under exact power-of-two
+    rescaling of triangles (self-similar meshes report bitwise-identical
+    minima across refinement levels).
     """
-    fv = mesh.float_vertices
+    x, y = mesh.float_vertices.T
     tris = mesh.triangle_array
-    a, b, c = fv[tris[:, 0]], fv[tris[:, 1]], fv[tris[:, 2]]
-    angs = []
-    for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
-        u = q - p
-        v = r - p
-        cr = np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
-        dt = u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1]
-        angs.append(np.arctan2(cr, dt))
-    angs = np.stack(angs, axis=1)
-    tri_min = angs.min(axis=1)
+    t0, t1, t2 = tris.T
+    xa, ya, xb, yb, xc, yc = x[t0], y[t0], x[t1], y[t1], x[t2], y[t2]
+    # Edge vectors ab, ac and bc, by coordinate.
+    ux, uy, vx, vy, wx, wy = xb - xa, yb - ya, xc - xa, yc - ya, xc - xb, yc - yb
+    # The dot products at a, b and c: ab.ac, ba.bc and ca.cb.
+    dot = np.maximum(np.maximum(ux * vx + uy * vy, -(ux * wx + uy * wy)), vx * wx + vy * wy)
+    tri_min = np.arctan2(np.abs(ux * vy - uy * vx), dot)
     approx = float(tri_min.min())
     cand = tris[tri_min <= approx + 1e-9]
     num, den = mesh.numerators, mesh.den

@@ -50,6 +50,41 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout == "[]\n"
 
 
+def test_import_leaves_acceptance_unloaded():
+    """The acceptance suite is imported by `hstv selftest` alone, so the other
+    commands do not compile or load it."""
+    code = "import sys, hstv, hstv.cli; print('hstv.acceptance' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
+def test_selftest_seed_default(capsys):
+    from hstv.acceptance import DEFAULT_SEED
+
+    details = []
+    for extra in ([], ["--seed", str(DEFAULT_SEED)]):
+        assert main(["selftest", "--only", "6", *extra]) == 0
+        details.append(capsys.readouterr().out.rsplit(" (", 1)[0])
+    assert details[0].startswith("criterion 6 [PASS]")
+    assert details[0] == details[1]
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 9.0 GiB")])
+def test_memory_error_exits_1_without_traceback(exc, monkeypatch, capsys):
+    import hstv.cli
+
+    def out_of_memory(args):
+        raise exc
+
+    monkeypatch.setattr(hstv.cli, "_cmd_approx", out_of_memory)
+    assert main(["approx", "--field", "quadratic:iso", "--N", "0", "--K", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory: ")
+    assert str(exc) in captured.err and "Traceback" not in captured.err
+
+
 def test_htv_total_and_csv(hat_file, tmp_path, capsys):
     rc = main(["htv", str(hat_file), "--p", "1"])
     assert rc == 0

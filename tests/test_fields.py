@@ -145,6 +145,15 @@ def test_htv_quadrature_frozen_values():
         "rotated-quadratic:2,1,0.4636": [
             "3.0", "2.23606797749979", "2.0", "2.341968267846189",
         ],
+        "product-sine": [
+            "12.566331187814809", "9.455983128877747", "8.000025099749198", "9.89866425367374",
+        ],
+        "product-sine:7.3": [
+            "68.01375222154662", "51.29280133813397", "43.54253509012341", "53.66655290399471",
+        ],
+        "gaussian-bump": [
+            "13.845951207247575", "10.749915182046891", "9.663358336937005", "11.16273023840703",
+        ],
     }
     for descriptor, reprs in expect.items():
         fld = parse_field(descriptor)
@@ -155,15 +164,17 @@ def test_htv_quadrature_frozen_values():
 def test_htv_quadrature_blocks_match_whole_grid():
     """Row blocks change neither the norms nor their summation: equal bits
     to the whole-grid evaluation, also where the block size does not divide
-    the resolution."""
-    for descriptor in ("quadratic:iso", "quadratic:1,0.3,2", "rotated-quadratic:2,1,0.4636",
-                       "product-sine", "product-sine:7.3", "gaussian-bump",
-                       "gaussian-bump:0.15,0.3,0.7"):
-        fld = parse_field(descriptor)
-        for resolution in (2, 37, 100):
+    the resolution, and for a reflected field, whose branches broadcast on
+    the open grid of a block."""
+    fields = [parse_field(d) for d in (
+        "quadratic:iso", "quadratic:1,0.3,2", "rotated-quadratic:2,1,0.4636", "product-sine",
+        "product-sine:7.3", "gaussian-bump", "gaussian-bump:0.15,0.3,0.7")]
+    fields.append(extend_reflection(parse_field("product-sine")))
+    for fld in fields:
+        for resolution in (2, 37, 100, 512):
             for p in (1, 2, INF, 1.5, 3):
                 assert htv_quadrature(fld, p, resolution) == quadrature_reference(
-                    fld, p, resolution), (descriptor, resolution, p)
+                    fld, p, resolution), (fld.name, fld.params, resolution, p)
 
 
 def test_htv_quadrature_p_ordering():

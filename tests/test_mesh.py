@@ -21,6 +21,7 @@ from hstv.errors import MeshError
 from hstv.mesh import (
     CpwlFunction,
     Triangulation,
+    _first_occurrence,
     cpwl_from_document,
     load_mesh,
     mesh_document,
@@ -206,6 +207,91 @@ def test_min_angle_matches_exact_loop():
                         mesh.den * 2**60)
     assert big.numerators.dtype == object
     assert min_angle(big) == exact_min_angle(big) == min_angle(mesh)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 60), st.sampled_from([32, 64, 1024]))
+def test_min_angle_matches_exact_loop_on_random_meshes(seed, n_interior, denom):
+    mesh = random_lattice_mesh(np.random.default_rng(seed), n_interior, denom)
+    assert min_angle(mesh) == exact_min_angle(mesh)
+
+
+# Lattice triangles whose two shortest sides (or two longest) are equal, so
+# the shortest side, and with it the screened angle, is a tie.
+TIED_TRIANGLES = [
+    [(0, 0), (1, 0), (0, 1)],   # right isosceles: 1, 1, sqrt 2
+    [(0, 0), (4, 0), (2, 1)],   # sqrt 5, sqrt 5, 4
+    [(0, 0), (2, 0), (1, 5)],   # 2, sqrt 26, sqrt 26
+    [(0, 0), (3, 4), (5, 0)],   # 5, 5, sqrt 20
+    [(0, 0), (7, 1), (5, 5)],   # 5 sqrt 2, 5 sqrt 2, sqrt 20
+    [(0, 0), (4, 7), (8, 0)],   # sqrt 65, sqrt 65, 8
+]
+# Near equilateral: a side of 2e9 and two equal sides 0.37 longer.
+NEAR_EQUILATERAL = [(0, 0), (2 * 10**9, 0), (10**9, 1732050808)]
+
+
+def test_min_angle_screen_on_tied_sides():
+    for den in (1, 3, 2**20):
+        for tri in TIED_TRIANGLES + [NEAR_EQUILATERAL]:
+            for turn in range(3):
+                for order in (tri, tri[::-1]):  # both orientations
+                    pts = order[turn:] + order[:turn]
+                    alone = Triangulation(pts, [(0, 1, 2)], den)
+                    assert min_angle(alone) == exact_min_angle(alone), (pts, den)
+        # The small ones side by side in one mesh, each a candidate of the screen.
+        placed = [(x + 20 * k, y) for k, tri in enumerate(TIED_TRIANGLES) for x, y in tri]
+        mesh = Triangulation(placed, np.arange(len(placed)).reshape(-1, 3), den)
+        assert min_angle(mesh) == exact_min_angle(mesh)
+
+
+def lexsort_first_occurrence(pts: np.ndarray) -> np.ndarray:
+    """The first equal row of every row, by a stable two-key np.lexsort."""
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    s = pts[order]
+    start = np.r_[True, (s[1:] != s[:-1]).any(axis=1)]
+    first = np.empty(len(pts), dtype=np.int64)
+    first[order] = order[start][np.cumsum(start) - 1]
+    return first
+
+
+# Coordinate spans around the packing bound (xspan + 1) * (yspan + 1) < 2^63:
+# 2^31 * (2^32 - 1) is below it, 2^31 * 2^32 is not.
+SPANS = st.sampled_from([0, 1, 2, 1000, 2**31 - 1, 2**32 - 2, 2**32 - 1, 2**62 - 1, 2**62,
+                         2**63 - 1]) | st.integers(0, 2**63 - 1)
+
+
+@st.composite
+def point_rows(draw):
+    """(n, 2) integer rows drawn from a small pool, so rows repeat, with the
+    corners (xlo, ylo) and (xlo + xspan, ylo + yspan) in the pool.  int64 rows
+    of any span, or Python-int rows beyond int64."""
+    if draw(st.booleans()):
+        spans = (draw(SPANS), draw(SPANS))
+        lo = [draw(st.integers(-(2**63), 2**63 - 1 - span)) for span in spans]
+        dtype = np.int64
+    else:
+        spans = (2**70, 2**70)
+        lo = [draw(st.integers(-(2**80), 2**80)) for _ in spans]
+        dtype = object
+    hi = [a + span for a, span in zip(lo, spans)]
+    pool = draw(st.lists(st.tuples(*map(st.integers, lo, hi)), min_size=1, max_size=12))
+    pool += [tuple(lo), tuple(hi)]
+    picks = draw(st.lists(st.sampled_from(pool), max_size=30))
+    rows = draw(st.permutations(pool + picks))
+    return np.array(rows, dtype=dtype).reshape(-1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_rows())
+# (xspan + 1) * (yspan + 1) = 2^64 + 2^32: packed keys of the first two rows
+# would agree modulo 2^64.
+@example(np.array([[0, 0], [2**32, 0], [2**32, 2**32 - 1]]))
+def test_first_occurrence_matches_lexsort(pts):
+    first = _first_occurrence(pts)
+    assert first.tolist() == lexsort_first_occurrence(pts).tolist()
+    # The first of every row is an equal row at or before it.
+    assert (first <= np.arange(len(pts))).all()
+    assert (pts[first] == pts).all()
 
 
 def test_save_load_roundtrip(tmp_path, pyramid):
