@@ -213,12 +213,12 @@ def build_frames(fld: SmoothField, N: int, samples_per_square: int = 9) -> list[
 # -- mesh plans ----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class SquarePlan:
-    """Everything needed to triangulate one cell: reduced angle pair, grid
-    counts and the exact rational lattice step vectors."""
+    """One cell type: reduced angle pair, grid counts and the exact rational
+    lattice step vectors.  Cells of one type share one object, so a plan's
+    types are its distinct SquarePlan objects."""
 
-    frame: SquareFrame
     pp: int            # reduced pair, qq > pp
     qq: int
     reflected: bool
@@ -237,7 +237,8 @@ class MeshPlan:
     mode: str
     spacing: Fraction          # common boundary spacing shared by all cells
     den: int                   # common denominator of every mesh vertex coordinate
-    squares: list[SquarePlan]
+    squares: list[SquarePlan]  # each cell's type, in frame order
+    corners: np.ndarray        # (cells, 2) numerators over den of each cell's lower-left corner
 
 
 def plan_mesh(frames: Sequence[SquareFrame], N: int, K: int, mode: str = "lcm") -> MeshPlan:
@@ -247,7 +248,8 @@ def plan_mesh(frames: Sequence[SquareFrame], N: int, K: int, mode: str = "lcm") 
     mode="paper" uses the product of the other cells' reduced denominators,
     mode="lcm" (default) the least common multiple of all of them; both keep
     the alignment invariants exact, the lcm variant just keeps pitches sane
-    when many distinct angles are present.
+    when many distinct angles are present.  Cells with one reduced pair
+    (pp, qq, reflected) share one SquarePlan.
     """
     if not frames:
         raise PlanError("no frames")
@@ -281,14 +283,14 @@ def plan_mesh(frames: Sequence[SquareFrame], N: int, K: int, mode: str = "lcm") 
             f"plan too fine to realize (angle denominators {qs}, K={K})"
         )
     side = Fraction(1, 1 << N)
-    # Counts and steps depend on (pp, qq) only: derived and checked once per pair.
-    grids: dict[tuple[int, int], tuple] = {}
+    types: dict[tuple[int, int, bool], SquarePlan] = {}
     squares = []
-    for frame, (pp, qq, refl) in zip(frames, reduced):
+    for frame, key in zip(frames, reduced):
         if frame.side != side:
             raise PlanError(f"frame {frame.index} has side {frame.side}, expected 2^-{N}")
-        grid = grids.get((pp, qq))
-        if grid is None:
+        sp = types.get(key)
+        if sp is None:
+            pp, qq, refl = key
             m0 = m0_all
             if m0 * pp % qq:
                 raise PlanError(f"pitch count {m0}*{pp}/{qq} not integral")
@@ -303,17 +305,15 @@ def plan_mesh(frames: Sequence[SquareFrame], N: int, K: int, mode: str = "lcm") 
             assert (spacing * qq) ** 2 == r2 * (hv[0] ** 2 + hv[1] ** 2)
             assert n * hv[0] - m * hw[0] == side and n * hv[1] - m * hw[1] == 0
             assert m * hv[0] + n * hw[0] == 0 and m * hv[1] + n * hw[1] == side
-            grid = grids[(pp, qq)] = (m, n, m0, n0, hv, hw)
-        m, n, m0, n0, hv, hw = grid
-        squares.append(
-            SquarePlan(
-                frame=frame, pp=pp, qq=qq, reflected=refl,
-                m=m, n=n, m0=m0, n0=n0, hv=hv, hw=hw,
-            )
-        )
+            sp = types[key] = SquarePlan(pp=pp, qq=qq, reflected=refl,
+                                         m=m, n=n, m0=m0, n0=n0, hv=hv, hw=hw)
+        squares.append(sp)
     # hv and hw are multiples of spacing / (pp^2 + qq^2); cell corners of 2^-N.
-    den = (1 << (N + K)) * m0_all * math.lcm(*(pp * pp + qq * qq for pp, qq, _ in reduced))
-    return MeshPlan(N=N, K=K, mode=mode, spacing=spacing, den=den, squares=squares)
+    den = (1 << (N + K)) * m0_all * math.lcm(*(pp * pp + qq * qq for pp, qq, _ in types))
+    corners = _numerators(den, *(f.x0 for f in frames), *(f.y0 for f in frames))
+    corners = np.array(corners, dtype=np.int64 if den < 2**63 else object).reshape(2, -1).T
+    return MeshPlan(N=N, K=K, mode=mode, spacing=spacing, den=den, squares=squares,
+                    corners=corners)
 
 
 # -- the transition-band building block ----------------------------------------
@@ -362,20 +362,12 @@ def _numerators(den: int, *values: Fraction) -> list[int]:
     return [v.numerator * (den // v.denominator) for v in values]
 
 
-def _cell_type(sp: SquarePlan) -> tuple:
-    """Every SquarePlan field the local mesh depends on: cells with equal
-    types have equal local meshes, exact integer translates of each other.
-    The rationals enter as (numerator, denominator) pairs, which are cheaper
-    to hash than Fractions and equal exactly when they are."""
-    return (sp.pp, sp.qq, sp.reflected, sp.m, sp.n, sp.m0, sp.n0,
-            *((v.numerator, v.denominator) for v in (*sp.hv, *sp.hw, sp.frame.side)))
-
-
 def _square_local_mesh(sp: SquarePlan, plan: MeshPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vertex numerators over plan.den, CCW triangles and the cell-boundary
     mask of one cell placed at the origin (exact).
 
-    Depends on the plan only through K, den and the fields in _cell_type.
+    Depends on the plan only through N, K and den, so cells that share sp
+    share this mesh up to an integer translation.
     Vertices are numbered by first occurrence in this sequence: the points
     of the band copies (four families of 2^K copies, each in master order),
     then the corners of the inner lattice cells, cell by cell.  Raises
@@ -385,8 +377,9 @@ def _square_local_mesh(sp: SquarePlan, plan: MeshPlan) -> tuple[np.ndarray, np.n
     copies = 1 << plan.K
     one = sp.m0 * (sp.pp * sp.pp + sp.qq * sp.qq)
     master_pts, master_tris = _band_master(sp.pp, sp.qq, sp.m0)
+    cell_side = Fraction(1, 1 << plan.N)
     side, hvx, hvy, hwx, hwy, unit = _numerators(
-        plan.den, sp.frame.side, *sp.hv, *sp.hw, sp.frame.side / (copies * one))
+        plan.den, cell_side, *sp.hv, *sp.hw, cell_side / (copies * one))
     m, n = sp.m, sp.n
     # Coordinates and lattice products below (cell offsets times steps, two
     # terms) stay within 2 * big^2.
@@ -452,7 +445,7 @@ def _square_local_mesh(sp: SquarePlan, plan: MeshPlan) -> tuple[np.ndarray, np.n
     if covered2 != 2 * side * side:
         raise MeshError(
             "inner cells and transition band do not tile the cell exactly "
-            f"(got {Fraction(covered2, 2 * plan.den ** 2)}, want {sp.frame.side ** 2})"
+            f"(got {Fraction(covered2, 2 * plan.den ** 2)}, want {cell_side ** 2})"
         )
 
     # Inner cell corners p00, p10, p01, p11 and the standard split along the
@@ -480,27 +473,18 @@ def _square_local_mesh(sp: SquarePlan, plan: MeshPlan) -> tuple[np.ndarray, np.n
 def assemble_global(plan: MeshPlan) -> Triangulation:
     """Union of all cell triangulations as one conforming mesh.
 
-    Each cell type's local mesh is built (and its tiling checked) once;
-    every cell of that type is placed by adding its corner's integer
-    numerators.  Vertices on cell boundaries are matched exactly (integer
-    numerators over plan.den), each keeping the number of its first
-    occurrence; any spacing mismatch surfaces as a MeshError.
+    Each cell type (one SquarePlan object) has its local mesh built, and
+    its tiling checked, once; every cell of that type is placed by adding
+    its plan.corners row.  Vertices on cell boundaries are matched exactly
+    (integer numerators over plan.den), each keeping the number of its
+    first occurrence; any spacing mismatch surfaces as a MeshError.
     """
-    types: dict[tuple, int] = {}
-    local = []
-    kind = np.empty(len(plan.squares), dtype=np.int64)
-    for i, sp in enumerate(plan.squares):
-        key = _cell_type(sp)
-        k = types.get(key)
-        if k is None:
-            k = types[key] = len(local)
-            local.append(_square_local_mesh(sp, plan))
-        kind[i] = k
-    corners = _numerators(plan.den, *(sp.frame.x0 for sp in plan.squares),
-                          *(sp.frame.y0 for sp in plan.squares))
+    types: dict[SquarePlan, int] = {}
+    kind = np.array([types.setdefault(sp, len(types)) for sp in plan.squares], dtype=np.int64)
+    local = [_square_local_mesh(sp, plan) for sp in types]
     # Every coordinate lies in [0, den], so int64 holds the sums when den does.
     exact = plan.den < 2**62 and all(v.dtype == np.int64 for v, _, _ in local)
-    corner = np.array(corners, dtype=np.int64 if exact else object).reshape(2, -1).T
+    corner = plan.corners.astype(np.int64 if exact else object)
 
     # Cells keep plan order: cell i's vertices and triangles start at
     # vstart[i] and tstart[i].

@@ -23,6 +23,14 @@ from .errors import MeshError
 Edge = tuple[int, int]
 
 
+def _column_extremes(pts: np.ndarray) -> tuple[int, int, int, int]:
+    """(xmin, xmax, ymin, ymax) of the integer (n, 2) array, as Python ints,
+    from four 1-D column reductions (numpy reduces an (n, 2) array along
+    axis 0 far more slowly)."""
+    x, y = pts.T
+    return int(x.min()), int(x.max()), int(y.min()), int(y.max())
+
+
 def _first_occurrence(pts: np.ndarray) -> np.ndarray:
     """For each row of the integer (n, 2) array, the index of the first equal row.
 
@@ -30,7 +38,7 @@ def _first_occurrence(pts: np.ndarray) -> np.ndarray:
     when it fits, else, and for Python-int rows, by a two-key lexsort.
     """
     x, y = pts.T
-    xlo, xhi, ylo, yhi = (int(v) for v in (x.min(), x.max(), y.min(), y.max()))
+    xlo, xhi, ylo, yhi = _column_extremes(pts)
     if pts.dtype != object and (xhi - xlo + 1) * (yhi - ylo + 1) < 2**63:
         key = (x - xlo) * (yhi - ylo + 1) + (y - ylo)
         order = np.argsort(key, kind="stable")  # equal rows keep index order
@@ -108,9 +116,9 @@ class Triangulation:
         # product of coordinate differences (at most 2 w^2, w the coordinate
         # range), summed over all triangles, stays below 2^63; otherwise the
         # same expressions run on Python ints.
-        lo, hi = int(num.min()), int(num.max())
-        w = hi - lo
-        exact_int64 = (max(-lo, hi, den) < 2**53
+        xlo, xhi, ylo, yhi = self._extremes = _column_extremes(num)
+        w = max(xhi, yhi) - min(xlo, ylo)
+        exact_int64 = (max(-xlo, -ylo, xhi, yhi, den) < 2**53
                        and 2 * w * w * len(tris) < 2**63)
         self._num = num.astype(np.int64 if exact_int64 else object)
         self._den = int(den)
@@ -169,27 +177,34 @@ class Triangulation:
 
         Vertices are binned on an integer grid whose cell is the median
         boundary-edge extent; each boundary edge is tested exactly against
-        the vertices in the bins its bounding box covers.
+        the vertices in the bins its bounding box covers.  Only bin columns
+        that hold a vertex are visited, so the work depends on the vertex
+        and edge counts, not on how much longer than the median an edge is.
         """
         bedges = self._boundary_edge_arr
         if len(bedges) == 0:
             return
         num = self._num
         p, q = num[bedges[:, 0]], num[bedges[:, 1]]
-        extent = np.sort((np.maximum(p, q) - np.minimum(p, q)).max(axis=1))
+        lo, hi = np.minimum(p, q), np.maximum(p, q)
+        extent = np.sort((hi - lo).max(axis=1))
         cell = max(int(extent[len(extent) // 2]), 1)
-        origin = num.min(axis=0)
+        xlo, _, ylo, _ = self._extremes
+        origin = np.array([xlo, ylo], dtype=num.dtype)
         vbin = (num - origin) // cell
         height = int(vbin[:, 1].max()) + 1
         vkey = vbin[:, 0] * height + vbin[:, 1]
         vorder = np.argsort(vkey, kind="stable")
         skey = vkey[vorder]
-        # A point of a segment lies in a bin between those of its endpoints.
-        lo = (np.minimum(p, q) - origin) // cell
-        hi = (np.maximum(p, q) - origin) // cell
-        ncol = (hi[:, 0] - lo[:, 0] + 1).astype(np.int64)
+        vcol = vbin[vorder, 0]
+        cols = vcol[np.r_[True, vcol[1:] != vcol[:-1]]]  # occupied, ascending
+        # A point of a segment lies in a bin between those of its endpoints:
+        # the edge's occupied columns are cols[c0:c0 + ncol].
+        lo, hi = (lo - origin) // cell, (hi - origin) // cell
+        c0 = np.searchsorted(cols, lo[:, 0], "left")
+        ncol = np.searchsorted(cols, hi[:, 0], "right") - c0
         edge = np.repeat(np.arange(len(bedges)), ncol)
-        col = lo[edge, 0] + _ranges(ncol)
+        col = cols[c0[edge] + _ranges(ncol)]
         start = np.searchsorted(skey, col * height + lo[edge, 1], "left")
         stop = np.searchsorted(skey, col * height + hi[edge, 1], "right")
         edge = np.repeat(edge, stop - start)
@@ -244,9 +259,7 @@ class Triangulation:
         return self._interior_tri_arr
 
     def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        (x0, y0), (x1, y1) = self._num.min(axis=0).tolist(), self._num.max(axis=0).tolist()
-        den = self._den
-        return Fraction(x0, den), Fraction(x1, den), Fraction(y0, den), Fraction(y1, den)
+        return tuple(Fraction(v, self._den) for v in self._extremes)
 
     def covers_bbox_exactly(self) -> bool:
         """True if the triangles tile the bounding rectangle without gaps.
@@ -255,11 +268,11 @@ class Triangulation:
         that the mesh covers the closed rectangle: areas add up exactly and
         every boundary edge lies on one of the four bounding lines.
         """
-        lo, hi = self._num.min(axis=0), self._num.max(axis=0)
-        (w, h) = (hi - lo).tolist()
-        ends = self._num[self._boundary_edge_arr]  # (B, 2 endpoints, 2 coordinates)
-        on_line = ((ends == lo).all(axis=1) | (ends == hi).all(axis=1)).any(axis=1)
-        return self._area2 == 2 * w * h and bool(on_line.all())
+        xlo, xhi, ylo, yhi = self._extremes
+        x, y = (c[self._boundary_edge_arr] for c in self._num.T)  # (B, 2 endpoints)
+        on_line = ((x == xlo).all(axis=1) | (x == xhi).all(axis=1)
+                   | (y == ylo).all(axis=1) | (y == yhi).all(axis=1))
+        return self._area2 == 2 * (xhi - xlo) * (yhi - ylo) and bool(on_line.all())
 
     def edge_lengths(self) -> np.ndarray:
         """Lengths of the interior edges, in interior_edge_array order."""

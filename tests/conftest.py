@@ -206,14 +206,15 @@ def random_lattice_mesh(rng, n_interior=8, denom=64) -> Triangulation:
 
 def triangulate_square(frame: SquareFrame, plan: MeshPlan) -> Triangulation:
     """Conforming triangulation of one cell of the plan."""
-    for sp in plan.squares:
-        if sp.frame is frame or sp.frame.index == frame.index:
-            if sp.frame.angle != frame.angle or sp.frame.x0 != frame.x0:
-                raise PlanError("frame does not match the plan")
-            verts, tris, _ = _square_local_mesh(sp, plan)
-            corner = _numerators(plan.den, frame.x0, frame.y0)
-            return Triangulation(verts + np.array(corner, dtype=verts.dtype), tris, plan.den)
-    raise PlanError(f"frame {frame.index} not in plan")
+    if not 0 <= frame.index < len(plan.squares):
+        raise PlanError(f"frame {frame.index} not in plan")
+    sp = plan.squares[frame.index]
+    corner = _numerators(plan.den, frame.x0, frame.y0)
+    if (frame.angle.reduced() != (sp.pp, sp.qq, sp.reflected)
+            or corner != plan.corners[frame.index].tolist()):
+        raise PlanError("frame does not match the plan")
+    verts, tris, _ = _square_local_mesh(sp, plan)
+    return Triangulation(verts + np.array(corner, dtype=verts.dtype), tris, plan.den)
 
 
 def assemble_reference(plan: MeshPlan) -> Triangulation:
@@ -223,9 +224,8 @@ def assemble_reference(plan: MeshPlan) -> Triangulation:
     assemble_global's per-type reuse."""
     verts, tris, on_boundary = [], [], []
     offset = 0
-    for sp in plan.squares:
+    for sp, corner in zip(plan.squares, plan.corners.tolist()):
         v, t, b = _square_local_mesh(sp, plan)
-        corner = _numerators(plan.den, sp.frame.x0, sp.frame.y0)
         verts.append(v + np.array(corner, dtype=v.dtype))
         tris.append(t + offset)
         on_boundary.append(b)

@@ -8,6 +8,8 @@ import pytest
 
 from hstv.approx import (
     RationalAngle,
+    _numerators,
+    _square_local_mesh,
     assemble_global,
     build_frames,
     convergence_experiment,
@@ -229,6 +231,24 @@ class TestPlans:
         with pytest.raises(PlanError, match="2\\^-40"):
             plan_mesh(frames, 2, 0, "paper")
 
+    @pytest.mark.parametrize("frames, types", [
+        (lambda: build_frames(parse_field("quadratic:iso"), 2), 1),
+        (lambda: synthetic_frames(2, criterion_4_angle_sets()[2][2]), None),
+        (lambda: synthetic_frames(2, [RationalAngle(pp, 64) for pp in range(1, 32, 2)]), 16),
+    ], ids=["iso-N2", "mixed-N2", "wide-den-N2"])
+    def test_cells_of_one_type_share_one_plan(self, frames, types):
+        frames = frames()
+        plan = plan_mesh(frames, 2, 1)
+        assert [(sp.pp, sp.qq, sp.reflected) for sp in plan.squares] == [
+            f.angle.reduced() for f in frames]
+        distinct = {(sp.pp, sp.qq, sp.reflected) for sp in plan.squares}
+        assert len({id(sp) for sp in plan.squares}) == len(distinct) == (types or len(distinct))
+        # int64 corners while den fits, Python ints beyond (the wide-den plan).
+        assert plan.corners.dtype == (np.int64 if plan.den < 2**63 else object)
+        assert plan.corners.shape == (16, 2)
+        for f, corner in zip(frames, plan.corners.tolist()):
+            assert corner == _numerators(plan.den, f.x0, f.y0)
+
     def test_validation(self):
         frames = synthetic_frames(0, [RationalAngle(1, 2)])
         with pytest.raises(PlanError):
@@ -387,6 +407,16 @@ class TestTypeReuse:
     def test_iso_matches_reference(self):
         plan = plan_mesh(build_frames(parse_field("quadratic:iso"), 2), 2, 2)
         self.assert_same(assemble_global(plan), assemble_reference(plan))
+
+    def test_python_int_assembly_matches_reference(self):
+        # qq = 64 puts the local lattice products above int64: the local
+        # meshes, the cell placement and the assembled mesh hold Python ints.
+        frames = synthetic_frames(1, [RationalAngle(pp, 64) for pp in (1, 3, 5, 7)])
+        plan = plan_mesh(frames, 1, 0)
+        assert all(_square_local_mesh(sp, plan)[0].dtype == object for sp in plan.squares)
+        got = assemble_global(plan)
+        assert got.numerators.dtype == object
+        self.assert_same(got, assemble_reference(plan))
 
     @staticmethod
     def assert_same(got, want):

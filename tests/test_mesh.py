@@ -1,6 +1,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -320,6 +325,111 @@ def test_load_rejects_hanging_vertex(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(MeshError, match="hanging"):
             load_mesh(path)
+
+
+def hanging_oracle(verts, tris, den) -> bool:
+    """True if some vertex lies strictly inside a boundary edge (an edge of
+    exactly one triangle): a plain Fraction loop over every (boundary edge,
+    vertex) pair, the oracle for Triangulation's binned scan."""
+    pts = [(Fraction(x, den), Fraction(y, den)) for x, y in verts]
+    uses = Counter((min(u, v), max(u, v))
+                   for tri in tris for u, v in zip(tri, tri[1:] + tri[:1]))
+    for (u, v), n in uses.items():
+        if n != 1:
+            continue
+        (ux, uy), (vx, vy) = pts[u], pts[v]
+        dx, dy = vx - ux, vy - uy
+        for wx, wy in pts:
+            rx, ry = wx - ux, wy - uy
+            dot = dx * rx + dy * ry
+            if dx * ry == dy * rx and 0 < dot < dx * dx + dy * dy:
+                return True
+    return False
+
+
+@st.composite
+def lattice_meshes(draw):
+    """(vertices, triangles, den) of a conforming mesh with a possible
+    T-junction: an nx x ny grid of side s with random diagonals, some
+    triangles dropped, maybe one triangle split at the midpoint of an edge
+    (a T-junction when a kept neighbour shares that edge), maybe a vertex
+    of no triangle at a half-lattice point (a T-junction when it lies inside
+    a boundary edge), and maybe one long triangle far to the right with a
+    vertex on, beside or beyond its base."""
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    s = 2 * draw(st.sampled_from([1, 3, 2**31, 2**40]))
+    verts = [(s * i, s * j) for j in range(ny + 1) for i in range(nx + 1)]
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            p00 = j * (nx + 1) + i
+            p10, p01, p11 = p00 + 1, p00 + nx + 1, p00 + nx + 2
+            tris += ([(p00, p10, p01), (p10, p11, p01)] if draw(st.booleans())
+                     else [(p00, p10, p11), (p00, p11, p01)])
+    keep = draw(st.lists(st.booleans(), min_size=len(tris), max_size=len(tris)))
+    tris = [t for t, k in zip(tris, keep) if k] or tris[:1]
+    if draw(st.booleans()):
+        t = draw(st.integers(0, len(tris) - 1))
+        a, b, c = tris[t]
+        a, b, c = draw(st.sampled_from([(a, b, c), (b, c, a), (c, a, b)]))
+        verts.append(((verts[a][0] + verts[b][0]) // 2, (verts[a][1] + verts[b][1]) // 2))
+        m = len(verts) - 1
+        tris[t:t + 1] = [(a, m, c), (m, b, c)]
+    if draw(st.booleans()):
+        probe = (s // 2 * draw(st.integers(0, 2 * nx)), s // 2 * draw(st.integers(0, 2 * ny)))
+        if probe not in verts:
+            verts.append(probe)
+    if draw(st.booleans()):
+        x0, length = s * (nx + 2), draw(st.sampled_from([2**10, 10**9, 2**62, 3**50]))
+        k = len(verts)
+        verts += [(x0, 0), (x0 + length, 0), (x0 + length // 2, length)]
+        tris.append((k, k + 1, k + 2))
+        dx = draw(st.sampled_from([0, 1, length // 3, length - 1, length + 1, 2 * length]))
+        dy = draw(st.sampled_from([0, 0, 1, -1]))
+        if (x0 + dx, dy) not in verts:
+            verts.append((x0 + dx, dy))
+    return verts, tris, draw(st.sampled_from([1, 3, 2**40]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_meshes())
+def test_hanging_vertex_scan_matches_fraction_oracle(case):
+    verts, tris, den = case
+    try:
+        Triangulation(verts, tris, den)
+    except MeshError as exc:
+        assert "hanging vertex" in str(exc)
+        assert hanging_oracle(verts, tris, den)
+    else:
+        assert not hanging_oracle(verts, tris, den)
+
+
+def test_long_boundary_edge_scan_is_bounded(tmp_path):
+    """Six lattice triangles of side 8 beside one triangle of side about
+    2e9: constructing the mesh from a file takes well under a second and
+    little memory, not work in proportion to the 2.5e8 bin columns the long
+    edges span (the mesh does not tile its bounding box, so `htv` exits 1
+    after construction)."""
+    side, height = 2 * 10**9, 1732050808
+    verts = [(8 * i, 8 * j) for j in (0, 1) for i in range(4)]
+    verts += [(0, 16), (side, 16), (side // 2, 16 + height)]
+    tris = [t for i in range(3) for t in ((i, i + 1, i + 5), (i, i + 5, i + 4))]
+    doc = {"vertices": [[str(x), "1", str(y), "1"] for x, y in verts],
+           "triangles": [*tris, [8, 9, 10]]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+            "from hstv.cli import main; sys.exit(main(['htv', sys.argv[1]]))")
+    # One BLAS thread, so the address-space cap measures hstv, not thread stacks.
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-c", code, str(path)],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert time.perf_counter() - t0 < 2.0
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert "does not cover its bounding square" in out.stderr
 
 
 def test_load_rejects_malformed(tmp_path):
