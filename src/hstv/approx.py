@@ -24,7 +24,7 @@ from ._delaunay import delaunay, orient2d
 from .errors import HstvError, MeshError, PlanError
 from .fields import SmoothField, htv_quadrature
 from .htv import htv_cpwl
-from .mesh import CpwlFunction, Triangulation, _first_occurrence, min_angle
+from .mesh import CpwlFunction, Triangulation, _first_occurrence, _ranges, min_angle
 from .schatten import schatten_norms, sym_eigen_frame
 
 Coord = tuple[Fraction, Fraction]
@@ -405,7 +405,8 @@ def _square_local_mesh(sp: SquarePlan, plan: MeshPlan) -> tuple[np.ndarray, np.n
     gv = corners[..., 0] * hwx + corners[..., 1] * hwy
     if (gu % sq != 0).any() or (gv % sq != 0).any():
         raise MeshError("band corner off the rotated lattice")
-    band_tris_grid = np.stack([gu // sq, gv // sq], axis=-1).tolist()
+    # Lattice indices lie in [-m, n + m], so int64 holds them; rows A, B, E.
+    gu, gv = (gu // sq).astype(np.int64).T, (gv // sq).astype(np.int64).T
 
     # Inner cells: rotated-lattice squares inside the cell and clear of the band.
     us = np.arange(0, n + m + 1, dtype=np.int64)
@@ -419,22 +420,24 @@ def _square_local_mesh(sp: SquarePlan, plan: MeshPlan) -> tuple[np.ndarray, np.n
         inside &= (qb_u - qa_u) * (vv - qa_v) - (qb_v - qa_v) * (uu - qa_u) >= 0
     cell_ok = inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:] & inside[1:, 1:]
 
+    # Lattice cells (ci, cj) that meet the interior of a copy's bounding
+    # box, rows ci and columns cj + m, enumerated over all copies at once.
+    i0, i1 = np.clip(gu.min(axis=0), 0, n + m), np.clip(gu.max(axis=0), 0, n + m)
+    j0, j1 = np.clip(gv.min(axis=0) + m, 0, n + m), np.clip(gv.max(axis=0) + m, 0, n + m)
+    rows, cols = i1 - i0, j1 - j0
+    copy = np.repeat(np.arange(len(rows)), rows * cols)
+    ci, cj = np.divmod(_ranges(rows * cols), cols[copy])
+    ci += i0[copy]
+    cj += j0[copy]
+    # Each copy's open halfplane on E's side of its hypotenuse AB.
+    (au, bu, eu), (av, bv, ev) = gu, gv
+    ha, hb = av - bv, bu - au
+    sgn = np.where(ha * eu + hb * ev > ha * au + hb * av, 1, -1)
+    ha, hb = ha * sgn, hb * sgn
+    hc = ha * au + hb * av - np.maximum(ha, 0) - np.maximum(hb, 0)
+    hit = ha[copy] * ci + hb[copy] * (cj - m) > hc[copy]
     band_overlap = np.zeros_like(cell_ok)
-    for (au, av), (bu, bv), (eu, ev) in band_tris_grid:
-        # Lattice cells (ci, cj) that meet the interior of the copy's
-        # bounding box: rows ci, columns cj + m.
-        i0, i1 = np.clip([min(au, bu, eu), max(au, bu, eu)], 0, n + m)
-        j0, j1 = np.clip([min(av, bv, ev) + m, max(av, bv, ev) + m], 0, n + m)
-        ci = np.arange(i0, i1)[:, None]
-        cj = np.arange(j0 - m, j1 - m)[None, :]
-        # open halfplane on E's side of the hypotenuse AB
-        ha = -(bv - av)
-        hb = bu - au
-        sgn = 1 if (ha * eu + hb * ev) > (ha * au + hb * av) else -1
-        ha *= sgn
-        hb *= sgn
-        hc = ha * au + hb * av
-        band_overlap[i0:i1, j0:j1] |= ha * ci + hb * cj + max(ha, 0) + max(hb, 0) > hc
+    band_overlap[ci[hit], cj[hit]] = True
     inner = cell_ok & ~band_overlap
 
     # Exact tiling check, in twice the area over den^2: inner cells plus the
@@ -529,19 +532,18 @@ def interpolate(fld: SmoothField, mesh: Triangulation) -> CpwlFunction:
 def interpolation_error_estimate(fld: SmoothField, g: CpwlFunction) -> float:
     """Max |field - interpolant| sampled at triangle centroids and edge
     midpoints (cheap, location-free estimate of the sup error)."""
-    fv = g.mesh.float_vertices
-    tris = g.mesh.triangle_array
-    pa, pb, pc = fv[tris[:, 0]], fv[tris[:, 1]], fv[tris[:, 2]]
-    za, zb, zc = (g.values[tris[:, i]] for i in range(3))
+    x, y = g.mesh.float_vertices.T
+    t0, t1, t2 = g.mesh.triangle_array.T
+    (xa, ya, za), (xb, yb, zb), (xc, yc, zc) = ((x[t], y[t], g.values[t]) for t in (t0, t1, t2))
     worst = 0.0
     probes = [
-        ((pa + pb + pc) / 3.0, (za + zb + zc) / 3.0),
-        ((pa + pb) / 2.0, (za + zb) / 2.0),
-        ((pb + pc) / 2.0, (zb + zc) / 2.0),
-        ((pc + pa) / 2.0, (zc + za) / 2.0),
+        ((xa + xb + xc) / 3.0, (ya + yb + yc) / 3.0, (za + zb + zc) / 3.0),
+        ((xa + xb) / 2.0, (ya + yb) / 2.0, (za + zb) / 2.0),
+        ((xb + xc) / 2.0, (yb + yc) / 2.0, (zb + zc) / 2.0),
+        ((xc + xa) / 2.0, (yc + ya) / 2.0, (zc + za) / 2.0),
     ]
-    for pts, gvals in probes:
-        fvals = np.asarray(fld.eval(pts[:, 0], pts[:, 1]), dtype=float)
+    for px, py, gvals in probes:
+        fvals = np.asarray(fld.eval(px, py), dtype=float)
         worst = max(worst, float(np.max(np.abs(fvals - gvals))))
     return worst
 

@@ -106,10 +106,9 @@ def p_independence_check(g: CpwlFunction) -> float:
     """
     _require_covering(g.mesh)
     jumps, lengths, _ = _jump_data(g)
-    fv = g.mesh.float_vertices
-    e = g.mesh.interior_edge_array
-    d = fv[e[:, 1]] - fv[e[:, 0]]
-    nx, ny = -d[:, 1] / lengths, d[:, 0] / lengths
+    x, y = g.mesh.float_vertices.T
+    u, v = g.mesh.interior_edge_array.T
+    nx, ny = -(y[v] - y[u]) / lengths, (x[v] - x[u]) / lengths
     jx, jy = jumps[:, 0], jumps[:, 1]
     totals = [
         float(np.sum(schatten_norms(jx * nx, jx * ny, jy * nx, jy * ny, p) * lengths))

@@ -31,6 +31,20 @@ def _column_extremes(pts: np.ndarray) -> tuple[int, int, int, int]:
     return int(x.min()), int(x.max()), int(y.min()), int(y.max())
 
 
+def _argsort(key: np.ndarray, kmax: int) -> np.ndarray:
+    """np.argsort(key, kind="stable") of integer keys in [0, kmax].
+
+    When (kmax + 1) * n < 2^63 the keys are packed with their index,
+    key * n + i, so one plain sort (numpy's vectorized sort) orders them
+    with ties in index order; otherwise, and for Python-int keys, the
+    stable argsort itself.
+    """
+    n = len(key)
+    if key.dtype == object or (kmax + 1) * n >= 2**63:
+        return np.argsort(key, kind="stable")
+    return np.sort(key * n + np.arange(n)) % n
+
+
 def _first_occurrence(pts: np.ndarray) -> np.ndarray:
     """For each row of the integer (n, 2) array, the index of the first equal row.
 
@@ -39,9 +53,10 @@ def _first_occurrence(pts: np.ndarray) -> np.ndarray:
     """
     x, y = pts.T
     xlo, xhi, ylo, yhi = _column_extremes(pts)
-    if pts.dtype != object and (xhi - xlo + 1) * (yhi - ylo + 1) < 2**63:
+    size = (xhi - xlo + 1) * (yhi - ylo + 1)
+    if pts.dtype != object and size < 2**63:
         key = (x - xlo) * (yhi - ylo + 1) + (y - ylo)
-        order = np.argsort(key, kind="stable")  # equal rows keep index order
+        order = _argsort(key, size - 1)  # equal rows keep index order
         s = key[order]
         start = np.r_[True, s[1:] != s[:-1]]
     else:
@@ -155,7 +170,7 @@ class Triangulation:
         t_count = len(tris)
         src, dst = np.concatenate([t0, t1, t2]), np.concatenate([t1, t2, t0])
         keys = 2 * (np.minimum(src, dst) * nv + np.maximum(src, dst)) + (src > dst)
-        order = np.argsort(keys)
+        order = _argsort(keys, 2 * nv * nv - 1)
         sk = keys[order]
         if (sk[1:] == sk[:-1]).any():
             raise MeshError(
@@ -189,12 +204,12 @@ class Triangulation:
         lo, hi = np.minimum(p, q), np.maximum(p, q)
         extent = np.sort((hi - lo).max(axis=1))
         cell = max(int(extent[len(extent) // 2]), 1)
-        xlo, _, ylo, _ = self._extremes
+        xlo, xhi, ylo, yhi = self._extremes
         origin = np.array([xlo, ylo], dtype=num.dtype)
         vbin = (num - origin) // cell
-        height = int(vbin[:, 1].max()) + 1
+        height = (yhi - ylo) // cell + 1
         vkey = vbin[:, 0] * height + vbin[:, 1]
-        vorder = np.argsort(vkey, kind="stable")
+        vorder = _argsort(vkey, ((xhi - xlo) // cell + 1) * height - 1)
         skey = vkey[vorder]
         vcol = vbin[vorder, 0]
         cols = vcol[np.r_[True, vcol[1:] != vcol[:-1]]]  # occupied, ascending
@@ -276,10 +291,9 @@ class Triangulation:
 
     def edge_lengths(self) -> np.ndarray:
         """Lengths of the interior edges, in interior_edge_array order."""
-        fv = self._float_vertices
-        e = self._interior_edge_arr
-        d = fv[e[:, 1]] - fv[e[:, 0]]
-        return np.hypot(d[:, 0], d[:, 1])
+        x, y = self._float_vertices.T
+        u, v = self._interior_edge_arr.T
+        return np.hypot(x[v] - x[u], y[v] - y[u])
 
 
 def min_angle(mesh: Triangulation) -> float:

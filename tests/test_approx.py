@@ -468,6 +468,40 @@ class TestFrozenNumbering:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+class TestFrozenLocalMeshes:
+    """Every distinct cell type's local mesh (vertex numerators and dtype,
+    triangles, cell-boundary mask) pinned by digest over a range of K.  The
+    reference assembly in conftest calls _square_local_mesh itself, so only
+    a digest catches a change inside it, such as a wrong band mask."""
+
+    @pytest.mark.parametrize("frames, N, ks, digest", [
+        (lambda: build_frames(parse_field("quadratic:iso"), 1), 1, range(6),
+         "b3f69cff7d47e4ca8f37982b00b10af385bb8d2ffe367f92ee4f814b08a7c03b"),
+        (lambda: build_frames(parse_field("rotated-quadratic:2,1,0.4636"), 2), 2, range(5),
+         "72ab7a7bfa0ebf6db79f7157d4fb41a532cfc4649c89d28efdce15dfdcf56306"),
+        (lambda: build_frames(parse_field("product-sine"), 2), 2, range(4),
+         "24d86f2b8cbe37df2a2530927f679d18c20d4790157ec3415a3a34b908a56180"),
+        (lambda: build_frames(parse_field("gaussian-bump:0.3,0.4,0.6"), 2), 2, range(3),
+         "fa1d6f560ef1907d3a4fccd10bfaef5bd42293332fa17dce85809b63a450dfab"),
+        (lambda: synthetic_frames(2, [_ANGLE_POOL[i] for i in TestFrozenNumbering.MIXED]),
+         2, range(3),
+         "94a0ed4540adc2c4545e6ce94e91fa1d0fa84d06591e805d8a769223337aad8e"),
+        (lambda: synthetic_frames(1, [RationalAngle(pp, 64) for pp in (1, 3, 5, 7)]),
+         1, range(1),
+         "aa202e22426503d63374d4db97c9b7ecf7b32105b182a758e65893c06e829140"),
+    ], ids=["iso-N1", "rotated-N2", "sine-N2", "bump-N2", "mixed-N2", "object-N1"])
+    def test_local_mesh_digest(self, frames, N, ks, digest):
+        h = hashlib.sha256()
+        cells = frames()
+        for K in ks:
+            plan = plan_mesh(cells, N, K)
+            for sp in dict.fromkeys(plan.squares):
+                verts, tris, boundary = _square_local_mesh(sp, plan)
+                h.update(repr((K, sp.pp, sp.qq, sp.reflected, str(verts.dtype), verts.tolist(),
+                               tris.tolist(), boundary.tolist())).encode())
+        assert h.hexdigest() == digest
+
+
 class TestInterpolation:
     def test_affine_interpolant_is_flat(self):
         fld = builtin_field("quadratic", 0, 0, 0, 2.0, -1.0, 0.5)

@@ -1,16 +1,28 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import grid_hat, jittered_document, random_lattice_mesh
 from hstv.cli import main
 from hstv.htv import htv_cpwl
-from hstv.mesh import CpwlFunction, load_mesh, save_mesh, uniform_diagonal_mesh
+from hstv.mesh import (
+    CpwlFunction,
+    load_mesh,
+    mesh_document,
+    save_mesh,
+    uniform_diagonal_mesh,
+)
 
 
 @pytest.fixture
@@ -326,3 +338,74 @@ def test_threads_env_validation(hat_file, monkeypatch, capsys):
     monkeypatch.setenv("HTV_THREADS", "lots")
     with pytest.raises(SystemExit):
         main(["htv", str(hat_file)])
+
+
+# A valid 3 x 3-cell grid document with random values, the seed of the
+# corrupt-file fuzz below.
+BASE_DOCUMENT = mesh_document(CpwlFunction(
+    uniform_diagonal_mesh(3), np.random.default_rng(5).standard_normal(16)))
+
+NOT_AN_ENTRY = st.sampled_from([
+    0.5, 1.0, -2.0, float("nan"), float("inf"), True, False, None, "", "x", "1.5", "0x1",
+    [], [1], [[0]], ["0", "1"], {}, 2**64, -(2**63) - 1,
+])
+
+
+@st.composite
+def corrupt_documents(draw) -> str:
+    """The JSON text of BASE_DOCUMENT after one mutation: truncated; a
+    float, bool, string, nested list or other non-entry in place of a
+    key's value, a row or an entry; a dropped key; a negative or
+    out-of-range triangle index; a duplicate vertex; or a dropped triangle,
+    which leaves the mesh short of covering its square."""
+    doc = json.loads(json.dumps(BASE_DOCUMENT))
+    kind = draw(st.sampled_from(["truncate", "replace", "drop", "index", "duplicate",
+                                 "uncover"]))
+    key = draw(st.sampled_from(["vertices", "triangles", "values"]))
+    if kind == "truncate":
+        text = json.dumps(doc)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "replace":
+        rows = doc[key]
+        i = draw(st.integers(0, len(rows) - 1))
+        level = draw(st.sampled_from(["key", "row", "entry"]))
+        if level == "key":
+            doc[key] = draw(NOT_AN_ENTRY)
+        elif level == "row" or key == "values":
+            rows[i] = draw(NOT_AN_ENTRY)
+        else:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(NOT_AN_ENTRY)
+    elif kind == "drop":
+        del doc[key]
+    elif kind == "index":
+        tri = doc["triangles"][draw(st.integers(0, len(doc["triangles"]) - 1))]
+        tri[draw(st.integers(0, 2))] = draw(
+            st.integers(-(2**63), -1) | st.integers(16, 2**63 - 1) | st.sampled_from([-1, 16]))
+    elif kind == "duplicate":
+        a, b = draw(st.lists(st.integers(0, len(doc["vertices"]) - 1), min_size=2,
+                             max_size=2, unique=True))
+        doc["vertices"][b] = list(doc["vertices"][a])
+    else:
+        del doc["triangles"][draw(st.integers(0, len(doc["triangles"]) - 1))]
+    return json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupt_documents())
+def test_cli_corrupt_mesh_files_exit_cleanly(text):
+    """Every command that reads a mesh file exits 0 or 1 on a corrupt file,
+    prints no traceback, and prints `error:` when it exits 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mesh.json")
+        with open(path, "w") as f:
+            f.write(text)
+        for argv in (["htv", path], ["extremal", "test", path],
+                     ["extremal", "decompose", path, "--out", os.path.join(tmp, "d.json")],
+                     ["mesh", "render", path, "--out", os.path.join(tmp, "m.svg")]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1), (argv, code)
+            assert "Traceback" not in err.getvalue()
+            if code == 1:
+                assert "error: " in err.getvalue(), (argv, err.getvalue())

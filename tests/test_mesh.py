@@ -26,6 +26,7 @@ from hstv.errors import MeshError
 from hstv.mesh import (
     CpwlFunction,
     Triangulation,
+    _argsort,
     _first_occurrence,
     cpwl_from_document,
     load_mesh,
@@ -76,6 +77,53 @@ def test_adjacency_random_meshes():
                  uniform_diagonal_mesh(3, "anti")):
         table = assert_interior_arrays_match_table(mesh)
         assert all(len(t) in (1, 2) for t in table.values())
+
+
+DIRECTED_EDGE_TWICE = ("a directed edge is used twice: duplicate, overlapping or "
+                       "inconsistently oriented triangles")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 24), st.sampled_from([32, 64, 2**20]),
+       st.data())
+def test_structure_matches_edge_table(seed, n_interior, denom, data):
+    """Edge and triangle arrays of a random lattice mesh whose triangles
+    come in shuffled order, with rotated vertex order and mixed
+    orientations, against the conftest edge-table loop; then the mesh with
+    one triangle repeated, repeated reversed, or a third triangle on one
+    interior edge is rejected."""
+    base = random_lattice_mesh(np.random.default_rng(seed), n_interior, denom)
+    tris = base.triangle_array.tolist()
+    tris = [tris[t] for t in data.draw(st.permutations(range(len(tris))))]
+    for t, (turn, flip) in enumerate(data.draw(st.lists(
+            st.tuples(st.integers(0, 2), st.booleans()),
+            min_size=len(tris), max_size=len(tris)))):
+        tri = tris[t][turn:] + tris[t][:turn]
+        tris[t] = tri[::-1] if flip else tri
+    mesh = Triangulation(base.numerators, tris, denom)
+    # Triangles keep their input order and vertices, oriented counterclockwise.
+    x, y = mesh.numerators.T
+    a, b, c = mesh.triangle_array.T
+    assert ((x[b] - x[a]) * (y[c] - y[a]) - (y[b] - y[a]) * (x[c] - x[a]) > 0).all()
+    assert [sorted(t) for t in mesh.triangle_array.tolist()] == [sorted(t) for t in tris]
+    table = assert_interior_arrays_match_table(mesh)
+    assert mesh._boundary_edge_arr.tolist() == [list(e) for e, t in table.items()
+                                                if len(t) == 1]
+    # Repeat a triangle as given or reversed, or add a third triangle on an
+    # interior edge: its apex is a vertex off the edge's line and off both
+    # incident triangles.
+    t = data.draw(st.integers(0, len(tris) - 1))
+    (u, v), pair = data.draw(st.sampled_from(
+        [(e, tt) for e, tt in table.items() if len(tt) == 2]))
+    apexes = [w for w in range(mesh.n_vertices)
+              if w not in tris[pair[0]] + tris[pair[1]]
+              and (x[v] - x[u]) * (y[w] - y[u]) != (y[v] - y[u]) * (x[w] - x[u])]
+    bad = data.draw(st.sampled_from([tris[t], tris[t][::-1], [u, v, data.draw(
+        st.sampled_from(apexes))]]))
+    at = data.draw(st.integers(0, len(tris)))
+    with pytest.raises(MeshError) as exc:
+        Triangulation(base.numerators, tris[:at] + [bad] + tris[at:], denom)
+    assert str(exc.value) == DIRECTED_EDGE_TWICE
 
 
 def test_orientation_normalized_and_duplicates_rejected():
@@ -297,6 +345,36 @@ def test_first_occurrence_matches_lexsort(pts):
     # The first of every row is an equal row at or before it.
     assert (first <= np.arange(len(pts))).all()
     assert (pts[first] == pts).all()
+
+
+@st.composite
+def sort_keys(draw):
+    """(keys, kmax): n int64 keys in [0, kmax] drawn from a small pool, so
+    they repeat, with kmax itself in the pool; kmax on either side of the
+    packing bound (kmax + 1) * n < 2^63."""
+    n = draw(st.integers(0, 40))
+    edge = (2**63 - 1) // max(n, 1) - 1  # the largest kmax that packs
+    kmax = draw(st.sampled_from([0, 1, edge - 1, edge, edge + 1, 2**63 - 1])
+                | st.integers(0, 2**63 - 1))
+    pool = draw(st.lists(st.integers(0, kmax), min_size=1, max_size=6)) + [kmax]
+    keys = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return np.array(keys, dtype=np.int64), kmax
+
+
+@settings(max_examples=300, deadline=None)
+@given(sort_keys())
+# At the bound: (kmax + 1) * n is 2^63 - 2 (packed) and 2^63 + 1 (argsort)
+# for n = 3, 2^63 - 2 and 2^63 for n = 2; then n = 0 and 1.
+@example((np.array([3074457345618258601, 0, 3074457345618258601]), 3074457345618258601))
+@example((np.array([3074457345618258602, 0, 3074457345618258602]), 3074457345618258602))
+@example((np.array([2**62 - 2, 2**62 - 2]), 2**62 - 2))
+@example((np.array([2**62 - 1, 0]), 2**62 - 1))
+@example((np.array([], dtype=np.int64), 2**63 - 1))
+@example((np.array([2**63 - 1]), 2**63 - 1))
+@example((np.array([5]), 2**63 - 2))
+def test_argsort_matches_stable_argsort(case):
+    keys, kmax = case
+    assert _argsort(keys, kmax).tolist() == np.argsort(keys, kind="stable").tolist()
 
 
 def test_save_load_roundtrip(tmp_path, pyramid):
