@@ -16,7 +16,6 @@ from .errors import ExtremalError, FieldError, HstvError, MeshError, PlanError
 from .extremal import (
     Decomposition,
     JumpSpaceBasis,
-    QuotientRep,
     constrained_space,
     decompose,
     find_extremal_in_support,

@@ -277,10 +277,10 @@ def criterion_5(ctx: dict, seed: int = DEFAULT_SEED) -> CriterionResult:
         worst_sum = max(worst_sum, abs(dec.coefficient_sum - total))
         worst_resid = max(worst_resid, dec.residual)
         for term in dec.terms:
-            text, tcert = is_extremal(term.cpwl)
+            text, tcert = is_extremal(term)
             ok = ok and text
             pert = perturbation_identity_check(
-                term.cpwl, term.cpwl.with_values(tcert.space.basis[:, 0])
+                term, term.with_values(tcert.space.basis[:, 0])
             )
             worst_pert = max(worst_pert, pert)
     ok = ok and worst_sum <= 1e-8 and worst_resid <= 1e-8 and worst_pert <= 1e-10

@@ -259,6 +259,7 @@ def plan_mesh(frames: Sequence[SquareFrame], N: int, K: int, mode: str = "lcm") 
         raise PlanError("mode must be 'paper' or 'lcm'")
     reduced = [f.angle.reduced() for f in frames]
     qs = [qq for (_, qq, _) in reduced]
+    dens = sorted(set(qs))  # for the messages: one entry per cell would grow with 4^N
     if mode == "paper":
         m0_all = 1
         for q in qs:
@@ -268,19 +269,19 @@ def plan_mesh(frames: Sequence[SquareFrame], N: int, K: int, mode: str = "lcm") 
     spacing = Fraction(1, (1 << (N + K)) * m0_all)
     if spacing < Fraction(1, 1 << 40):
         raise PlanError(
-            f"boundary spacing {spacing} below 2^-40: angle denominators {qs} "
+            f"boundary spacing {spacing} below 2^-40: angle denominators {dens} "
             f"({mode} combination = {m0_all}) make the grid unrealizably fine"
         )
     if (m0_all << K) > 4096:
         raise PlanError(
             f"{m0_all << K} boundary intervals per cell side: plan too fine to "
-            f"realize (angle denominators {qs}, K={K})"
+            f"realize (angle denominators {dens}, K={K})"
         )
     lattice = sum((((m0_all + m0_all * pp // qq) << K) + 1) ** 2 for pp, qq, _ in reduced)
     if lattice > MAX_LATTICE_POINTS:
         raise PlanError(
             f"{lattice} rotated-lattice points to scan, above {MAX_LATTICE_POINTS}: "
-            f"plan too fine to realize (angle denominators {qs}, K={K})"
+            f"plan too fine to realize (angle denominators {dens}, K={K})"
         )
     side = Fraction(1, 1 << N)
     types: dict[tuple[int, int, bool], SquarePlan] = {}

@@ -185,7 +185,7 @@ def _cmd_extremal(args) -> int:
         "residual": repr(dec.residual),
         "value_residual": repr(dec.value_residual),
         "coefficients": [repr(c) for c in dec.coefficients],
-        "components": [mesh_document(t.cpwl) for t in dec.terms],
+        "components": [mesh_document(t) for t in dec.terms],
     }
     with open(args.out, "w") as f:
         f.write(json.dumps(doc))

@@ -18,12 +18,12 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import ExtremalError, MeshError
-from .htv import _jumps, _support_mask, htv_cpwl, support_mask_by_jump
+from .htv import _jumps, _require_covering, _support_mask, htv_cpwl
 from .mesh import CpwlFunction, Triangulation, _GradientStencil
 
 SUPPORT_REL_TOL = 1e-9
@@ -35,19 +35,23 @@ SUPPORT_REL_TOL = 1e-9
 class _MeshAlgebra:
     """The linear algebra of the extremality constraints on one mesh.
 
-    Every part is kept for the mesh's lifetime: the gradient stencil, and,
-    built on first use, the affine design matrix and its orthonormal basis,
-    the orthonormal basis of the affine complement and the jump operators.
-    The greedy steps run on plain value vectors through `normalize`,
-    `support`, `witness` and `reduce`.  Only the mesh's own arrays are
-    referenced, so the cache does not keep the mesh alive.
+    Every part is kept for the mesh's lifetime: the gradient stencil and
+    the edge lengths, and, built on first use, the affine design matrix and
+    its orthonormal basis, the orthonormal basis of the affine complement
+    and the jump operators.  The greedy loop runs on plain value vectors
+    through `normalize`, `energy`, `support`, `witness` and `reduce`.  Only
+    the mesh's own arrays are referenced, so the cache does not keep the
+    mesh alive.  A mesh that does not tile its bounding square is refused,
+    as `htv_cpwl` refuses it.
     """
 
     def __init__(self, mesh: Triangulation):
+        _require_covering(mesh)
         self._fv = mesh.float_vertices
         self._tris = mesh.triangle_array
         self._edges = mesh.interior_edge_array
         self._tpairs = mesh.interior_tri_array
+        self._lengths = mesh.edge_lengths()
         self._stencil = _GradientStencil(mesh)
 
     @cached_property
@@ -117,6 +121,14 @@ class _MeshAlgebra:
         q = self.affine_basis
         return reduced - q @ (q.T @ reduced), coef
 
+    def energy(self, values: np.ndarray) -> float:
+        """The energy of `values`, with the float operations of `htv_cpwl`.
+        Non-finite values raise MeshError, as a CpwlFunction of them would."""
+        if not np.isfinite(values).all():
+            raise MeshError("non-finite vertex value")
+        j = _jumps(self._stencil.gradients(values), self._tpairs)
+        return float(np.sum(np.hypot(j[:, 0], j[:, 1]) * self._lengths))
+
     def support(self, values: np.ndarray, tol: float) -> np.ndarray:
         """Support mask of `values` by jump norm (`support_mask_by_jump`)."""
         return _support_mask(_jumps(self._stencil.gradients(values), self._tpairs), tol)
@@ -134,14 +146,14 @@ class _MeshAlgebra:
         return w / np.linalg.norm(w)
 
     def reduce(self, values: np.ndarray, witness: np.ndarray, support: np.ndarray,
-               tol: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+               tol: float) -> tuple[float, np.ndarray, np.ndarray]:
         """One support reduction of `values` along `witness`.
 
         Returns (lambda, the normalized values - lambda * witness, their
-        affine coefficients, their support mask); lambda is the
-        smallest-magnitude jump ratio over the usable support edges, and
-        the new support must be a strict subset of `support`.  Non-finite
-        values raise MeshError, as a CpwlFunction of them would.
+        support mask); lambda is the smallest-magnitude jump ratio over the
+        usable support edges, and the new support must be a strict subset
+        of `support`.  Non-finite values raise MeshError, as a CpwlFunction
+        of them would.
         """
         _, normal_op = self.jump_operators
         jn_g = normal_op @ values
@@ -152,14 +164,14 @@ class _MeshAlgebra:
             raise ExtremalError("witness has no usable jump inside the support")
         ratios = jn_g[usable] / jn_h[usable]
         lam = ratios[np.argmin(np.abs(ratios))]  # the first of the smallest
-        nxt, coef = self.normalize(values - lam * witness)
+        nxt, _ = self.normalize(values - lam * witness)
         if not np.isfinite(nxt).all():
             raise MeshError("non-finite vertex value")
         new_support = self.support(nxt, tol)
         if (new_support > support).any() or (
                 np.count_nonzero(new_support) >= np.count_nonzero(support)):
             raise ExtremalError("support did not strictly decrease: numerical rank failure")
-        return float(lam), nxt, coef, new_support
+        return float(lam), nxt, new_support
 
 
 _ALGEBRA: "weakref.WeakKeyDictionary[Triangulation, _MeshAlgebra]" = (
@@ -173,37 +185,18 @@ def _algebra(mesh: Triangulation) -> _MeshAlgebra:
     return alg
 
 
-# -- quotient representatives ----------------------------------------------------
+# -- the quotient modulo affine functions ----------------------------------------
 
 
-@dataclass
-class QuotientRep:
-    """CPWL function with its best-fit affine part removed."""
-
-    cpwl: CpwlFunction
-    affine: tuple[float, float, float]
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.cpwl.values
-
-    @property
-    def mesh(self) -> Triangulation:
-        return self.cpwl.mesh
-
-
-def normalize_mod_affine(g: CpwlFunction) -> QuotientRep:
+def normalize_mod_affine(g: CpwlFunction) -> tuple[CpwlFunction, tuple[float, float, float]]:
     """Remove the least-squares affine part of the vertex values.
 
+    Returns (the representative, the removed coefficients (c1, cx, cy)).
     The energy is unchanged (affine shifts move all gradients equally), and
-    the returned values are orthogonal to {1, x, y} at the vertices.
+    the representative's values are orthogonal to {1, x, y} at the vertices.
     """
     reduced, coef = _algebra(g.mesh).normalize(g.values)
-    return QuotientRep(g.with_values(reduced), tuple(float(c) for c in coef))
-
-
-def _as_cpwl(g: Union[CpwlFunction, QuotientRep]) -> CpwlFunction:
-    return g.cpwl if isinstance(g, QuotientRep) else g
+    return g.with_values(reduced), tuple(float(c) for c in coef)
 
 
 # -- constrained spaces ----------------------------------------------------------
@@ -258,7 +251,7 @@ class ExtremalCertificate:
     witness: Optional[np.ndarray]  # vertex values of a non-span direction
 
 
-def is_extremal(g: Union[CpwlFunction, QuotientRep], tol: float = SUPPORT_REL_TOL
+def is_extremal(g: CpwlFunction, tol: float = SUPPORT_REL_TOL
                 ) -> tuple[bool, ExtremalCertificate]:
     """Extremality test: the constrained space of the support must be a line.
 
@@ -266,8 +259,7 @@ def is_extremal(g: Union[CpwlFunction, QuotientRep], tol: float = SUPPORT_REL_TO
     also holds a witness direction inside the support that is not a multiple
     of g.
     """
-    g = _as_cpwl(g)
-    cert = _certify(g.mesh, g.values, support_mask_by_jump(g, tol))
+    cert = _certify(g.mesh, g.values, _algebra(g.mesh).support(g.values, tol))
     return cert.witness is None, cert
 
 
@@ -284,8 +276,7 @@ def _certify(mesh: Triangulation, values: np.ndarray, support: np.ndarray
     return ExtremalCertificate(space, _algebra(mesh).witness(values, space.basis))
 
 
-def perturbation_identity_check(g: Union[CpwlFunction, QuotientRep],
-                                h: Union[CpwlFunction, QuotientRep],
+def perturbation_identity_check(g: CpwlFunction, h: CpwlFunction,
                                 tol: float = SUPPORT_REL_TOL) -> float:
     """|htv(g + eps h) + htv(g - eps h) - 2 htv(g)| for the canonical eps.
 
@@ -294,8 +285,6 @@ def perturbation_identity_check(g: Union[CpwlFunction, QuotientRep],
     must vanish whenever h's curvature lives inside g's support.  Returns 0
     for h = 0.
     """
-    g = _as_cpwl(g)
-    h = _as_cpwl(h)
     report_g = htv_cpwl(g)
     jumps_g = report_g.jumps
     norms_g = np.hypot(jumps_g[:, 0], jumps_g[:, 1])
@@ -317,44 +306,48 @@ def perturbation_identity_check(g: Union[CpwlFunction, QuotientRep],
 # -- greedy support reduction ----------------------------------------------------
 
 
-def support_reduce(g: Union[CpwlFunction, QuotientRep], tol: float = SUPPORT_REL_TOL
-                   ) -> tuple[CpwlFunction, float, QuotientRep]:
+def support_reduce(g: CpwlFunction, tol: float = SUPPORT_REL_TOL
+                   ) -> tuple[CpwlFunction, float, CpwlFunction]:
     """One reduction step: (h, lambda, g - lambda h) with strictly smaller support.
 
     h is a unit direction from the constrained space of g's support that is
     not a multiple of g; lambda is the smallest-magnitude jump ratio over
     the support, which zeroes at least one edge and never flips the sign of
-    any other jump.
+    any other jump.  The third element is normalized modulo affine.
     """
-    g = _as_cpwl(g)
     extremal, cert = is_extremal(g, tol)
     if extremal:
         raise ExtremalError("input is extremal: nothing to reduce")
-    lam, nxt, coef, _ = _algebra(g.mesh).reduce(
+    lam, nxt, _ = _algebra(g.mesh).reduce(
         g.values, cert.witness, cert.space.support_mask, tol)
-    return (g.with_values(cert.witness), lam,
-            QuotientRep(g.with_values(nxt), tuple(float(c) for c in coef)))
+    return g.with_values(cert.witness), lam, g.with_values(nxt)
 
 
-def find_extremal_in_support(g: Union[CpwlFunction, QuotientRep],
-                             tol: float = SUPPORT_REL_TOL) -> QuotientRep:
-    """Extremal direction with support inside g's, normalized to unit energy.
+def _extremal_in_support(mesh: Triangulation, values: np.ndarray, tol: float
+                         ) -> np.ndarray:
+    """Values of a unit-energy extremal direction with support inside that
+    of the affine-normalized `values`.
 
     Each step solves for one constrained space: the extremality test's
     certificate drives the reduction, and the support the reduction has
     checked is the next step's support.
     """
-    rep = normalize_mod_affine(_as_cpwl(g))
-    mesh, values = rep.mesh, rep.values
     alg = _algebra(mesh)
     support = alg.support(values, tol)
     for _ in range(len(support) + 2):
         cert = _certify(mesh, values, support)
         if cert.witness is None:
-            total = htv_cpwl(CpwlFunction(mesh, values)).total
-            return QuotientRep(CpwlFunction(mesh, values / total), (0.0, 0.0, 0.0))
-        _, values, _, support = alg.reduce(values, cert.witness, support, tol)
+            return values / alg.energy(values)
+        _, values, support = alg.reduce(values, cert.witness, support, tol)
     raise ExtremalError("support reduction did not terminate")
+
+
+def find_extremal_in_support(g: CpwlFunction, tol: float = SUPPORT_REL_TOL
+                             ) -> CpwlFunction:
+    """Extremal direction with support inside g's, normalized modulo affine
+    and to unit energy."""
+    rep, _ = normalize_mod_affine(g)
+    return rep.with_values(_extremal_in_support(rep.mesh, rep.values, tol))
 
 
 @dataclass
@@ -362,7 +355,7 @@ class Decomposition:
     """g = sum_i coefficients[i] * terms[i] + residual, all terms extremal
     with unit energy and support inside g's."""
 
-    terms: list[QuotientRep]
+    terms: list[CpwlFunction]
     coefficients: list[float]
     residual: float           # energy of the unexplained remainder
     value_residual: float     # sup-norm of the remainder at vertices
@@ -373,7 +366,7 @@ class Decomposition:
         return float(sum(self.coefficients))
 
 
-def decompose(g: Union[CpwlFunction, QuotientRep], tol: float = 1e-8) -> Decomposition:
+def decompose(g: CpwlFunction, tol: float = 1e-8) -> Decomposition:
     """Write g (mod affine) as a nonnegative combination of extremal directions.
 
     Greedy peeling: find an extremal direction in the current support, then
@@ -382,21 +375,21 @@ def decompose(g: Union[CpwlFunction, QuotientRep], tol: float = 1e-8) -> Decompo
     the loop terminates, and because no sign ever flips the energies add up:
     the coefficient sum equals the input energy (rigidity).
     """
-    rep0 = normalize_mod_affine(_as_cpwl(g))
-    mesh, x = rep0.mesh, rep0.values
-    total = htv_cpwl(rep0.cpwl).total
+    mesh = g.mesh
+    alg = _algebra(mesh)
+    x, _ = alg.normalize(g.values)
+    total = alg.energy(x)
     if total <= tol:
         raise ExtremalError("input is affine: nothing to decompose")
-    _, normal_op = _algebra(mesh).jump_operators
-    terms: list[QuotientRep] = []
+    _, normal_op = alg.jump_operators
+    terms: list[CpwlFunction] = []
     coeffs: list[float] = []
     for _ in range(len(mesh.interior_edge_array) + 2):
-        current_g = CpwlFunction(mesh, x)
-        if htv_cpwl(current_g).total <= tol * max(1.0, total):
+        if alg.energy(x) <= tol * max(1.0, total):
             break
-        t = find_extremal_in_support(current_g)
+        t = _extremal_in_support(mesh, alg.normalize(x)[0], SUPPORT_REL_TOL)
         jn_x = normal_op @ x
-        jn_t = normal_op @ t.values
+        jn_t = normal_op @ t
         t_thr = SUPPORT_REL_TOL * float(np.abs(jn_t).max())
         used = np.abs(jn_t) > t_thr
         ratios = jn_x[used] / jn_t[used]
@@ -407,10 +400,10 @@ def decompose(g: Union[CpwlFunction, QuotientRep], tol: float = 1e-8) -> Decompo
                 "numerical rank failure"
             )
         c = pos.min()
-        terms.append(t)
+        terms.append(CpwlFunction(mesh, t))
         coeffs.append(float(c))
-        x = x - c * t.values
-    residual = htv_cpwl(CpwlFunction(mesh, x)).total
+        x = x - c * t
+    residual = alg.energy(x)
     if residual > tol * max(1.0, total):
         raise ExtremalError(
             f"decomposition stalled: achieved energy residual {residual:.3e} > {tol:.1e}"
@@ -424,8 +417,7 @@ def decompose(g: Union[CpwlFunction, QuotientRep], tol: float = 1e-8) -> Decompo
     )
 
 
-def rigidity_check(f: Union[CpwlFunction, QuotientRep],
-                   g: Union[CpwlFunction, QuotientRep],
+def rigidity_check(f: CpwlFunction, g: CpwlFunction,
                    total_tol: float = 1e-10, edge_tol: float = 1e-9) -> bool:
     """Verify that additivity of the totals forces per-edge additivity.
 
@@ -433,8 +425,6 @@ def rigidity_check(f: Union[CpwlFunction, QuotientRep],
     Returns True iff every interior edge splits its contribution additively
     within edge_tol.
     """
-    f = _as_cpwl(f)
-    g = _as_cpwl(g)
     if f.mesh is not g.mesh:
         raise ExtremalError("f and g must share a mesh")
     rf = htv_cpwl(f)

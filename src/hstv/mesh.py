@@ -342,7 +342,9 @@ class _GradientStencil:
     """The geometry of the per-triangle gradient: for each triangle (a, b, c)
     the edge vectors e1 = b - a and e2 = c - a, by coordinate, and
     det = e1 x e2.  It depends on the mesh only, so a caller that
-    differentiates many value vectors on one mesh builds it once."""
+    differentiates many value vectors on one mesh builds it once.  A
+    triangle whose float det is 0 (its vertices coincide after rounding)
+    raises MeshError."""
 
     def __init__(self, mesh: Triangulation):
         self.t0, self.t1, self.t2 = t0, t1, t2 = np.ascontiguousarray(mesh.triangle_array.T)
@@ -350,6 +352,10 @@ class _GradientStencil:
         self.e1x, self.e1y = x[t1] - x[t0], y[t1] - y[t0]
         self.e2x, self.e2y = x[t2] - x[t0], y[t2] - y[t0]
         self.det = self.e1x * self.e2y - self.e1y * self.e2x
+        flat = np.flatnonzero(self.det == 0)
+        if len(flat):
+            raise MeshError(f"triangle {mesh.triangle_array[flat[0]].tolist()} has zero "
+                            "area in floating point: its vertices coincide after rounding")
 
     def gradients(self, z: np.ndarray) -> np.ndarray:
         """Per-triangle gradients (T, 2) of the vertex values z."""

@@ -231,6 +231,15 @@ class TestPlans:
         with pytest.raises(PlanError, match="2\\^-40"):
             plan_mesh(frames, 2, 0, "paper")
 
+    def test_error_names_each_denominator_once(self):
+        """A plan error lists the distinct angle denominators, not one per
+        cell, so it stays short for 4^6 cells above the lattice ceiling."""
+        frames = synthetic_frames(6, [RationalAngle(1, q) for q in (2, 3, 5)])
+        with pytest.raises(PlanError, match="lattice points") as exc:
+            plan_mesh(frames, 6, 1)
+        assert "angle denominators [2, 3, 5]" in str(exc.value)
+        assert len(str(exc.value)) < 1024
+
     @pytest.mark.parametrize("frames, types", [
         (lambda: build_frames(parse_field("quadratic:iso"), 2), 1),
         (lambda: synthetic_frames(2, criterion_4_angle_sets()[2][2]), None),

@@ -327,6 +327,53 @@ def test_exit_codes(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err, err
 
 
+def test_float_degenerate_triangles_exit_1(tmp_path):
+    """Two vertices 2^-70 apart, (1/2, 1/2) and (1/2 + 2^-70, 1/2), pass
+    every exact check but round to one float: every command that
+    differentiates on the mesh exits 1 with an error line and no warning."""
+    den, half = str(2**70), str(2**69)
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({
+        "vertices": [["0", "1", "0", "1"], ["1", "1", "0", "1"], ["1", "1", "1", "1"],
+                     ["0", "1", "1", "1"], [half, den, half, den],
+                     [str(2**69 + 1), den, half, den]],
+        "triangles": [[0, 1, 5], [1, 2, 5], [2, 3, 4], [3, 0, 4], [0, 5, 4], [2, 4, 5]],
+        "values": ["0.0", "0.0", "0.0", "0.0", "1.0", "1.0"],
+    }))
+    assert load_mesh(path).mesh.covers_bbox_exactly()
+    for argv in (["htv", path], ["extremal", "test", path],
+                 ["extremal", "decompose", path, "--out", tmp_path / "d.json"]):
+        out = subprocess.run([sys.executable, "-m", "hstv.cli", *map(str, argv)],
+                             capture_output=True, text=True)
+        assert out.returncode == 1, (argv, out.stdout)
+        assert out.stderr.startswith("error: "), out.stderr
+        assert "RuntimeWarning" not in out.stderr, out.stderr
+
+
+def test_extremal_refuses_non_tiling_meshes(tmp_path, capsys):
+    """A 4x4 grid hat with a stray triangle inside one cell, or with a
+    corner triangle dropped, does not tile the square: `htv` and both
+    extremal commands refuse it with one error line."""
+    doc = mesh_document(grid_hat(4, 2, 2))
+    stray = json.loads(json.dumps(doc))
+    stray["vertices"] += [["1", "8", "1", "16"], ["3", "16", "1", "16"],
+                          ["3", "16", "1", "8"]]
+    stray["triangles"].append([25, 26, 27])
+    stray["values"] += ["0.0"] * 3
+    dropped = json.loads(json.dumps(doc))
+    del dropped["triangles"][0]
+    path = tmp_path / "mesh.json"
+    for bad in (stray, dropped):
+        path.write_text(json.dumps(bad))
+        for argv in (["htv", path], ["extremal", "test", path],
+                     ["extremal", "decompose", path, "--out", tmp_path / "d.json"]):
+            assert main(list(map(str, argv))) == 1, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == ("error: mesh does not cover its bounding square: "
+                           "CPWL energy needs a full tiling\n")
+
+
 def test_threads_env_validation(hat_file, monkeypatch, capsys):
     monkeypatch.setenv("HTV_THREADS", "4")
     assert main(["htv", str(hat_file)]) == 0

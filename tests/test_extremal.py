@@ -17,7 +17,7 @@ from hstv.extremal import (
     support_reduce,
 )
 from hstv.htv import htv_cpwl, support_mask_by_jump
-from hstv.mesh import CpwlFunction, uniform_diagonal_mesh
+from hstv.mesh import CpwlFunction, _GradientStencil, uniform_diagonal_mesh
 
 
 def two_hats(scale_a=1.0, scale_b=1.0):
@@ -43,24 +43,24 @@ class TestQuotient:
         mesh = uniform_diagonal_mesh(3)
         fv = mesh.float_vertices
         g = CpwlFunction(mesh, 1.0 + 2.0 * fv[:, 0] - 0.7 * fv[:, 1])
-        rep = normalize_mod_affine(g)
+        rep, affine = normalize_mod_affine(g)
         assert np.max(np.abs(rep.values)) <= 1e-12
-        assert rep.affine == pytest.approx((1.0, 2.0, -0.7))
+        assert affine == pytest.approx((1.0, 2.0, -0.7))
 
     def test_affine_shift_invariance_and_energy(self):
         g = grid_hat(4, 2, 2)
         fv = g.mesh.float_vertices
         shifted = g.with_values(g.values + 3.0 - fv[:, 0] + 5.0 * fv[:, 1])
-        r1 = normalize_mod_affine(g)
-        r2 = normalize_mod_affine(shifted)
+        r1 = normalize_mod_affine(g)[0]
+        r2 = normalize_mod_affine(shifted)[0]
         assert np.max(np.abs(r1.values - r2.values)) <= 1e-12
-        assert htv_cpwl(r1.cpwl).total == pytest.approx(htv_cpwl(g).total, abs=1e-10)
+        assert htv_cpwl(r1).total == pytest.approx(htv_cpwl(g).total, abs=1e-10)
 
     def test_projection_is_zero(self):
         rng = np.random.default_rng(19)
         mesh = random_lattice_mesh(rng)
         g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
-        rep = normalize_mod_affine(g)
+        rep = normalize_mod_affine(g)[0]
         fv = mesh.float_vertices
         a = np.stack([np.ones(len(fv)), fv[:, 0], fv[:, 1]], axis=1)
         coef, *_ = np.linalg.lstsq(a, rep.values, rcond=None)
@@ -83,7 +83,7 @@ class TestConstrainedSpace:
         space = constrained_space(g.mesh, support_mask_by_jump(g))
         assert space.dim == 1
         # the line is spanned by the hat itself
-        rep = normalize_mod_affine(g)
+        rep = normalize_mod_affine(g)[0]
         gn = rep.values / np.linalg.norm(rep.values)
         assert abs(abs(gn @ space.basis[:, 0]) - 1.0) <= 1e-9
 
@@ -119,7 +119,7 @@ class TestIsExtremal:
         assert w is not None
         sw = support_mask_by_jump(two.with_values(w))
         assert not (sw & ~(support_mask_by_jump(a) | support_mask_by_jump(b))).any()
-        rep = normalize_mod_affine(two)
+        rep = normalize_mod_affine(two)[0]
         gn = rep.values / np.linalg.norm(rep.values)
         assert abs(w @ gn) < 0.99
 
@@ -155,7 +155,7 @@ class TestSupportReduce:
     def test_two_hat_single_step(self):
         a, b, two = two_hats()
         h, lam, nxt = support_reduce(two)
-        sn = support_mask_by_jump(nxt.cpwl)
+        sn = support_mask_by_jump(nxt)
         assert any(np.array_equal(sn, support_mask_by_jump(h)) for h in (a, b))
 
     def test_extremal_input_rejected(self):
@@ -163,8 +163,8 @@ class TestSupportReduce:
             support_reduce(grid_hat(4, 2, 2))
 
     def test_non_finite_step_rejected(self):
-        """A step whose values turn non-finite raises MeshError, as a
-        CpwlFunction of them would."""
+        """A step, or an energy, whose values turn non-finite raises
+        MeshError, as a CpwlFunction of them would."""
         _, _, two = two_hats()
         _, cert = is_extremal(two)
         values = two.values.copy()
@@ -172,19 +172,21 @@ class TestSupportReduce:
         with np.errstate(invalid="ignore"), pytest.raises(MeshError, match="non-finite"):
             extremal._algebra(two.mesh).reduce(
                 values, cert.witness, cert.space.support_mask, 1e-9)
+        with pytest.raises(MeshError, match="non-finite"):
+            extremal._algebra(two.mesh).energy(values)
 
     def test_strictly_decreasing_support_length(self):
         rng = np.random.default_rng(20)
         mesh = random_lattice_mesh(rng, n_interior=8)
         g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
-        rep = normalize_mod_affine(g)
-        lengths = [support_length(rep.cpwl, 1e-10)]
+        rep = normalize_mod_affine(g)[0]
+        lengths = [support_length(rep, 1e-10)]
         for _ in range(len(mesh.interior_edge_array) + 2):
-            verdict, _ = is_extremal(rep.cpwl)
+            verdict, _ = is_extremal(rep)
             if verdict:
                 break
             _, _, rep = support_reduce(rep)
-            lengths.append(support_length(rep.cpwl, 1e-10))
+            lengths.append(support_length(rep, 1e-10))
         else:
             pytest.fail("reduction did not reach an extremal function")
         assert all(b < a for a, b in zip(lengths, lengths[1:]))
@@ -194,9 +196,9 @@ class TestFindExtremal:
     def test_hat_returns_itself_normalized(self):
         g = grid_hat(4, 2, 2)
         t = find_extremal_in_support(g)
-        total = htv_cpwl(t.cpwl).total
+        total = htv_cpwl(t).total
         assert abs(total - 1.0) <= 1e-12
-        rep = normalize_mod_affine(g)
+        rep = normalize_mod_affine(g)[0]
         expected = rep.values / htv_cpwl(g).total
         sign = math.copysign(1.0, t.values @ expected)
         assert np.max(np.abs(sign * t.values - expected)) <= 1e-10
@@ -204,7 +206,7 @@ class TestFindExtremal:
     def test_two_hat_returns_one_hat(self):
         a, b, two = two_hats()
         t = find_extremal_in_support(two)
-        st = support_mask_by_jump(t.cpwl)
+        st = support_mask_by_jump(t)
         assert any(np.array_equal(st, support_mask_by_jump(h)) for h in (a, b))
 
     def test_random_result_is_extremal(self):
@@ -213,8 +215,8 @@ class TestFindExtremal:
             mesh = random_lattice_mesh(rng)
             g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
             t = find_extremal_in_support(g)
-            assert is_extremal(t.cpwl)[0]
-            assert not (support_mask_by_jump(t.cpwl) & ~support_mask_by_jump(g)).any()
+            assert is_extremal(t)[0]
+            assert not (support_mask_by_jump(t) & ~support_mask_by_jump(g)).any()
 
 
 class TestSolveCount:
@@ -226,7 +228,7 @@ class TestSolveCount:
         rng = np.random.default_rng(23)
         mesh = random_lattice_mesh(rng, n_interior=8)
         g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
-        rep = normalize_mod_affine(g)
+        rep = normalize_mod_affine(g)[0]
         steps = 0
         while not is_extremal(rep)[0]:
             _, _, rep = support_reduce(rep)
@@ -239,7 +241,7 @@ class TestSolveCount:
         t = find_extremal_in_support(g)
         assert len(calls) == steps + 1
         # Same floats as the step-by-step public route.
-        np.testing.assert_array_equal(t.values, rep.values / htv_cpwl(rep.cpwl).total)
+        np.testing.assert_array_equal(t.values, rep.values / htv_cpwl(rep).total)
         monkeypatch.undo()
         assert len(decompose(g).terms) == 9  # as before the solves were shared
 
@@ -288,7 +290,7 @@ class TestLoopReferences:
         first one on ties."""
         rng = np.random.default_rng(26)
         mesh = random_lattice_mesh(rng)
-        g = normalize_mod_affine(CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices)))
+        g = normalize_mod_affine(CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices)))[0]
         _, normal = loop_jump_operators(mesh)
         for _ in range(3):
             _, cert = is_extremal(g)
@@ -335,10 +337,10 @@ class TestDecompose:
             assert dec.value_residual <= 1e-8
             assert abs(dec.coefficient_sum - total) <= 1e-8
             recon = sum(c * t.values for c, t in zip(dec.coefficients, dec.terms))
-            rep = normalize_mod_affine(g)
+            rep = normalize_mod_affine(g)[0]
             assert np.max(np.abs(recon - rep.values)) <= 1e-8
             for t in dec.terms:
-                assert is_extremal(t.cpwl)[0]
+                assert is_extremal(t)[0]
 
     def test_affine_rejected(self):
         mesh = uniform_diagonal_mesh(2)
@@ -347,19 +349,23 @@ class TestDecompose:
             decompose(CpwlFunction(mesh, fv[:, 0]))
 
     def test_builds_few_functions(self, monkeypatch):
-        """The greedy loop runs on value vectors: decompose on the 36-vertex
-        input of test_cli's digest builds at most five CpwlFunctions per
-        term."""
+        """The greedy loop runs on value vectors against one per-mesh kernel:
+        decompose on the 36-vertex input of test_cli's digest builds one
+        CpwlFunction per returned term and one gradient stencil in all."""
         rng = np.random.default_rng(5)
         mesh = random_lattice_mesh(rng, n_interior=32)
         g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
-        built = []
+        built, stencils = [], []
         init = CpwlFunction.__post_init__
         monkeypatch.setattr(CpwlFunction, "__post_init__",
                             lambda self: built.append(1) or init(self))
+        stencil_init = _GradientStencil.__init__
+        monkeypatch.setattr(_GradientStencil, "__init__",
+                            lambda self, m: stencils.append(1) or stencil_init(self, m))
         dec = decompose(g)
         assert len(dec.terms) == 33
-        assert len(built) <= 5 * len(dec.terms)
+        assert len(built) == len(dec.terms)
+        assert len(stencils) == 1
 
 
 class TestRigidity:
