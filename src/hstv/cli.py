@@ -8,6 +8,7 @@ identical invocations.  Exit codes: 0 success, 1 domain error, 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -59,7 +60,9 @@ def _check_threads_env() -> None:
     # honored trivially.
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hstv",
         description="Hessian-Schatten total variation toolbox for the unit square",

@@ -22,37 +22,40 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ExtremalError, MeshError
-from .htv import _jumps, _require_covering, _support_mask, htv_cpwl
-from .mesh import CpwlFunction, Triangulation, _GradientStencil
+from .errors import ExtremalError
+from .htv import _EdgeKernel
+from .mesh import CpwlFunction, Triangulation
 
 SUPPORT_REL_TOL = 1e-9
+
+
+def _check_tol(tol: float, bound: float = math.inf) -> None:
+    """Refuse a tolerance that would switch its checks off."""
+    if not 0.0 <= tol < bound:
+        raise ExtremalError(f"tolerance {tol!r} is not in [0, {bound:g})")
 
 
 # -- linear structure of a mesh -------------------------------------------------
 
 
-class _MeshAlgebra:
-    """The linear algebra of the extremality constraints on one mesh.
+class _MeshAlgebra(_EdgeKernel):
+    """The edge kernel of one mesh plus the linear algebra of the
+    extremality constraints on it.
 
-    Every part is kept for the mesh's lifetime: the gradient stencil and
-    the edge lengths, and, built on first use, the affine design matrix and
-    its orthonormal basis, the orthonormal basis of the affine complement
-    and the jump operators.  The greedy loop runs on plain value vectors
-    through `normalize`, `energy`, `support`, `witness` and `reduce`.  Only
-    the mesh's own arrays are referenced, so the cache does not keep the
-    mesh alive.  A mesh that does not tile its bounding square is refused,
-    as `htv_cpwl` refuses it.
+    Every part is kept for the mesh's lifetime: the kernel's gradient
+    stencil and edge lengths, and, built on first use, the affine design
+    matrix and its orthonormal basis, the orthonormal basis of the affine
+    complement and the jump operators.  The greedy loop runs on plain value
+    vectors through `normalize`, `energy`, `support`, `witness` and
+    `reduce`.  Only the mesh's own arrays are referenced, so the cache does
+    not keep the mesh alive.
     """
 
     def __init__(self, mesh: Triangulation):
-        _require_covering(mesh)
+        super().__init__(mesh)
         self._fv = mesh.float_vertices
         self._tris = mesh.triangle_array
         self._edges = mesh.interior_edge_array
-        self._tpairs = mesh.interior_tri_array
-        self._lengths = mesh.edge_lengths()
-        self._stencil = _GradientStencil(mesh)
 
     @cached_property
     def design(self) -> np.ndarray:
@@ -83,12 +86,12 @@ class _MeshAlgebra:
         """
         fv, tris = self._fv, self._tris
         # Per-triangle gradient coefficient stencils (2 x 3 each).
-        st = self._stencil
+        st = self.stencil
         e1x, e1y, e2x, e2y, det = st.e1x, st.e1y, st.e2x, st.e2y, st.det
         gx = np.stack([(e1y - e2y) / det, e2y / det, -e1y / det], axis=1)
         gy = np.stack([(e2x - e1x) / det, -e2x / det, e1x / det], axis=1)
 
-        edges, tpairs = self._edges, self._tpairs
+        edges, tpairs = self._edges, self.tpairs
         n_edges, nv = len(edges), len(fv)
         d = fv[edges[:, 1]] - fv[edges[:, 0]]
         ln = np.array([math.hypot(dx, dy) for dx, dy in d.tolist()])
@@ -121,18 +124,6 @@ class _MeshAlgebra:
         q = self.affine_basis
         return reduced - q @ (q.T @ reduced), coef
 
-    def energy(self, values: np.ndarray) -> float:
-        """The energy of `values`, with the float operations of `htv_cpwl`.
-        Non-finite values raise MeshError, as a CpwlFunction of them would."""
-        if not np.isfinite(values).all():
-            raise MeshError("non-finite vertex value")
-        j = _jumps(self._stencil.gradients(values), self._tpairs)
-        return float(np.sum(np.hypot(j[:, 0], j[:, 1]) * self._lengths))
-
-    def support(self, values: np.ndarray, tol: float) -> np.ndarray:
-        """Support mask of `values` by jump norm (`support_mask_by_jump`)."""
-        return _support_mask(_jumps(self._stencil.gradients(values), self._tpairs), tol)
-
     def witness(self, values: np.ndarray, basis: np.ndarray) -> np.ndarray:
         """Unit column of the span of `basis` farthest from the line of the
         affine-normalized `values`."""
@@ -152,8 +143,7 @@ class _MeshAlgebra:
         Returns (lambda, the normalized values - lambda * witness, their
         support mask); lambda is the smallest-magnitude jump ratio over the
         usable support edges, and the new support must be a strict subset
-        of `support`.  Non-finite values raise MeshError, as a CpwlFunction
-        of them would.
+        of `support`.  Non-finite values raise MeshError.
         """
         _, normal_op = self.jump_operators
         jn_g = normal_op @ values
@@ -165,8 +155,6 @@ class _MeshAlgebra:
         ratios = jn_g[usable] / jn_h[usable]
         lam = ratios[np.argmin(np.abs(ratios))]  # the first of the smallest
         nxt, _ = self.normalize(values - lam * witness)
-        if not np.isfinite(nxt).all():
-            raise MeshError("non-finite vertex value")
         new_support = self.support(nxt, tol)
         if (new_support > support).any() or (
                 np.count_nonzero(new_support) >= np.count_nonzero(support)):
@@ -257,8 +245,10 @@ def is_extremal(g: CpwlFunction, tol: float = SUPPORT_REL_TOL
 
     The certificate carries the computed space; when the answer is False it
     also holds a witness direction inside the support that is not a multiple
-    of g.
+    of g.  `tol` is relative to the largest jump, so it must lie in [0, 1):
+    from 1 on every support is empty.
     """
+    _check_tol(tol, 1.0)
     cert = _certify(g.mesh, g.values, _algebra(g.mesh).support(g.values, tol))
     return cert.witness is None, cert
 
@@ -285,22 +275,20 @@ def perturbation_identity_check(g: CpwlFunction, h: CpwlFunction,
     must vanish whenever h's curvature lives inside g's support.  Returns 0
     for h = 0.
     """
-    report_g = htv_cpwl(g)
-    jumps_g = report_g.jumps
-    norms_g = np.hypot(jumps_g[:, 0], jumps_g[:, 1])
-    jumps_h = htv_cpwl(h).jumps
-    norms_h = np.hypot(jumps_h[:, 0], jumps_h[:, 1])
-    delta_cap = float(norms_h.max()) if len(norms_h) else 0.0
+    if h.mesh is not g.mesh:
+        raise ExtremalError("g and h must share a mesh")
+    alg = _algebra(g.mesh)
+    norms_h = np.hypot(*alg.jumps(h.values).T)
+    delta_cap = float(norms_h.max(initial=0.0))
     if delta_cap <= 1e-300:
         return 0.0
-    thr = tol * float(norms_g.max())
-    nonzero = norms_g[norms_g > thr]
+    nonzero = np.hypot(*alg.jumps(g.values).T)[alg.support(g.values, tol)]
     if len(nonzero) == 0:
         raise ExtremalError("g has empty support")
     eps = float(nonzero.min()) / delta_cap
-    plus = htv_cpwl(g.with_values(g.values + eps * h.values)).total
-    minus = htv_cpwl(g.with_values(g.values - eps * h.values)).total
-    return abs(plus + minus - 2.0 * report_g.total)
+    plus = alg.energy(g.values + eps * h.values)
+    minus = alg.energy(g.values - eps * h.values)
+    return abs(plus + minus - 2.0 * alg.energy(g.values))
 
 
 # -- greedy support reduction ----------------------------------------------------
@@ -373,8 +361,10 @@ def decompose(g: CpwlFunction, tol: float = 1e-8) -> Decomposition:
     subtract the largest multiple that keeps every remaining jump on its
     original side of zero.  Each step zeroes at least one support edge, so
     the loop terminates, and because no sign ever flips the energies add up:
-    the coefficient sum equals the input energy (rigidity).
+    the coefficient sum equals the input energy (rigidity).  `tol` must be
+    finite and >= 0.
     """
+    _check_tol(tol)
     mesh = g.mesh
     alg = _algebra(mesh)
     x, _ = alg.normalize(g.values)
@@ -427,13 +417,12 @@ def rigidity_check(f: CpwlFunction, g: CpwlFunction,
     """
     if f.mesh is not g.mesh:
         raise ExtremalError("f and g must share a mesh")
-    rf = htv_cpwl(f)
-    rg = htv_cpwl(g)
-    rs = htv_cpwl(f.with_values(f.values + g.values))
-    if abs(rs.total - rf.total - rg.total) > total_tol * max(1.0, rf.total + rg.total):
+    alg = _algebra(f.mesh)
+    cf, cg, cs = (alg.contributions(alg.jumps(v))
+                  for v in (f.values, g.values, f.values + g.values))
+    tf, tg, ts = (float(np.sum(c)) for c in (cf, cg, cs))
+    if abs(ts - tf - tg) > total_tol * max(1.0, tf + tg):
         raise ExtremalError(
-            "precondition failed: totals are not additive "
-            f"({rs.total} vs {rf.total} + {rg.total})"
-        )
-    gap = np.abs(rs.contributions - rf.contributions - rg.contributions)
-    return bool(np.all(gap <= edge_tol * max(1.0, rf.total + rg.total)))
+            f"precondition failed: totals are not additive ({ts} vs {tf} + {tg})")
+    gap = np.abs(cs - cf - cg)
+    return bool(np.all(gap <= edge_tol * max(1.0, tf + tg)))

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MeshError
-from .mesh import CpwlFunction, Edge, Triangulation
+from .mesh import CpwlFunction, Edge, Triangulation, _GradientStencil
 from .schatten import INF, check_p, schatten_norms
 
 
@@ -36,25 +36,39 @@ class HtvReport:
         return [tuple(e) for e in self.edge_array.tolist()]
 
 
-def _require_covering(mesh: Triangulation):
-    if not mesh.covers_bbox_exactly():
-        raise MeshError(
-            "mesh does not cover its bounding square: CPWL energy needs a full tiling"
-        )
+class _EdgeKernel:
+    """The CPWL edge rules on one mesh: gradient jumps across the interior
+    edges, contributions |jump| * length, energy and jump-norm support.  A
+    mesh that does not tile its bounding square is refused."""
 
+    def __init__(self, mesh: Triangulation):
+        if not mesh.covers_bbox_exactly():
+            raise MeshError(
+                "mesh does not cover its bounding square: CPWL energy needs a full tiling")
+        self.stencil = _GradientStencil(mesh)
+        self.tpairs = mesh.interior_tri_array
+        self.lengths = mesh.edge_lengths()
 
-def _jumps(grads: np.ndarray, tpairs: np.ndarray) -> np.ndarray:
-    """(E, 2) jumps of the per-triangle gradients `grads` across the interior
-    edges whose triangle pairs are `tpairs`, second triangle minus first."""
-    return grads.take(tpairs[:, 1], axis=0) - grads.take(tpairs[:, 0], axis=0)
+    def jumps(self, values: np.ndarray) -> np.ndarray:
+        """(E, 2) gradient jumps across the interior edges in id order, second
+        triangle minus first.  Non-finite values raise MeshError."""
+        if not np.isfinite(values).all():
+            raise MeshError("non-finite vertex value")
+        grads = self.stencil.gradients(values)
+        return grads.take(self.tpairs[:, 1], axis=0) - grads.take(self.tpairs[:, 0], axis=0)
 
+    def contributions(self, jumps: np.ndarray) -> np.ndarray:
+        """(E,) per-edge energies |jump| * length."""
+        return np.hypot(jumps[:, 0], jumps[:, 1]) * self.lengths
 
-def _jump_data(g: CpwlFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(jumps, lengths, contributions) over interior edges in id order."""
-    jumps = _jumps(g.gradients(), g.mesh.interior_tri_array)
-    lengths = g.mesh.edge_lengths()
-    contributions = np.hypot(jumps[:, 0], jumps[:, 1]) * lengths
-    return jumps, lengths, contributions
+    def energy(self, values: np.ndarray) -> float:
+        """The contributions summed in edge-id order (numpy's pairwise sum)."""
+        return float(np.sum(self.contributions(self.jumps(values))))
+
+    def support(self, values: np.ndarray, rel_tol: float) -> np.ndarray:
+        """The mask |jump| > rel_tol * max |jump| over interior-edge ids."""
+        norms = np.hypot(*self.jumps(values).T)
+        return norms > rel_tol * float(norms.max(initial=0.0))
 
 
 def htv_cpwl(g: CpwlFunction, p=1) -> HtvReport:
@@ -66,14 +80,15 @@ def htv_cpwl(g: CpwlFunction, p=1) -> HtvReport:
     are summed in edge-id order with numpy's pairwise reduction.
     """
     p = check_p(p)
-    _require_covering(g.mesh)
-    jumps, lengths, contributions = _jump_data(g)
+    kernel = _EdgeKernel(g.mesh)
+    jumps = kernel.jumps(g.values)
+    contributions = kernel.contributions(jumps)
     return HtvReport(
         total=float(np.sum(contributions)),
         p=p,
         edge_array=g.mesh.interior_edge_array,
         jumps=jumps,
-        lengths=lengths,
+        lengths=kernel.lengths,
         contributions=contributions,
     )
 
@@ -83,17 +98,10 @@ def support_mask_by_jump(g: CpwlFunction, rel_tol: float = 1e-9) -> np.ndarray:
     boolean mask over interior-edge ids.
 
     This is the tolerance rule shared by the extremality pipeline: an edge
-    is in the support iff |jump| > rel_tol * max |jump|.
+    is in the support iff |jump| > rel_tol * max |jump|.  A mesh that does
+    not tile its bounding square is refused, as in htv_cpwl.
     """
-    return _support_mask(_jumps(g.gradients(), g.mesh.interior_tri_array), rel_tol)
-
-
-def _support_mask(jumps: np.ndarray, rel_tol: float) -> np.ndarray:
-    """The mask |jump| > rel_tol * max |jump| over the rows of `jumps`."""
-    if len(jumps) == 0:
-        return np.zeros(0, dtype=bool)
-    norms = np.hypot(jumps[:, 0], jumps[:, 1])
-    return norms > rel_tol * float(norms.max())
+    return _EdgeKernel(g.mesh).support(g.values, rel_tol)
 
 
 def p_independence_check(g: CpwlFunction) -> float:
@@ -104,8 +112,8 @@ def p_independence_check(g: CpwlFunction) -> float:
     jump (x) normal tensor per edge and takes genuine Schatten norms, so the
     equality across p is checked, not assumed.  Returns 0 for affine input.
     """
-    _require_covering(g.mesh)
-    jumps, lengths, _ = _jump_data(g)
+    kernel = _EdgeKernel(g.mesh)
+    jumps, lengths = kernel.jumps(g.values), kernel.lengths
     x, y = g.mesh.float_vertices.T
     u, v = g.mesh.interior_edge_array.T
     nx, ny = -(y[v] - y[u]) / lengths, (x[v] - x[u]) / lengths

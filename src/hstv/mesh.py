@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -375,7 +375,6 @@ class CpwlFunction:
 
     mesh: Triangulation
     values: np.ndarray
-    _gradients: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -389,9 +388,7 @@ class CpwlFunction:
 
     def gradients(self) -> np.ndarray:
         """Per-triangle gradient vectors, shape (n_triangles, 2)."""
-        if self._gradients is None:
-            self._gradients = _GradientStencil(self.mesh).gradients(self.values)
-        return self._gradients
+        return _GradientStencil(self.mesh).gradients(self.values)
 
     def with_values(self, values) -> "CpwlFunction":
         return CpwlFunction(self.mesh, np.asarray(values, dtype=float))

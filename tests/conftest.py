@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -14,7 +15,14 @@ from hstv.approx import (
 )
 from hstv.errors import MeshError, PlanError
 from hstv.fields import GridSample
-from hstv.mesh import CpwlFunction, Triangulation, _first_occurrence, uniform_diagonal_mesh
+from hstv.mesh import (
+    CpwlFunction,
+    Triangulation,
+    _first_occurrence,
+    _GradientStencil,
+    mesh_document,
+    uniform_diagonal_mesh,
+)
 from hstv.schatten import schatten_norms, sym_eigen_frame
 
 
@@ -34,6 +42,31 @@ def diag_square() -> Triangulation:
         [(0, 0), (1, 0), (1, 1), (0, 1)],
         [(0, 1, 2), (0, 2, 3)],
     )
+
+
+@pytest.fixture
+def stencils(monkeypatch) -> list:
+    """Grows by one entry per `_GradientStencil` built during the test."""
+    built = []
+    init = _GradientStencil.__init__
+    monkeypatch.setattr(_GradientStencil, "__init__",
+                        lambda self, m: built.append(1) or init(self, m))
+    return built
+
+
+def non_tiling_documents() -> tuple[dict, dict]:
+    """Two mesh documents of the 4x4 grid hat that do not tile the square:
+    one with a stray triangle inside one cell, one with a corner triangle
+    dropped."""
+    doc = mesh_document(grid_hat(4, 2, 2))
+    stray = json.loads(json.dumps(doc))
+    stray["vertices"] += [["1", "8", "1", "16"], ["3", "16", "1", "16"],
+                          ["3", "16", "1", "8"]]
+    stray["triangles"].append([25, 26, 27])
+    stray["values"] += ["0.0"] * 3
+    dropped = json.loads(json.dumps(doc))
+    del dropped["triangles"][0]
+    return stray, dropped
 
 
 def grid_hat(n: int, i: int, j: int) -> CpwlFunction:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_hat, jittered_document, random_lattice_mesh
+from conftest import grid_hat, jittered_document, non_tiling_documents, random_lattice_mesh
 from hstv.cli import main
 from hstv.htv import htv_cpwl
 from hstv.mesh import (
@@ -354,16 +354,8 @@ def test_extremal_refuses_non_tiling_meshes(tmp_path, capsys):
     """A 4x4 grid hat with a stray triangle inside one cell, or with a
     corner triangle dropped, does not tile the square: `htv` and both
     extremal commands refuse it with one error line."""
-    doc = mesh_document(grid_hat(4, 2, 2))
-    stray = json.loads(json.dumps(doc))
-    stray["vertices"] += [["1", "8", "1", "16"], ["3", "16", "1", "16"],
-                          ["3", "16", "1", "8"]]
-    stray["triangles"].append([25, 26, 27])
-    stray["values"] += ["0.0"] * 3
-    dropped = json.loads(json.dumps(doc))
-    del dropped["triangles"][0]
     path = tmp_path / "mesh.json"
-    for bad in (stray, dropped):
+    for bad in non_tiling_documents():
         path.write_text(json.dumps(bad))
         for argv in (["htv", path], ["extremal", "test", path],
                      ["extremal", "decompose", path, "--out", tmp_path / "d.json"]):
@@ -372,6 +364,29 @@ def test_extremal_refuses_non_tiling_meshes(tmp_path, capsys):
             assert out == ""
             assert err == ("error: mesh does not cover its bounding square: "
                            "CPWL energy needs a full tiling\n")
+
+
+def test_extremal_refuses_tolerances_that_switch_checks_off(hat_file, tmp_path, capsys):
+    """A NaN, infinite or negative `--tol`, or a relative `extremal test`
+    tolerance of 1 or more, exits 1 with an error line: such a tolerance
+    turns off the sign and stall checks of `decompose` (a random 4x4-grid
+    function ran to the loop cap, 42 terms against 22) or empties every
+    support in `test`.  A zero tolerance is kept."""
+    path = tmp_path / "g.json"
+    save_mesh(CpwlFunction(uniform_diagonal_mesh(4),
+                           np.random.default_rng(0).standard_normal(25)), path)
+    cases = [["decompose", path, "--tol", tol, "--out", tmp_path / "d.json"]
+             for tol in ("nan", "inf", "-1")]
+    cases += [["test", f, "--tol", tol]
+              for f in (path, hat_file) for tol in ("nan", "inf", "1e300", "1", "-1")]
+    for argv in cases:
+        assert main(["extremal", *map(str, argv)]) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: tolerance "), err
+    assert not (tmp_path / "d.json").exists()
+    assert main(["extremal", "test", str(hat_file), "--tol", "0"]) == 0
+    assert capsys.readouterr().out == "extremal (dim=1)\n"
 
 
 def test_threads_env_validation(hat_file, monkeypatch, capsys):

@@ -17,7 +17,7 @@ from hstv.extremal import (
     support_reduce,
 )
 from hstv.htv import htv_cpwl, support_mask_by_jump
-from hstv.mesh import CpwlFunction, _GradientStencil, uniform_diagonal_mesh
+from hstv.mesh import CpwlFunction, uniform_diagonal_mesh
 
 
 def two_hats(scale_a=1.0, scale_b=1.0):
@@ -129,6 +129,17 @@ class TestIsExtremal:
         with pytest.raises(ExtremalError):
             is_extremal(CpwlFunction(mesh, 2.0 * fv[:, 0] + 1.0))
 
+    def test_tolerances_that_switch_the_test_off(self):
+        """A negative tolerance put every edge in the support (the hat read
+        `False, dim=22`); NaN, inf and any relative tolerance from 1 on left
+        it empty ("function is affine").  Each is refused; 0 is kept."""
+        g = grid_hat(4, 2, 2)
+        for tol in (-1.0, math.nan, math.inf, 1e300, 1.0):
+            with pytest.raises(ExtremalError, match="tolerance"):
+                is_extremal(g, tol)
+        verdict, cert = is_extremal(g, 0.0)
+        assert verdict and cert.space.dim == 1
+
 
 class TestPerturbationIdentity:
     def test_collinear_direction(self):
@@ -149,6 +160,14 @@ class TestPerturbationIdentity:
     def test_zero_perturbation(self):
         g = grid_hat(4, 2, 2)
         assert perturbation_identity_check(g, g.with_values(np.zeros_like(g.values))) == 0.0
+
+    def test_meshes_must_match(self):
+        """h on the grid cut along the other diagonal (same V) read 0.0; h
+        on a smaller grid raised a numpy broadcast error."""
+        g = grid_hat(4, 2, 2)
+        for h in (CpwlFunction(uniform_diagonal_mesh(4, "anti"), g.values), grid_hat(3, 1, 1)):
+            with pytest.raises(ExtremalError, match="share a mesh"):
+                perturbation_identity_check(g, h)
 
 
 class TestSupportReduce:
@@ -348,20 +367,26 @@ class TestDecompose:
         with pytest.raises(ExtremalError):
             decompose(CpwlFunction(mesh, fv[:, 0]))
 
-    def test_builds_few_functions(self, monkeypatch):
+    def test_tolerances_that_switch_checks_off(self):
+        """A NaN tolerance turned off the sign and stall checks: a random
+        4x4-grid function ran to the loop cap, 42 terms against 22."""
+        g = CpwlFunction(uniform_diagonal_mesh(4), np.random.default_rng(0).standard_normal(25))
+        assert len(decompose(g).terms) == 22
+        for tol in (math.nan, math.inf, -1e-8):
+            with pytest.raises(ExtremalError, match="tolerance"):
+                decompose(g, tol)
+
+    def test_builds_few_functions(self, monkeypatch, stencils):
         """The greedy loop runs on value vectors against one per-mesh kernel:
         decompose on the 36-vertex input of test_cli's digest builds one
         CpwlFunction per returned term and one gradient stencil in all."""
         rng = np.random.default_rng(5)
         mesh = random_lattice_mesh(rng, n_interior=32)
         g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
-        built, stencils = [], []
+        built = []
         init = CpwlFunction.__post_init__
         monkeypatch.setattr(CpwlFunction, "__post_init__",
                             lambda self: built.append(1) or init(self))
-        stencil_init = _GradientStencil.__init__
-        monkeypatch.setattr(_GradientStencil, "__init__",
-                            lambda self, m: stencils.append(1) or stencil_init(self, m))
         dec = decompose(g)
         assert len(dec.terms) == 33
         assert len(built) == len(dec.terms)
@@ -387,3 +412,22 @@ class TestRigidity:
         h = grid_hat(2, 1, 1)
         with pytest.raises(ExtremalError):
             rigidity_check(g, h)
+
+    def test_overflowing_sum_rejected(self):
+        g = grid_hat(4, 2, 2)
+        f = g.with_values(1e308 * g.values)
+        with np.errstate(all="ignore"), pytest.raises(MeshError, match="non-finite vertex value"):
+            rigidity_check(f, f)
+
+
+class TestKernelRoute:
+    def test_checks_reuse_the_mesh_kernel(self, stencils):
+        """After decompose has seen a mesh, the perturbation and rigidity
+        checks on it build no gradient stencil (they built 4 and 2 through
+        htv_cpwl)."""
+        a, b, two = two_hats(2.0, 5.0)
+        decompose(two)
+        assert len(stencils) == 1
+        assert perturbation_identity_check(two, a) <= 1e-10
+        assert rigidity_check(a, b)
+        assert len(stencils) == 1

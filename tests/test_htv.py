@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_force_htv, grid_hat, random_lattice_mesh
+from conftest import brute_force_htv, grid_hat, non_tiling_documents, random_lattice_mesh
 from hstv.errors import MeshError
 from hstv.htv import htv_cpwl, p_independence_check, support_mask_by_jump
-from hstv.mesh import CpwlFunction, Triangulation
+from hstv.mesh import CpwlFunction, Triangulation, cpwl_from_document
 from hstv.schatten import INF
 
 
@@ -132,6 +132,20 @@ def test_non_covering_meshes_rejected():
     )
     with pytest.raises(MeshError):
         htv_cpwl(CpwlFunction(two, np.zeros(6)))
+
+
+def test_support_mask_refuses_non_tiling_meshes():
+    for doc in non_tiling_documents():
+        with pytest.raises(MeshError, match="does not cover its bounding square"):
+            support_mask_by_jump(cpwl_from_document(doc))
+
+
+def test_one_stencil_per_call(stencils):
+    g = grid_hat(4, 2, 2)
+    for run in (htv_cpwl, support_mask_by_jump, p_independence_check):
+        stencils.clear()
+        run(g)
+        assert len(stencils) == 1, run
 
 
 def test_random_meshes_match_brute_force():
