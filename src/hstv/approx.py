@@ -32,6 +32,10 @@ Coord = tuple[Fraction, Fraction]
 # Ceiling on the rotated-lattice points a plan's cells scan, sum of (m + n + 1)^2.
 MAX_LATTICE_POINTS = 2**24
 
+# The common boundary spacing of a plan, at most 2^-(N + K), is at least
+# 2^-MAX_SPACING_BITS.
+MAX_SPACING_BITS = 40
+
 
 # -- rational angles -----------------------------------------------------------
 
@@ -147,9 +151,12 @@ def build_frames(fld: SmoothField, N: int, samples_per_square: int = 9) -> list[
         raise HstvError("N must be >= 0")
     if samples_per_square < 2:
         raise HstvError("samples_per_square must be >= 2")
-    if 4**N * _MIN_CELL_LATTICE_POINTS > MAX_LATTICE_POINTS:
+    # 4^N > MAX_LATTICE_POINTS from N = bit_length // 2 + 1 on; for larger N
+    # the count would only be a huge integer, slow to form and to print.
+    if (N > MAX_LATTICE_POINTS.bit_length() // 2
+            or 4**N * _MIN_CELL_LATTICE_POINTS > MAX_LATTICE_POINTS):
         raise PlanError(
-            f"N={N}: {4**N} cells scan at least {4**N * _MIN_CELL_LATTICE_POINTS} "
+            f"N={N}: 4^{N} cells scan at least {_MIN_CELL_LATTICE_POINTS} x 4^{N} "
             f"rotated-lattice points, above {MAX_LATTICE_POINTS}: plan too fine to realize"
         )
     side = Fraction(1, 2**N)
@@ -266,10 +273,14 @@ def plan_mesh(frames: Sequence[SquareFrame], N: int, K: int, mode: str = "lcm") 
             m0_all *= q
     else:
         m0_all = math.lcm(*qs)
-    spacing = Fraction(1, (1 << (N + K)) * m0_all)
-    if spacing < Fraction(1, 1 << 40):
+    if N + K > MAX_SPACING_BITS:
         raise PlanError(
-            f"boundary spacing {spacing} below 2^-40: angle denominators {dens} "
+            f"boundary spacing at most 2^-(N + K), below 2^-{MAX_SPACING_BITS}: "
+            f"N={N} and K={K} make the grid unrealizably fine")
+    spacing = Fraction(1, (1 << (N + K)) * m0_all)
+    if spacing < Fraction(1, 1 << MAX_SPACING_BITS):
+        raise PlanError(
+            f"boundary spacing {spacing} below 2^-{MAX_SPACING_BITS}: angle denominators {dens} "
             f"({mode} combination = {m0_all}) make the grid unrealizably fine"
         )
     if (m0_all << K) > 4096:

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import __version__
-from .approx import convergence_experiment
+from .approx import MAX_SPACING_BITS, convergence_experiment
 from .errors import HstvError
 from .extremal import decompose, is_extremal
 from .fields import parse_field
@@ -42,6 +42,11 @@ def _parse_k_range(text: str) -> list[int]:
         lo, hi = int(a), int(b)
         if hi < lo:
             raise argparse.ArgumentTypeError(f"empty K range {text!r}")
+        # Only K in 0..MAX_SPACING_BITS can be planned; a wider range is
+        # refused before its list is built.
+        if hi - lo > MAX_SPACING_BITS:
+            raise argparse.ArgumentTypeError(
+                f"K range {text!r} has more than {MAX_SPACING_BITS + 1} levels")
         return list(range(lo, hi + 1))
     return [int(text)]
 
@@ -124,12 +129,14 @@ def _write_edge_csv(f, g, report) -> None:
     xs, ys = (list(map(repr, c)) for c in g.mesh.float_vertices.T.tolist())
     for lo in range(0, len(report.edge_array), _CSV_CHUNK_EDGES):
         block = slice(lo, lo + _CSV_CHUNK_EDGES)
+        u, v = report.edge_array[block].T.tolist()
+        jx, jy = report.jumps[block].T.tolist()
         f.write("".join(
-            f"{u}-{v},{xs[u]},{ys[u]},{xs[v]},{ys[v]},"
-            f"{math.hypot(jx, jy)!r},{length!r},{contribution!r}\n"
-            for (u, v), (jx, jy), length, contribution in zip(
-                report.edge_array[block].tolist(), report.jumps[block].tolist(),
-                report.lengths[block].tolist(), report.contributions[block].tolist())))
+            f"{a}-{b},{xs[a]},{ys[a]},{xs[b]},{ys[b]},"
+            f"{math.hypot(x, y)!r},{length!r},{contribution!r}\n"
+            for a, b, x, y, length, contribution in zip(
+                u, v, jx, jy, report.lengths[block].tolist(),
+                report.contributions[block].tolist())))
 
 
 def _cmd_htv(args) -> int:

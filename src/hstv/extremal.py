@@ -249,17 +249,25 @@ def is_extremal(g: CpwlFunction, tol: float = SUPPORT_REL_TOL
     from 1 on every support is empty.
     """
     _check_tol(tol, 1.0)
-    cert = _certify(g.mesh, g.values, _algebra(g.mesh).support(g.values, tol))
+    cert = _certify(g.mesh, g.values, _algebra(g.mesh).support(g.values, tol), tol)
     return cert.witness is None, cert
 
 
-def _certify(mesh: Triangulation, values: np.ndarray, support: np.ndarray
-             ) -> ExtremalCertificate:
-    """The extremality certificate of `values`, whose support mask is known."""
+def _certify(mesh: Triangulation, values: np.ndarray, support: np.ndarray,
+             tol: float) -> ExtremalCertificate:
+    """The extremality certificate of `values`, whose support mask at
+    relative tolerance `tol` is known."""
     if not support.any():
         raise ExtremalError("function is affine (zero energy): not on the unit sphere")
     space = constrained_space(mesh, support)
     if space.dim < 1:
+        norms = np.hypot(*_algebra(mesh).jumps(values).T)
+        dropped = norms[~support & (norms > 0)]
+        if len(dropped):
+            raise ExtremalError(
+                f"g is not inside its own constraint space: tolerance {tol!r} left "
+                f"{len(dropped)} edges with a nonzero jump out of the support, the "
+                f"largest {dropped.max() / norms.max():.3e} times the largest jump")
         raise ExtremalError("numerical rank failure: g not inside its own constraint space")
     if space.dim == 1:
         return ExtremalCertificate(space, None)
@@ -323,7 +331,7 @@ def _extremal_in_support(mesh: Triangulation, values: np.ndarray, tol: float
     alg = _algebra(mesh)
     support = alg.support(values, tol)
     for _ in range(len(support) + 2):
-        cert = _certify(mesh, values, support)
+        cert = _certify(mesh, values, support, tol)
         if cert.witness is None:
             return values / alg.energy(values)
         _, values, support = alg.reduce(values, cert.witness, support, tol)
@@ -384,11 +392,16 @@ def decompose(g: CpwlFunction, tol: float = 1e-8) -> Decomposition:
         used = np.abs(jn_t) > t_thr
         ratios = jn_x[used] / jn_t[used]
         pos = ratios[ratios > 0]
-        if not len(pos) or ratios.min() < -tol * max(1.0, total):
+        bound = tol * max(1.0, total)
+        if len(ratios) and ratios.min() < -bound:
+            raise ExtremalError(
+                "jump signs of the extremal direction disagree with the input: jump "
+                f"ratio {ratios.min():.3e} is below -tol * max(1, total) = {-bound:.3e} "
+                f"at tolerance {tol!r}")
+        if not len(pos):
             raise ExtremalError(
                 "jump signs of the extremal direction disagree with the input: "
-                "numerical rank failure"
-            )
+                "no positive jump ratio: numerical rank failure")
         c = pos.min()
         terms.append(CpwlFunction(mesh, t))
         coeffs.append(float(c))

@@ -118,10 +118,8 @@ def p_independence_check(g: CpwlFunction) -> float:
     u, v = g.mesh.interior_edge_array.T
     nx, ny = -(y[v] - y[u]) / lengths, (x[v] - x[u]) / lengths
     jx, jy = jumps[:, 0], jumps[:, 1]
-    totals = [
-        float(np.sum(schatten_norms(jx * nx, jx * ny, jy * nx, jy * ny, p) * lengths))
-        for p in (1.0, 2.0, INF)
-    ]
+    tensor = jx * nx, jx * ny, jy * nx, jy * ny
+    totals = [float(np.sum(schatten_norms(*tensor, p) * lengths)) for p in (1.0, 2.0, INF)]
     base = max(totals)
     if base == 0.0:
         return 0.0

@@ -9,8 +9,10 @@ expressions; floating point enters only at numeric evaluation boundaries
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -478,7 +480,8 @@ def cpwl_from_document(doc) -> CpwlFunction:
     num, dens = rows[:, [0, 2]], rows[:, [1, 3]]
     if (dens == 0).any():
         raise MeshError("malformed mesh document: zero denominator")
-    den = math.lcm(*np.unique(dens).tolist())  # lcm ignores signs
+    d = np.sort(dens, axis=None)
+    den = math.lcm(*d[np.r_[True, d[1:] != d[:-1]]].tolist())  # lcm ignores signs
     # int64 holds den and every n * (den // d) when max(|n|, 1) * den < 2^63.
     lo, hi = int(num.min()), int(num.max())
     if num.dtype == object or max(-lo, hi, 1) * den >= 2**63:
@@ -498,15 +501,36 @@ def save_mesh(g, path) -> None:
         f.write("\n")
 
 
-def load_mesh(path) -> CpwlFunction:
-    """Load a mesh JSON file; missing values default to zero."""
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, restoring the caller's state."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(path) as f:
-            doc = json.load(f)
-    # RecursionError: arrays or objects nested deeper than the decoder follows.
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        raise MeshError(f"cannot read mesh file {path}: {exc}") from exc
-    return cpwl_from_document(doc)
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def load_mesh(path) -> CpwlFunction:
+    """Load a mesh JSON file; missing values default to zero.
+
+    The decoded document can hold tens of thousands of small lists, enough
+    to set off collector passes over them while they are built; it is
+    acyclic and freed by reference counting, so the decode runs with the
+    collector paused and the document is freed before it resumes.
+    """
+    with _collector_paused():
+        try:
+            with open(path) as f:
+                doc = json.load(f)
+        # RecursionError: arrays or objects nested deeper than the decoder follows.
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
+            raise MeshError(f"cannot read mesh file {path}: {exc}") from exc
+        g = cpwl_from_document(doc)
+        del doc  # freed now: alive when the collector resumes, it would be scanned
+    return g
 
 
 def render_svg(g, path, width: int = 800) -> None:

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import grid_hat, jittered_document, non_tiling_documents, random_lattice_mesh
@@ -299,12 +300,21 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["approx", "--field", "quadratic:iso", "--N", "1", "--K", "11"]) == 1
     capsys.readouterr()
     # 4^N cells above the ceiling even at the smallest cell: rejected before
-    # any per-cell work, at once
-    for n in ("11", "40"):
+    # any per-cell work, at once (N=10000 printed 4^N, 6,021 digits, a
+    # ValueError); so is a boundary spacing below 2^-40 (K=10^20 and K of
+    # 4,300 nines overflowed the shift 1 << (N + K))
+    for n, k in (("11", "0"), ("40", "0"), ("10000", "0"), ("1", "99999999999999999999"),
+                 ("1", "9" * 4300)):
         t0 = time.perf_counter()
-        assert main(["approx", "--field", "quadratic:iso", "--N", n, "--K", "0"]) == 1
+        assert main(["approx", "--field", "quadratic:iso", "--N", n, "--K", k]) == 1
         assert time.perf_counter() - t0 < 2.0
         assert capsys.readouterr().err.startswith("error: ")
+    # a K range of more than 41 levels is a usage error (a range of 10^20
+    # levels was listed before any check)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["approx", "--field", "quadratic:iso", "--N", "1", "--K", "0..99999999999999999999"])
+    assert exit_info.value.code == 2
+    assert "more than 41 levels" in capsys.readouterr().err
     assert main(["approx", "--field", "rotated-quadratic:1,1,inf", "--N", "1", "--K", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     # Finite parameters whose derivatives underflow or overflow: sigma^4 is 0
@@ -387,6 +397,66 @@ def test_extremal_refuses_tolerances_that_switch_checks_off(hat_file, tmp_path, 
     assert not (tmp_path / "d.json").exists()
     assert main(["extremal", "test", str(hat_file), "--tol", "0"]) == 0
     assert capsys.readouterr().out == "extremal (dim=1)\n"
+
+
+def test_extremal_names_the_tolerance_that_failed(tmp_path, capsys):
+    """Allowed tolerances that fail on a random 4x4-grid function: `decompose
+    --tol 0` rejects a round-off-level negative jump ratio and `test --tol
+    0.99` drops 39 of 40 edges with a nonzero jump.  Each exits 1 with an
+    error line that names the tolerance, not a numerical rank failure."""
+    path = tmp_path / "g.json"
+    save_mesh(CpwlFunction(uniform_diagonal_mesh(4),
+                           np.random.default_rng(0).standard_normal(25)), path)
+    for argv, text in ((["decompose", path, "--tol", "0", "--out", tmp_path / "d.json"],
+                        "at tolerance 0.0"),
+                       (["test", path, "--tol", "0.99"], "tolerance 0.99 left 39 edges")):
+        assert main(["extremal", *map(str, argv)]) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and text in err and "numerical" not in err, err
+    assert not (tmp_path / "d.json").exists()
+
+
+FIELD_FAMILIES = ("quadratic", "rotated-quadratic", "gaussian-bump", "product-sine")
+FIELD_PARAMETERS = (0.0, -0.0, -1.0, 0.5, 3.0, 5e-324, -5e-324, 1e-308, 1e-160, 1e154,
+                    1e308, -1e308, math.nan, math.inf, -math.inf)
+_parameter = st.one_of(st.sampled_from(FIELD_PARAMETERS), st.floats()).map(repr)
+_field = st.one_of(
+    st.just("quadratic:iso"),
+    st.sampled_from(FIELD_FAMILIES),
+    st.builds(lambda name, ps: f"{name}:{','.join(ps)}",
+              st.sampled_from(FIELD_FAMILIES), st.lists(_parameter, max_size=7)))
+_p = st.one_of(st.sampled_from(["1", "2", "inf", "Infinity", "-inf", "nan", "0", "0.5",
+                                "1e400", "abc", ""]),
+               st.floats().map(repr))
+_k = st.one_of(
+    st.integers(-3, 1).map(str),
+    st.builds(lambda a, b: f"{a}..{b}", st.integers(-2, 1), st.integers(-2, 1)),
+    st.sampled_from(["a", "1..", "..1", "", "1e0", "99999999999999999999",
+                     "0..99999999999999999999", "-99999999999999999999..0"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field, _p, _k, st.sampled_from(["0", "1"]))
+@example("quadratic:iso", "1", "99999999999999999999", "1")
+@example("quadratic:iso", "1", "0..99999999999999999999", "1")
+@example("product-sine:1e155", "inf", "0..1", "1")
+def test_cli_approx_arguments_exit_cleanly(field, p, k, n):
+    """`hstv approx` on any field descriptor (every family, with extreme,
+    zero, negative and non-finite parameters and wrong counts), `--p` and
+    `--K` string exits 0, 1 or 2, prints no traceback, and prints `error:`
+    when it exits 1."""
+    argv = ["approx", f"--field={field}", f"--N={n}", f"--K={k}", f"--p={p}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert "error: " in err.getvalue(), (argv, err.getvalue())
 
 
 def test_threads_env_validation(hat_file, monkeypatch, capsys):

@@ -140,6 +140,17 @@ class TestIsExtremal:
         verdict, cert = is_extremal(g, 0.0)
         assert verdict and cert.space.dim == 1
 
+    def test_large_tolerance_named_in_the_error(self):
+        """At 0.99 the relative tolerance keeps one of the 40 edges, so g is
+        not inside its own constraint space: the error names the tolerance
+        and the 39 dropped edges, not a numerical rank failure."""
+        g = CpwlFunction(uniform_diagonal_mesh(4), np.random.default_rng(0).standard_normal(25))
+        with pytest.raises(ExtremalError) as info:
+            is_extremal(g, 0.99)
+        msg = str(info.value)
+        assert "tolerance 0.99" in msg and " 39 edges " in msg, msg
+        assert "numerical" not in msg
+
 
 class TestPerturbationIdentity:
     def test_collinear_direction(self):
@@ -375,6 +386,15 @@ class TestDecompose:
         for tol in (math.nan, math.inf, -1e-8):
             with pytest.raises(ExtremalError, match="tolerance"):
                 decompose(g, tol)
+
+    def test_zero_tolerance_named_in_the_error(self):
+        """At tol=0 a round-off-level negative jump ratio fails the sign
+        check: the error names the ratio and the tolerance, not a numerical
+        rank failure."""
+        g = CpwlFunction(uniform_diagonal_mesh(4), np.random.default_rng(0).standard_normal(25))
+        with pytest.raises(ExtremalError,
+                           match=r"jump ratio -\d\.\d{3}e-\d+ is below .* at tolerance 0\.0$"):
+            decompose(g, 0.0)
 
     def test_builds_few_functions(self, monkeypatch, stencils):
         """The greedy loop runs on value vectors against one per-mesh kernel:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -530,6 +531,68 @@ def test_load_rejects_malformed(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(MeshError):
             load_mesh(path)
+
+
+def test_load_leaves_numpy_ma_unloaded(tmp_path):
+    """Loading a mesh does not import numpy.ma, which np.unique imports on
+    its first call (14-30 ms in a fresh process)."""
+    path = tmp_path / "grid.json"
+    save_mesh(uniform_diagonal_mesh(4), path)
+    code = ("import sys; from hstv.mesh import load_mesh; "
+            f"load_mesh({str(path)!r}); print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
+def test_load_runs_no_collection(tmp_path):
+    """The decoded document's small lists are acyclic and freed by reference
+    counting, so loading runs no pass of the cyclic collector."""
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(jittered_document(np.random.default_rng(0), 48)))
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        load_mesh(path)
+    finally:
+        gc.callbacks.remove(count)
+    assert passes == []
+
+
+def test_load_restores_collector_state(tmp_path, monkeypatch):
+    """The collector is paused while the document is decoded, and the
+    caller's state, enabled or disabled, is back after a load that succeeds
+    and after one that raises."""
+    good = tmp_path / "good.json"
+    save_mesh(uniform_diagonal_mesh(4), good)
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    bad_doc = tmp_path / "bad_doc.json"
+    bad_doc.write_text(json.dumps({"vertices": [["0", "1", "0", "1"]], "triangles": [[0, 1]]}))
+    missing = tmp_path / "missing.json"
+    decoding = []
+    real_load = json.load
+    monkeypatch.setattr(json, "load", lambda f: decoding.append(gc.isenabled()) or real_load(f))
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            load_mesh(good)
+            assert gc.isenabled() is enabled
+            for path in (bad_json, bad_doc, missing):
+                with pytest.raises(MeshError):
+                    load_mesh(path)
+                assert gc.isenabled() is enabled, path
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert decoding == [False] * 6
 
 
 def test_conformity_check_is_sound():
