@@ -22,15 +22,12 @@ import numpy as np
 
 from ._delaunay import delaunay, orient2d
 from .errors import HstvError, MeshError, PlanError
-from .fields import SmoothField, htv_quadrature
+from .fields import MAX_LATTICE_POINTS, SmoothField, htv_quadrature
 from .htv import htv_cpwl
 from .mesh import CpwlFunction, Triangulation, _first_occurrence, _ranges, min_angle
 from .schatten import schatten_norms, sym_eigen_frame
 
 Coord = tuple[Fraction, Fraction]
-
-# Ceiling on the rotated-lattice points a plan's cells scan, sum of (m + n + 1)^2.
-MAX_LATTICE_POINTS = 2**24
 
 # The common boundary spacing of a plan, at most 2^-(N + K), is at least
 # 2^-MAX_SPACING_BITS.

@@ -131,6 +131,7 @@ def _write_edge_csv(f, g, report) -> None:
         block = slice(lo, lo + _CSV_CHUNK_EDGES)
         u, v = report.edge_array[block].T.tolist()
         jx, jy = report.jumps[block].T.tolist()
+        # math.hypot: np.hypot differs in the last bit, and the report digest pins it.
         f.write("".join(
             f"{a}-{b},{xs[a]},{ys[a]},{xs[b]},{ys[b]},"
             f"{math.hypot(x, y)!r},{length!r},{contribution!r}\n"

@@ -43,7 +43,7 @@ class _MeshAlgebra(_EdgeKernel):
     extremality constraints on it.
 
     Every part is kept for the mesh's lifetime: the kernel's gradient
-    stencil and edge lengths, and, built on first use, the affine design
+    stencil and edge vectors, and, built on first use, the affine design
     matrix and its orthonormal basis, the orthonormal basis of the affine
     complement and the jump operators.  The greedy loop runs on plain value
     vectors through `normalize`, `energy`, `support`, `witness` and
@@ -55,7 +55,6 @@ class _MeshAlgebra(_EdgeKernel):
         super().__init__(mesh)
         self._fv = mesh.float_vertices
         self._tris = mesh.triangle_array
-        self._edges = mesh.interior_edge_array
 
     @cached_property
     def design(self) -> np.ndarray:
@@ -91,14 +90,13 @@ class _MeshAlgebra(_EdgeKernel):
         gx = np.stack([(e1y - e2y) / det, e2y / det, -e1y / det], axis=1)
         gy = np.stack([(e2x - e1x) / det, -e2x / det, e1x / det], axis=1)
 
-        edges, tpairs = self._edges, self.tpairs
-        n_edges, nv = len(edges), len(fv)
-        d = fv[edges[:, 1]] - fv[edges[:, 0]]
-        ln = np.array([math.hypot(dx, dy) for dx, dy in d.tolist()])
-        nux, nuy = -d[:, 1] / ln, d[:, 0] / ln
+        n_edges, nv = len(self.tpairs), len(fv)
+        # math.hypot: np.hypot differs in the last bit, and the decompose digests pin these.
+        ln = np.array([math.hypot(*d) for d in zip(self.dx.tolist(), self.dy.tolist())])
+        nux, nuy = -self.dy / ln, self.dx / ln
         # Six stencil entries per edge: the second triangle's three slots
         # (+), then the first's (-), accumulated in that order.
-        t = np.repeat(tpairs[:, ::-1], 3, axis=1)
+        t = np.repeat(self.tpairs[:, ::-1], 3, axis=1)
         slot = np.tile(np.arange(3), 2)
         sign = np.repeat([1.0, -1.0], 3)
         col = tris[t, slot]
@@ -155,7 +153,7 @@ class _MeshAlgebra(_EdgeKernel):
         ratios = jn_g[usable] / jn_h[usable]
         lam = ratios[np.argmin(np.abs(ratios))]  # the first of the smallest
         nxt, _ = self.normalize(values - lam * witness)
-        new_support = self.support(nxt, tol)
+        new_support = self.support(self.norms(self.jumps(nxt)), tol)
         if (new_support > support).any() or (
                 np.count_nonzero(new_support) >= np.count_nonzero(support)):
             raise ExtremalError("support did not strictly decrease: numerical rank failure")
@@ -249,7 +247,8 @@ def is_extremal(g: CpwlFunction, tol: float = SUPPORT_REL_TOL
     from 1 on every support is empty.
     """
     _check_tol(tol, 1.0)
-    cert = _certify(g.mesh, g.values, _algebra(g.mesh).support(g.values, tol), tol)
+    alg = _algebra(g.mesh)
+    cert = _certify(g.mesh, g.values, alg.support(alg.norms(alg.jumps(g.values)), tol), tol)
     return cert.witness is None, cert
 
 
@@ -260,8 +259,9 @@ def _certify(mesh: Triangulation, values: np.ndarray, support: np.ndarray,
     if not support.any():
         raise ExtremalError("function is affine (zero energy): not on the unit sphere")
     space = constrained_space(mesh, support)
+    alg = _algebra(mesh)
     if space.dim < 1:
-        norms = np.hypot(*_algebra(mesh).jumps(values).T)
+        norms = alg.norms(alg.jumps(values))
         dropped = norms[~support & (norms > 0)]
         if len(dropped):
             raise ExtremalError(
@@ -271,7 +271,7 @@ def _certify(mesh: Triangulation, values: np.ndarray, support: np.ndarray,
         raise ExtremalError("numerical rank failure: g not inside its own constraint space")
     if space.dim == 1:
         return ExtremalCertificate(space, None)
-    return ExtremalCertificate(space, _algebra(mesh).witness(values, space.basis))
+    return ExtremalCertificate(space, alg.witness(values, space.basis))
 
 
 def perturbation_identity_check(g: CpwlFunction, h: CpwlFunction,
@@ -286,11 +286,11 @@ def perturbation_identity_check(g: CpwlFunction, h: CpwlFunction,
     if h.mesh is not g.mesh:
         raise ExtremalError("g and h must share a mesh")
     alg = _algebra(g.mesh)
-    norms_h = np.hypot(*alg.jumps(h.values).T)
-    delta_cap = float(norms_h.max(initial=0.0))
+    delta_cap = float(alg.norms(alg.jumps(h.values)).max(initial=0.0))
     if delta_cap <= 1e-300:
         return 0.0
-    nonzero = np.hypot(*alg.jumps(g.values).T)[alg.support(g.values, tol)]
+    norms = alg.norms(alg.jumps(g.values))
+    nonzero = norms[alg.support(norms, tol)]
     if len(nonzero) == 0:
         raise ExtremalError("g has empty support")
     eps = float(nonzero.min()) / delta_cap
@@ -329,7 +329,7 @@ def _extremal_in_support(mesh: Triangulation, values: np.ndarray, tol: float
     checked is the next step's support.
     """
     alg = _algebra(mesh)
-    support = alg.support(values, tol)
+    support = alg.support(alg.norms(alg.jumps(values)), tol)
     for _ in range(len(support) + 2):
         cert = _certify(mesh, values, support, tol)
         if cert.witness is None:

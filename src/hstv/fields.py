@@ -13,6 +13,10 @@ import numpy as np
 from .errors import FieldError
 from .schatten import check_p, schatten_norms
 
+# Ceiling on the points one computation scans: the quadrature grid here, the
+# rotated-lattice points of a plan's cells (sum of (m + n + 1)^2) in hstv.approx.
+MAX_LATTICE_POINTS = 2**24
+
 
 @dataclass
 class SmoothField:
@@ -174,11 +178,15 @@ def htv_quadrature(fld: SmoothField, p, resolution: int = 512) -> float:
     norms are evaluated in blocks of rows, which bounds the temporaries, and
     summed in one pass over the whole grid.  Each block passes the open grid
     (a column of x, the row of y), so the field's ufuncs run once per row
-    and per column and the norms only as often as the entries vary.
+    and per column and the norms only as often as the entries vary.  A grid
+    of more than MAX_LATTICE_POINTS points raises FieldError.
     """
     p = check_p(p)
     if resolution < 2:
         raise FieldError("resolution must be >= 2")
+    if resolution * resolution > MAX_LATTICE_POINTS:
+        raise FieldError(
+            f"resolution {resolution} needs more than {MAX_LATTICE_POINTS} grid points")
     t = (np.arange(resolution) + 0.5) / resolution
     vals = np.empty((resolution, resolution))
     for i in range(0, resolution, _QUADRATURE_BLOCK_ROWS):
@@ -225,11 +233,11 @@ def mollify(u: GridSample, radius: float) -> GridSample:
     """
     if radius < u.spacing:
         raise FieldError(f"radius {radius} smaller than grid spacing {u.spacing}")
-    from scipy.signal import convolve2d  # a slow import, needed only here
-
     r = int(math.floor(radius / u.spacing))
-    k = bump_kernel(r)
-    out = convolve2d(u.samples, k, mode="same", boundary="fill", fillvalue=0.0)
+    # The kernel is symmetric, so the convolution is a sum of shifted copies
+    # of the zero-padded samples weighted by the kernel entries.
+    z, (n0, n1) = np.pad(u.samples, r), u.samples.shape
+    out = sum(w * z[i:i + n0, j:j + n1] for (i, j), w in np.ndenumerate(bump_kernel(r)) if w)
     return GridSample(u.spacing, out, u.origin)
 
 

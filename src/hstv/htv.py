@@ -37,9 +37,9 @@ class HtvReport:
 
 
 class _EdgeKernel:
-    """The CPWL edge rules on one mesh: gradient jumps across the interior
-    edges, contributions |jump| * length, energy and jump-norm support.  A
-    mesh that does not tile its bounding square is refused."""
+    """The CPWL edge rules on one mesh: interior-edge vectors (dx, dy) and
+    lengths, gradient jumps, jump norms, contributions |jump| * length,
+    energy and jump-norm support.  A non-tiling mesh is refused."""
 
     def __init__(self, mesh: Triangulation):
         if not mesh.covers_bbox_exactly():
@@ -47,7 +47,10 @@ class _EdgeKernel:
                 "mesh does not cover its bounding square: CPWL energy needs a full tiling")
         self.stencil = _GradientStencil(mesh)
         self.tpairs = mesh.interior_tri_array
-        self.lengths = mesh.edge_lengths()
+        x, y = mesh.float_vertices.T
+        u, v = mesh.interior_edge_array.T
+        self.dx, self.dy = x[v] - x[u], y[v] - y[u]
+        self.lengths = np.hypot(self.dx, self.dy)
 
     def jumps(self, values: np.ndarray) -> np.ndarray:
         """(E, 2) gradient jumps across the interior edges in id order, second
@@ -57,17 +60,20 @@ class _EdgeKernel:
         grads = self.stencil.gradients(values)
         return grads.take(self.tpairs[:, 1], axis=0) - grads.take(self.tpairs[:, 0], axis=0)
 
+    def norms(self, jumps: np.ndarray) -> np.ndarray:
+        """(E,) jump norms |jump|."""
+        return np.hypot(jumps[:, 0], jumps[:, 1])
+
     def contributions(self, jumps: np.ndarray) -> np.ndarray:
         """(E,) per-edge energies |jump| * length."""
-        return np.hypot(jumps[:, 0], jumps[:, 1]) * self.lengths
+        return self.norms(jumps) * self.lengths
 
     def energy(self, values: np.ndarray) -> float:
         """The contributions summed in edge-id order (numpy's pairwise sum)."""
         return float(np.sum(self.contributions(self.jumps(values))))
 
-    def support(self, values: np.ndarray, rel_tol: float) -> np.ndarray:
+    def support(self, norms: np.ndarray, rel_tol: float) -> np.ndarray:
         """The mask |jump| > rel_tol * max |jump| over interior-edge ids."""
-        norms = np.hypot(*self.jumps(values).T)
         return norms > rel_tol * float(norms.max(initial=0.0))
 
 
@@ -101,7 +107,8 @@ def support_mask_by_jump(g: CpwlFunction, rel_tol: float = 1e-9) -> np.ndarray:
     is in the support iff |jump| > rel_tol * max |jump|.  A mesh that does
     not tile its bounding square is refused, as in htv_cpwl.
     """
-    return _EdgeKernel(g.mesh).support(g.values, rel_tol)
+    kernel = _EdgeKernel(g.mesh)
+    return kernel.support(kernel.norms(kernel.jumps(g.values)), rel_tol)
 
 
 def p_independence_check(g: CpwlFunction) -> float:
@@ -114,9 +121,7 @@ def p_independence_check(g: CpwlFunction) -> float:
     """
     kernel = _EdgeKernel(g.mesh)
     jumps, lengths = kernel.jumps(g.values), kernel.lengths
-    x, y = g.mesh.float_vertices.T
-    u, v = g.mesh.interior_edge_array.T
-    nx, ny = -(y[v] - y[u]) / lengths, (x[v] - x[u]) / lengths
+    nx, ny = -kernel.dy / lengths, kernel.dx / lengths
     jx, jy = jumps[:, 0], jumps[:, 1]
     tensor = jx * nx, jx * ny, jy * nx, jy * ny
     totals = [float(np.sum(schatten_norms(*tensor, p) * lengths)) for p in (1.0, 2.0, INF)]

@@ -291,12 +291,6 @@ class Triangulation:
                    | (y == ylo).all(axis=1) | (y == yhi).all(axis=1))
         return self._area2 == 2 * (xhi - xlo) * (yhi - ylo) and bool(on_line.all())
 
-    def edge_lengths(self) -> np.ndarray:
-        """Lengths of the interior edges, in interior_edge_array order."""
-        x, y = self._float_vertices.T
-        u, v = self._interior_edge_arr.T
-        return np.hypot(x[v] - x[u], y[v] - y[u])
-
 
 def min_angle(mesh: Triangulation) -> float:
     """Minimum interior angle over all triangles, in radians.

@@ -56,7 +56,9 @@ def stencils(monkeypatch) -> list:
 
 def non_tiling_documents() -> tuple[dict, dict]:
     """Two mesh documents of the 4x4 grid hat that do not tile the square:
-    one with a stray triangle inside one cell, one with a corner triangle
+    one with a stray triangle strictly inside the lower triangle of the
+    first cell (it shares no edge, so there is no repeated directed edge or
+    T-junction and conformity passes), one with a corner triangle
     dropped."""
     doc = mesh_document(grid_hat(4, 2, 2))
     stray = json.loads(json.dumps(doc))
@@ -91,6 +93,22 @@ def grid_sample(fld, n: int) -> GridSample:
     xs = np.arange(n) * h
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     return GridSample(h, np.asarray(fld.eval(xx, yy), dtype=float))
+
+
+def zero_padded_convolution(samples: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """out[i, j] = sum of kernel[a, b] * samples[i + r - a, j + r - b] over the
+    samples inside the grid, for an odd (2r + 1)-square kernel: a plain loop
+    over the samples and over the kernel, the oracle for mollify."""
+    n0, n1 = samples.shape
+    r = kernel.shape[0] // 2
+    out = np.zeros((n0, n1))
+    for i in range(n0):
+        for j in range(n1):
+            for (a, b), w in np.ndenumerate(kernel):
+                p, q = i + r - a, j + r - b
+                if 0 <= p < n0 and 0 <= q < n1:
+                    out[i, j] += w * samples[p, q]
+    return out
 
 
 def edge_table(mesh: Triangulation) -> dict[tuple[int, int], list[int]]:
@@ -190,6 +208,31 @@ def brute_force_htv(g: CpwlFunction) -> tuple[float, dict]:
         per_edge[e] = contrib
         total += contrib
     return total, per_edge
+
+
+def refine_midpoints(g: CpwlFunction) -> CpwlFunction:
+    """Exact 1-to-4 midpoint refinement of g: den doubles, every edge gains
+    its midpoint, valued at the average of its ends, and each triangle
+    (a, b, c) becomes (a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca).
+    The result is the same function on the finer mesh."""
+    num = g.mesh.numerators.tolist()
+    verts = [(2 * x, 2 * y) for x, y in num]
+    values = g.values.tolist()
+    mid: dict[tuple[int, int], int] = {}
+
+    def midpoint(u: int, v: int) -> int:
+        key = (min(u, v), max(u, v))
+        if key not in mid:
+            mid[key] = len(verts)
+            verts.append((num[u][0] + num[v][0], num[u][1] + num[v][1]))
+            values.append(0.5 * (values[u] + values[v]))
+        return mid[key]
+
+    tris = []
+    for a, b, c in g.mesh.triangle_array.tolist():
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        tris += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+    return CpwlFunction(Triangulation(verts, tris, 2 * g.mesh.den), np.array(values))
 
 
 def jittered_document(rng, n: int) -> dict:

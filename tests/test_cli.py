@@ -54,8 +54,8 @@ def test_version_runs_as_script():
 
 
 def test_import_leaves_scipy_unloaded():
-    """scipy is imported by the two functions that use it (mollify and the
-    acceptance suite's random meshes), not by `import hstv`."""
+    """scipy is imported by the one function that uses it (the acceptance
+    suite's random meshes), not by `import hstv`."""
     code = ("import sys, hstv, hstv.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -436,27 +436,42 @@ _k = st.one_of(
                      "0..99999999999999999999", "-99999999999999999999..0"]))
 
 
+# --N: the levels that run, then refused ones; --ref-resolution: refused
+# values, the two that run, then values past the 2^24-point grid ceiling.
+_n = st.sampled_from(["0", "1", "11", "12", "10000", "-1"])
+_mode = st.sampled_from(["lcm", "paper", "junk"])
+_resolution = st.sampled_from(["-5", "0", "1", "2", "64", "4097", str(10**12)])
+
+
 @settings(max_examples=60, deadline=None)
-@given(_field, _p, _k, st.sampled_from(["0", "1"]))
-@example("quadratic:iso", "1", "99999999999999999999", "1")
-@example("quadratic:iso", "1", "0..99999999999999999999", "1")
-@example("product-sine:1e155", "inf", "0..1", "1")
-def test_cli_approx_arguments_exit_cleanly(field, p, k, n):
+@given(_field, _p, _k, _n, _mode, _resolution)
+@example("quadratic:iso", "1", "99999999999999999999", "1", "lcm", "64")
+@example("quadratic:iso", "1", "0..99999999999999999999", "1", "lcm", "64")
+@example("product-sine:1e155", "inf", "0..1", "1", "lcm", "64")
+@example("quadratic:iso", "1", "0..1", "1", "paper", str(10**12))
+@example("quadratic:iso", "1", "0", "11", "lcm", "2")
+def test_cli_approx_arguments_exit_cleanly(field, p, k, n, mode, resolution):
     """`hstv approx` on any field descriptor (every family, with extreme,
-    zero, negative and non-finite parameters and wrong counts), `--p` and
-    `--K` string exits 0, 1 or 2, prints no traceback, and prints `error:`
-    when it exits 1."""
-    argv = ["approx", f"--field={field}", f"--N={n}", f"--K={k}", f"--p={p}"]
+    zero, negative and non-finite parameters and wrong counts), `--p`, `--K`,
+    `--N`, `--mode` and `--ref-resolution` string exits 0, 1 or 2, prints no
+    traceback, and prints `error:` when it exits 1.  A run that succeeds has
+    N <= 1, K <= 1 and resolution <= 64; every refusal takes under 2 s."""
+    argv = ["approx", f"--field={field}", f"--N={n}", f"--K={k}", f"--p={p}",
+            f"--mode={mode}", f"--ref-resolution={resolution}"]
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+    elapsed = time.perf_counter() - start
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert "error: " in err.getvalue(), (argv, err.getvalue())
+    if code != 0:
+        assert elapsed < 2.0, (argv, elapsed)
 
 
 def test_threads_env_validation(hat_file, monkeypatch, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import grid_hat, random_lattice_mesh
+from conftest import grid_hat, random_lattice_mesh, refine_midpoints
 from hstv import extremal
 from hstv.errors import ExtremalError, MeshError
 from hstv.extremal import (
@@ -17,7 +17,7 @@ from hstv.extremal import (
     support_reduce,
 )
 from hstv.htv import htv_cpwl, support_mask_by_jump
-from hstv.mesh import CpwlFunction, uniform_diagonal_mesh
+from hstv.mesh import CpwlFunction, Triangulation, uniform_diagonal_mesh
 
 
 def two_hats(scale_a=1.0, scale_b=1.0):
@@ -451,3 +451,100 @@ class TestKernelRoute:
         assert perturbation_identity_check(two, a) <= 1e-10
         assert rigidity_check(a, b)
         assert len(stencils) == 1
+
+
+# -- relations any correct extremality solver satisfies ---------------------------
+
+
+def oracle_inputs() -> list[CpwlFunction]:
+    """Small functions (V <= 36) of both verdicts: hats and a two-hat sum on
+    the 5x5 grid, and a hat, a two-hat sum and random values on random
+    lattice meshes over den 32."""
+    rng = np.random.default_rng(31)
+    out = [grid_hat(5, 2, 2), grid_hat(5, 1, 1).with_values(
+        grid_hat(5, 1, 1).values + 0.5 * grid_hat(5, 3, 3).values)]
+    for n_interior in (6, 10, 12):
+        mesh = random_lattice_mesh(rng, n_interior, 32)
+        hat = np.zeros(mesh.n_vertices)
+        hat[4] = 1.0
+        other = np.zeros(mesh.n_vertices)
+        other[mesh.n_vertices - 5] = rng.uniform(0.5, 2.0)
+        out += [CpwlFunction(mesh, hat), CpwlFunction(mesh, hat + other),
+                CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))]
+    return out
+
+
+def verdict(g: CpwlFunction) -> tuple[bool, int]:
+    extremal, cert = is_extremal(g)
+    return extremal, cert.space.dim
+
+
+def mapped(g: CpwlFunction, fn) -> CpwlFunction:
+    """g carried by the exact lattice map (X, Y) -> fn(X, Y, den) of its
+    integer numerators; vertex ids, triangles and values are kept."""
+    mesh = g.mesh
+    verts = [fn(x, y, mesh.den) for x, y in mesh.numerators.tolist()]
+    return CpwlFunction(Triangulation(verts, mesh.triangle_array, mesh.den), g.values)
+
+
+SYMMETRIES = {
+    "quarter turn": lambda x, y, d: (d - y, x),
+    "reflection in x = 1/2": lambda x, y, d: (d - x, y),
+    "reflection in y = x": lambda x, y, d: (y, x),
+}
+
+
+class TestSolverIndependentRelations:
+    """Relations that hold for any correct solver: they pin no term count,
+    coefficient or basis, only invariances of the verdict, dim and energy."""
+
+    def test_inputs_cover_both_verdicts(self):
+        inputs = oracle_inputs()
+        assert {verdict(g)[0] for g in inputs} == {True, False}
+        assert all(g.mesh.n_vertices <= 36 for g in inputs)
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIES))
+    def test_exact_symmetries(self, name):
+        for g in oracle_inputs():
+            h = mapped(g, SYMMETRIES[name])
+            assert verdict(h) == verdict(g), name
+            assert htv_cpwl(h).total == pytest.approx(htv_cpwl(g).total, rel=1e-12, abs=0)
+
+    def test_affine_shift_and_positive_scale(self):
+        for g in oracle_inputs():
+            x, y = g.mesh.float_vertices.T
+            shifted = g.with_values(g.values + (0.7 - 1.3 * x + 2.1 * y))
+            assert verdict(shifted) == verdict(g)
+            dec, dec_shifted = decompose(g), decompose(shifted)
+            assert dec_shifted.total == pytest.approx(dec.total, rel=1e-9)
+            for d in (dec, dec_shifted):
+                assert abs(d.coefficient_sum - d.total) <= 1e-8 * max(1.0, d.total)
+            for s in (0.25, 3.5):
+                dec_s = decompose(g.with_values(s * g.values))
+                assert dec_s.total == pytest.approx(s * dec.total, rel=1e-9)
+                assert dec_s.coefficient_sum == pytest.approx(s * dec.coefficient_sum,
+                                                              rel=1e-8)
+
+    def test_midpoint_refinement_keeps_verdict_dim_and_total(self):
+        for g in oracle_inputs():
+            fine = refine_midpoints(g)
+            assert fine.mesh.den == 2 * g.mesh.den
+            assert verdict(fine) == verdict(g)
+            assert htv_cpwl(fine).total == pytest.approx(htv_cpwl(g).total, rel=1e-12, abs=0)
+
+    def test_decompose_after_refinement(self):
+        """On refined inputs (V <= 12 before, <= 41 after) the coefficients
+        sum to the energy and every term is extremal with support inside
+        the input's."""
+        rng = np.random.default_rng(37)
+        for n_interior in (5, 8):
+            mesh = random_lattice_mesh(rng, n_interior, 32)
+            fine = refine_midpoints(CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices)))
+            assert fine.mesh.n_vertices <= 41
+            dec = decompose(fine)
+            assert dec.total == pytest.approx(htv_cpwl(fine).total, rel=1e-12)
+            assert abs(dec.coefficient_sum - dec.total) <= 1e-8 * max(1.0, dec.total)
+            support = support_mask_by_jump(fine)
+            for t in dec.terms:
+                assert is_extremal(t)[0]
+                assert not (support_mask_by_jump(t) & ~support).any()

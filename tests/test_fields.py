@@ -1,13 +1,18 @@
 import math
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from conftest import grid_sample, quadrature_reference
+from conftest import grid_sample, quadrature_reference, zero_padded_convolution
 from hstv.errors import FieldError
 from hstv.fields import (
+    MAX_LATTICE_POINTS,
     GridSample,
     builtin_field,
+    bump_kernel,
     discrete_htv,
     extend_reflection,
     htv_quadrature,
@@ -193,8 +198,40 @@ def test_htv_quadrature_richardson():
 
 
 def test_htv_quadrature_validation():
+    """Fewer than 2 points a side is refused, and so is a grid of more than
+    MAX_LATTICE_POINTS points, before it is allocated: 4097^2 is just past
+    2^24, and 10^12 would need 8e24 bytes."""
     with pytest.raises(FieldError):
         htv_quadrature(ALL_FIELDS[0], 1, 1)
+    assert 4096 * 4096 == MAX_LATTICE_POINTS
+    for resolution in (4097, 10**12):
+        start = time.perf_counter()
+        with pytest.raises(FieldError, match="grid points"):
+            htv_quadrature(ALL_FIELDS[0], 1, resolution)
+        assert time.perf_counter() - start < 2.0
+
+
+def test_mollify_matches_plain_convolution():
+    """mollify equals the zero-padded convolution with the bump kernel,
+    computed by a plain loop, to 1e-13 relative on seeded grids and radii,
+    non-square grids and kernels wider than the grid included."""
+    rng = np.random.default_rng(7)
+    for n0, n1, r in ((9, 9, 1), (12, 7, 2), (6, 11, 3), (5, 5, 4), (10, 13, 2)):
+        u = GridSample(0.1, rng.standard_normal((n0, n1)))
+        got = mollify(u, r * 0.1 + 1e-9).samples
+        want = zero_padded_convolution(u.samples, bump_kernel(r))
+        assert got.shape == (n0, n1)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (n0, n1, r)
+
+
+def test_mollify_leaves_scipy_unloaded():
+    """mollify runs on numpy alone: a call imports no scipy module."""
+    code = ("import sys, numpy as np; from hstv.fields import GridSample, mollify; "
+            "mollify(GridSample(0.1, np.ones((8, 8))), 0.25); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_mollify_constant_interior():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_htv, grid_hat, non_tiling_documents, random_lattice_mesh
+from hstv import extremal
 from hstv.errors import MeshError
 from hstv.htv import htv_cpwl, p_independence_check, support_mask_by_jump
 from hstv.mesh import CpwlFunction, Triangulation, cpwl_from_document
@@ -138,6 +139,20 @@ def test_support_mask_refuses_non_tiling_meshes():
     for doc in non_tiling_documents():
         with pytest.raises(MeshError, match="does not cover its bounding square"):
             support_mask_by_jump(cpwl_from_document(doc))
+
+
+def test_every_entry_point_refuses_non_tiling_meshes():
+    """The stray triangle strictly inside another and the dropped corner are
+    refused by every library entry point that reads the edge kernel, not
+    only by support_mask_by_jump (above) and the CLI commands."""
+    runs = (htv_cpwl, p_independence_check, extremal.is_extremal, extremal.decompose,
+            lambda f: extremal.perturbation_identity_check(f, f),
+            lambda f: extremal.rigidity_check(f, f))
+    for doc in non_tiling_documents():
+        g = cpwl_from_document(doc)
+        for run in runs:
+            with pytest.raises(MeshError, match="does not cover its bounding square"):
+                run(g)
 
 
 def test_one_stencil_per_call(stencils):

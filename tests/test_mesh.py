@@ -785,3 +785,53 @@ def test_parser_numerator_dtype():
     assert g.mesh.numerators.dtype == np.int64
     g = cpwl_from_document(pyramid_document(Fraction(1, 2), Fraction(1, 3), [2**70] * 10))
     assert g.mesh.numerators.dtype == object
+
+
+def covers_bbox_oracle(mesh: Triangulation) -> bool:
+    """Brute-force tiling rule on exact Fractions: the triangle areas sum to
+    the bounding box and every boundary edge lies on one bounding line."""
+    pts = fraction_pairs(mesh)
+    xs, ys = [x for x, _ in pts], [y for _, y in pts]
+    lines = ((0, min(xs)), (0, max(xs)), (1, min(ys)), (1, max(ys)))
+    area = sum(abs((pts[b][0] - pts[a][0]) * (pts[c][1] - pts[a][1])
+                   - (pts[b][1] - pts[a][1]) * (pts[c][0] - pts[a][0]))
+               for a, b, c in mesh.triangle_array.tolist()) / 2
+    boundary = [e for e, tids in edge_table(mesh).items() if len(tids) == 1]
+    on_lines = all(any(pts[u][k] == at and pts[v][k] == at for k, at in lines)
+                   for u, v in boundary)
+    return area == (max(xs) - min(xs)) * (max(ys) - min(ys)) and on_lines
+
+
+def test_covers_bbox_exactly_matches_fraction_oracle():
+    """On small random lattice meshes, tiling (the unit square or stretched
+    to a 2 x 1 box), with a triangle dropped, with one added strictly inside
+    another, or with one on three fresh lattice points added across the
+    mesh (whenever that still constructs), covers_bbox_exactly agrees with
+    the exact oracle; each kind of mesh is met."""
+    rng = np.random.default_rng(41)
+    seen = Counter()
+    for _ in range(40):
+        mesh = random_lattice_mesh(rng, int(rng.integers(1, 7)), 16)
+        num, tris = mesh.numerators.tolist(), mesh.triangle_array.tolist()
+        a, b, c = (np.array(num[v]) for v in tris[int(rng.integers(len(tris)))])
+        inner = [(3 * a + b + c).tolist(), (a + 3 * b + c).tolist(), (a + b + 3 * c).tolist()]
+        n = len(num)
+        variants = {
+            "tiling": (num, tris, mesh.den),
+            "dropped": (num, tris[1:], mesh.den),
+            # Points at barycentric (3, 1, 1) / 5 and its turns, on den * 5.
+            "nested": ([[5 * x, 5 * y] for x, y in num] + inner,
+                       tris + [[n, n + 1, n + 2]], 5 * mesh.den),
+            "stretched": ([[2 * x, y] for x, y in num], tris, mesh.den),
+            "across": (num + rng.integers(0, 17, size=(3, 2)).tolist(),
+                       tris + [[n, n + 1, n + 2]], mesh.den),
+        }
+        for kind, (verts, triangles, den) in variants.items():
+            try:
+                m = Triangulation(verts, triangles, den)
+            except MeshError:
+                continue
+            seen[kind, m.covers_bbox_exactly()] += 1
+            assert m.covers_bbox_exactly() == covers_bbox_oracle(m), kind
+    assert all(seen[kind, False] for kind in ("dropped", "nested", "across"))
+    assert seen["tiling", True] and seen["stretched", True]
