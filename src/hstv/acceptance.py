@@ -139,10 +139,7 @@ def criterion_3(ctx: dict) -> CriterionResult:
         nverts[K] = mesh.n_vertices
         ok = ok and abs(pipeline[K] - 3.0) <= 0.05 * 3.0
     n = round(math.sqrt(nverts[6]))
-    axis_mesh = uniform_diagonal_mesh(n, "main")
-    fv = axis_mesh.float_vertices
-    axis_g = CpwlFunction(axis_mesh, np.asarray(fld.eval(fv[:, 0], fv[:, 1])))
-    axis_htv = htv_cpwl(axis_g, 1).total
+    axis_htv = htv_cpwl(interpolate(fld, uniform_diagonal_mesh(n, "main")), 1).total
     ok = ok and axis_htv >= 1.02 * max(pipeline.values()) and axis_htv >= 1.02 * 3.0
     elapsed = time.perf_counter() - t0
     return CriterionResult(
@@ -188,9 +185,9 @@ def criterion_4(ctx: dict, seed: int = DEFAULT_SEED) -> CriterionResult:
     for N in (1, 2):
         for trial in range(2):
             angles = [_ANGLE_POOL[int(rng.integers(len(_ANGLE_POOL)))] for _ in range(4**N)]
+            frames = synthetic_frames(N, angles)
             minima = []
             for K in range(4):
-                frames = synthetic_frames(N, angles)
                 plan = plan_mesh(frames, N, K, "lcm")
                 mesh = assemble_global(plan)
                 # Independent revalidation from raw arrays: full conformity

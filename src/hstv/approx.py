@@ -13,6 +13,7 @@ its CPWL energy to the smooth energy as the band level K grows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -328,9 +329,7 @@ def plan_mesh(frames: Sequence[SquareFrame], N: int, K: int, mode: str = "lcm") 
 # -- the transition-band building block ----------------------------------------
 
 
-_master_cache: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _band_master(pp: int, qq: int, m0: int) -> tuple[np.ndarray, np.ndarray]:
     """Triangulated building block for the top edge of the canonical unit cell.
 
@@ -340,11 +339,8 @@ def _band_master(pp: int, qq: int, m0: int) -> tuple[np.ndarray, np.ndarray]:
     pitch.  The interior triangulation is the Delaunay triangulation of
     that boundary point set (deterministic, flat-angle-free).  Points are
     integer numerators over m0 (pp^2 + qq^2), with A, B and E at positions
-    0, m0 and 2 m0.
+    0, m0 and 2 m0.  Built once per process for each (pp, qq, m0).
     """
-    key = (pp, qq, m0)
-    if key in _master_cache:
-        return _master_cache[key]
     if m0 * pp % qq:
         raise PlanError("inconsistent master counts")
     n0 = m0 * pp // qq
@@ -360,8 +356,7 @@ def _band_master(pp: int, qq: int, m0: int) -> tuple[np.ndarray, np.ndarray]:
     tris = delaunay(pts)
     if sum(orient2d(*(pts[i] for i in t)) for t in tris) != abs(orient2d(pts[0], pts[m0], e)):
         raise MeshError("building-block triangulation does not tile the block")
-    _master_cache[key] = (np.array(pts, dtype=np.int64), np.array(tris, dtype=np.int64))
-    return _master_cache[key]
+    return np.array(pts, dtype=np.int64), np.array(tris, dtype=np.int64)
 
 
 def _numerators(den: int, *values: Fraction) -> list[int]:

@@ -17,9 +17,9 @@ import sys
 from . import __version__
 from .approx import MAX_SPACING_BITS, convergence_experiment
 from .errors import HstvError
-from .extremal import decompose, is_extremal
+from .extremal import DECOMPOSE_TOL, decompose, is_extremal
 from .fields import parse_field
-from .htv import htv_cpwl
+from .htv import SUPPORT_REL_TOL, htv_cpwl
 from .mesh import load_mesh, mesh_document, render_svg, save_mesh
 from .schatten import INF
 
@@ -99,10 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     ex_sub = p_ex.add_subparsers(dest="subcommand", required=True)
     p_t = ex_sub.add_parser("test", help="extremality verdict for a mesh file")
     p_t.add_argument("mesh")
-    p_t.add_argument("--tol", type=float, default=1e-9)
+    p_t.add_argument("--tol", type=float, default=SUPPORT_REL_TOL)
     p_d = ex_sub.add_parser("decompose", help="decompose into extremal directions")
     p_d.add_argument("mesh")
-    p_d.add_argument("--tol", type=float, default=1e-8)
+    p_d.add_argument("--tol", type=float, default=DECOMPOSE_TOL)
     p_d.add_argument("--out", required=True, help="decomposition JSON path")
 
     p_m = sub.add_parser("mesh", help="mesh utilities")
@@ -234,19 +234,13 @@ def main(argv=None) -> int:
             g = load_mesh(args.mesh)
             render_svg(g, args.out)
             return 0
-        if args.command == "selftest":
-            return _cmd_selftest(args)
-    except HstvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return _cmd_selftest(args)  # the last of the required subcommands
+    except (HstvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
-    parser.error("unknown command")
-    return 2
 
 
 if __name__ == "__main__":

@@ -23,10 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ExtremalError
-from .htv import _EdgeKernel
+from .htv import SUPPORT_REL_TOL, _EdgeKernel
 from .mesh import CpwlFunction, Triangulation
-
-SUPPORT_REL_TOL = 1e-9
 
 
 def _check_tol(tol: float, bound: float = math.inf) -> None:
@@ -362,7 +360,11 @@ class Decomposition:
         return float(sum(self.coefficients))
 
 
-def decompose(g: CpwlFunction, tol: float = 1e-8) -> Decomposition:
+# The energy left over, relative to max(1, total), at which decompose stops.
+DECOMPOSE_TOL = 1e-8
+
+
+def decompose(g: CpwlFunction, tol: float = DECOMPOSE_TOL) -> Decomposition:
     """Write g (mod affine) as a nonnegative combination of extremal directions.
 
     Greedy peeling: find an extremal direction in the current support, then

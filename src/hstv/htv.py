@@ -18,6 +18,10 @@ from .errors import MeshError
 from .mesh import CpwlFunction, Edge, Triangulation, _GradientStencil
 from .schatten import INF, check_p, schatten_norms
 
+# An edge is in a function's support iff its jump norm exceeds this share of
+# the largest jump norm.
+SUPPORT_REL_TOL = 1e-9
+
 
 @dataclass
 class HtvReport:
@@ -99,7 +103,7 @@ def htv_cpwl(g: CpwlFunction, p=1) -> HtvReport:
     )
 
 
-def support_mask_by_jump(g: CpwlFunction, rel_tol: float = 1e-9) -> np.ndarray:
+def support_mask_by_jump(g: CpwlFunction, rel_tol: float = SUPPORT_REL_TOL) -> np.ndarray:
     """Support detected by jump norm relative to the largest jump, as a
     boolean mask over interior-edge ids.
 

@@ -89,6 +89,20 @@ class Triangulation:
     triangles, every undirected edge shared by at most two triangles with
     consistent orientation, and no vertex lying in the relative interior of
     a boundary edge (T-junction scan).  Nonconforming input raises MeshError.
+
+    A validated mesh is a read-only record.  Its attributes:
+
+    - `numerators`: integer vertex numerators (V, 2) over `den`, a Python int;
+    - `float_vertices`: the vertices as floats (V, 2);
+    - `triangle_array`: the CCW triangles (T, 3);
+    - `interior_edge_array`: interior edges (E, 2), lexicographically sorted
+      vertex pairs;
+    - `interior_tri_array`: for each interior edge its two incident
+      triangles (E, 2), smaller id first;
+    - `n_vertices` and `n_triangles`: V and T.
+
+    Every array it holds is marked non-writeable, so a write into one raises
+    ValueError instead of bypassing the checks above.
     """
 
     def __init__(self, vertices, triangles: Sequence, den: int = 1):
@@ -137,21 +151,21 @@ class Triangulation:
         w = max(xhi, yhi) - min(xlo, ylo)
         exact_int64 = (max(-xlo, -ylo, xhi, yhi, den) < 2**53
                        and 2 * w * w * len(tris) < 2**63)
-        self._num = num.astype(np.int64 if exact_int64 else object)
-        self._den = int(den)
-        first = _first_occurrence(self._num)
+        self.numerators = num = num.astype(np.int64 if exact_int64 else object)
+        self.den = den = int(den)
+        first = _first_occurrence(num)
         dup = np.flatnonzero(first != np.arange(nv))
         if len(dup):
             k = int(dup[0])
             raise MeshError(f"duplicate vertex coordinates at indices {first[k]} and {k}")
-        self._float_vertices = np.asarray(self._num / self._den, dtype=float)
+        self.float_vertices = np.asarray(num / den, dtype=float)
 
         if ((tris[:, 0] == tris[:, 1]) | (tris[:, 1] == tris[:, 2])
                 | (tris[:, 0] == tris[:, 2])).any():
             raise MeshError("triangle repeats a vertex")
 
         # Orientation: exact, normalized to CCW, on 1-D coordinate columns.
-        x, y = self._num.T
+        x, y = num.T
         t0, t1, t2 = tris.T
         xa, ya = x[t0], y[t0]
         cross = (x[t1] - xa) * (y[t2] - ya) - (y[t1] - ya) * (x[t2] - xa)
@@ -160,7 +174,7 @@ class Triangulation:
             raise MeshError(f"degenerate (zero-area) triangle {tris[zero[0]].tolist()}")
         flip = cross < 0
         tris[flip, 1:] = tris[flip, 2:0:-1]
-        self._tri_array = tris
+        self.triangle_array = tris
         self._area2 = int(np.abs(cross).sum())  # twice the exact area, over den^2
 
         # Directed-edge conformity by one sort of the keys
@@ -184,10 +198,14 @@ class Triangulation:
         single = np.ones(len(uk), dtype=bool)
         single[pair] = single[pair + 1] = False
         ta, tb = order[pair] % t_count, order[pair + 1] % t_count
-        self._interior_edge_arr = np.stack(np.divmod(uk[pair], nv), axis=1)
-        self._interior_tri_arr = np.stack([np.minimum(ta, tb), np.maximum(ta, tb)], axis=1)
+        self.interior_edge_array = np.stack(np.divmod(uk[pair], nv), axis=1)
+        self.interior_tri_array = np.stack([np.minimum(ta, tb), np.maximum(ta, tb)], axis=1)
         self._boundary_edge_arr = np.stack(np.divmod(uk[single], nv), axis=1)
         self._check_hanging_vertices()
+        self.n_vertices, self.n_triangles = nv, t_count
+        for a in (num, self.float_vertices, tris, self.interior_edge_array,
+                  self.interior_tri_array, self._boundary_edge_arr):
+            a.flags.writeable = False
 
     def _check_hanging_vertices(self):
         """Reject vertices lying strictly inside a boundary edge (T-junctions).
@@ -201,7 +219,7 @@ class Triangulation:
         bedges = self._boundary_edge_arr
         if len(bedges) == 0:
             return
-        num = self._num
+        num = self.numerators
         p, q = num[bedges[:, 0]], num[bedges[:, 1]]
         lo, hi = np.minimum(p, q), np.maximum(p, q)
         extent = np.sort((hi - lo).max(axis=1))
@@ -238,45 +256,8 @@ class Triangulation:
                 "hanging vertex"
             )
 
-    # -- views -------------------------------------------------------------
-
-    @property
-    def numerators(self) -> np.ndarray:
-        """Integer vertex numerators (V, 2) over `den`."""
-        return self._num
-
-    @property
-    def den(self) -> int:
-        return self._den
-
-    @property
-    def triangle_array(self) -> np.ndarray:
-        return self._tri_array
-
-    @property
-    def float_vertices(self) -> np.ndarray:
-        return self._float_vertices
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self._num)
-
-    @property
-    def n_triangles(self) -> int:
-        return len(self._tri_array)
-
-    @property
-    def interior_edge_array(self) -> np.ndarray:
-        """Interior edges (E, 2), lexicographically sorted vertex pairs."""
-        return self._interior_edge_arr
-
-    @property
-    def interior_tri_array(self) -> np.ndarray:
-        """For each interior edge the two incident triangles, smaller id first."""
-        return self._interior_tri_arr
-
     def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return tuple(Fraction(v, self._den) for v in self._extremes)
+        return tuple(Fraction(v, self.den) for v in self._extremes)
 
     def covers_bbox_exactly(self) -> bool:
         """True if the triangles tile the bounding rectangle without gaps.
@@ -286,7 +267,7 @@ class Triangulation:
         every boundary edge lies on one of the four bounding lines.
         """
         xlo, xhi, ylo, yhi = self._extremes
-        x, y = (c[self._boundary_edge_arr] for c in self._num.T)  # (B, 2 endpoints)
+        x, y = (c[self._boundary_edge_arr] for c in self.numerators.T)  # (B, 2 endpoints)
         on_line = ((x == xlo).all(axis=1) | (x == xhi).all(axis=1)
                    | (y == ylo).all(axis=1) | (y == yhi).all(axis=1))
         return self._area2 == 2 * (xhi - xlo) * (yhi - ylo) and bool(on_line.all())

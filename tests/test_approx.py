@@ -388,6 +388,47 @@ class TestAssembleGlobal:
             assemble_global(plan)
 
 
+class TestExactChecks:
+    """Each exact check of the local and global assembly fires on a plan
+    corrupted past the earlier ones."""
+
+    @staticmethod
+    def plan():
+        return plan_mesh(synthetic_frames(1, [RationalAngle(1, 2)] * 4), 1, 1, "lcm")
+
+    def test_band_corner_off_the_lattice(self):
+        plan = self.plan()
+        sp = plan.squares[2]
+        # A lattice twice as coarse misses the band copies' corners.
+        plan.squares[2] = replace(sp, hv=(2 * sp.hv[0], 2 * sp.hv[1]),
+                                  hw=(2 * sp.hw[0], 2 * sp.hw[1]))
+        with pytest.raises(MeshError, match="^band corner off the rotated lattice$"):
+            assemble_global(plan)
+
+    def test_inner_cells_and_band_tile_the_cell(self):
+        plan = self.plan()
+        sp = plan.squares[2]
+        # Half the pitch with the old counts: inner cells cover half the area.
+        plan.squares[2] = replace(sp, hv=(sp.hv[0] / 2, sp.hv[1] / 2),
+                                  hw=(sp.hw[0] / 2, sp.hw[1] / 2))
+        with pytest.raises(MeshError, match=r"^inner cells and transition band do not "
+                           r"tile the cell exactly \(got 1/8, want 1/4\)$"):
+            assemble_global(plan)
+
+    def test_cell_boundaries_match(self):
+        plan = self.plan()
+        plan.corners[3] = plan.corners[0]  # two cells on one square
+        with pytest.raises(MeshError, match="^cell boundaries do not match: "
+                           "duplicate vertex coordinates"):
+            assemble_global(plan)
+
+    def test_assembled_mesh_tiles_the_domain(self):
+        plan = self.plan()
+        plan.corners[3] += plan.den // 2  # the last cell moves off the square
+        with pytest.raises(MeshError, match="^assembled mesh does not tile the domain"):
+            assemble_global(plan)
+
+
 def criterion_4_angle_sets():
     """The mixed angle sets criterion 4 draws with the default seed."""
     rng = np.random.default_rng(DEFAULT_SEED)

@@ -396,6 +396,30 @@ class TestDecompose:
                            match=r"jump ratio -\d\.\d{3}e-\d+ is below .* at tolerance 0\.0$"):
             decompose(g, 0.0)
 
+    def test_no_positive_jump_ratio(self, monkeypatch):
+        """A greedy step whose direction has no jump leaves no ratio to
+        peel by."""
+        monkeypatch.setattr(extremal, "_extremal_in_support",
+                            lambda mesh, values, tol: np.zeros_like(values))
+        with pytest.raises(ExtremalError, match="no positive jump ratio: numerical "
+                           "rank failure$"):
+            decompose(grid_hat(4, 2, 2))
+
+    def test_stalled_decomposition(self, monkeypatch):
+        """A greedy step that trades one hat for the other keeps the energy
+        constant (16, a unit hat's), so the loop runs out of steps and reports
+        the residual."""
+        a, b, _ = two_hats()
+        ia, ib = int(np.argmax(a.values)), int(np.argmax(b.values))
+
+        def swap(mesh, values, tol):
+            return a.values - b.values if values[ia] > values[ib] else b.values - a.values
+
+        monkeypatch.setattr(extremal, "_extremal_in_support", swap)
+        with pytest.raises(ExtremalError, match=r"^decomposition stalled: achieved "
+                           r"energy residual 1\.600e\+01 > 1\.0e-08$"):
+            decompose(a)
+
     def test_builds_few_functions(self, monkeypatch, stencils):
         """The greedy loop runs on value vectors against one per-mesh kernel:
         decompose on the 36-vertex input of test_cli's digest builds one

@@ -24,6 +24,7 @@ from conftest import (
     same_vertices,
 )
 from hstv.errors import MeshError
+from hstv.htv import htv_cpwl
 from hstv.mesh import (
     CpwlFunction,
     Triangulation,
@@ -629,6 +630,34 @@ def test_covering_check(diag_square, pyramid):
     assert pyramid.mesh.covers_bbox_exactly()
     single = Triangulation([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     assert not single.covers_bbox_exactly()
+
+
+def test_validated_mesh_is_read_only():
+    """A validated mesh is a record of plain attributes whose arrays are all
+    read-only: the writes that once reordered the energy's edges or broke
+    conformity behind the checks raise, and the energy is unchanged."""
+    assert not any(isinstance(v, property) for v in vars(Triangulation).values())
+    num = np.array([[0, 0], [4, 0], [4, 4], [0, 4]])
+    tris = np.array([[0, 1, 2], [0, 2, 3]])
+    Triangulation(num, tris, 4)
+    assert num.flags.writeable and tris.flags.writeable  # the caller's stay writable
+
+    g = grid_hat(4, 2, 2)
+    mesh = g.mesh
+    arrays = {k: v for k, v in vars(mesh).items() if isinstance(v, np.ndarray)}
+    assert set(arrays) == {"numerators", "float_vertices", "triangle_array",
+                           "interior_edge_array", "interior_tri_array",
+                           "_boundary_edge_arr"}
+    assert not any(a.flags.writeable for a in arrays.values())
+    assert (mesh.den, mesh.n_vertices, mesh.n_triangles) == (4, 25, 32)
+    report = htv_cpwl(g)
+    assert report.total == 16.0
+    with pytest.raises(ValueError, match="read-only"):
+        report.edge_array[:] = report.edge_array[::-1].copy()
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.triangle_array[1] = mesh.triangle_array[0]
+    assert htv_cpwl(g).total == 16.0
+    assert Triangulation(mesh.numerators, mesh.triangle_array, mesh.den).covers_bbox_exactly()
 
 
 def test_evaluate_on_grid_affine(pyramid):
