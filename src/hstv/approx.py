@@ -130,25 +130,24 @@ _TIE_ANGLE = RationalAngle(2, 1)
 # at K = 0 has m = 2 and n = 1, so (m + n + 1)^2 = 16.
 _MIN_CELL_LATTICE_POINTS = (2 + 1 + 1) ** 2
 
-# Deviation samples evaluated per array batch (about 2 MB per float array).
+# Deviation samples per cell side, and per array batch (about 2 MB per float array).
+_SAMPLES_PER_SIDE = 9
 _SAMPLE_BATCH = 1 << 18
 
 
-def build_frames(fld: SmoothField, N: int, samples_per_square: int = 9) -> list[SquareFrame]:
+def build_frames(fld: SmoothField, N: int) -> list[SquareFrame]:
     """One frame per dyadic square of level N.
 
     The diagonal entries come from the curvature at the square center; the
     rational angle approximates the eigenframe angle within 1/max(N, 1).
     Isotropic centers (equal eigenvalues) take a fixed arbitrary angle.
     The recorded deviation is the max Schatten-1 distance between the
-    rotated curvature and the diagonal over a samples^2 lattice.  Raises
+    rotated curvature and the diagonal over a 9 x 9 lattice.  Raises
     PlanError, before any per-cell work, when the 4^N cells could not fit
     under MAX_LATTICE_POINTS even at the smallest cell.
     """
     if N < 0:
         raise HstvError("N must be >= 0")
-    if samples_per_square < 2:
-        raise HstvError("samples_per_square must be >= 2")
     # 4^N > MAX_LATTICE_POINTS from N = bit_length // 2 + 1 on; for larger N
     # the count would only be a huge integer, slow to form and to print.
     if (N > MAX_LATTICE_POINTS.bit_length() // 2
@@ -182,13 +181,13 @@ def build_frames(fld: SmoothField, N: int, samples_per_square: int = 9) -> list[
         diags.append((d1, d2))
         rotated.append(choice)
 
-    # Deviation: rot^T hess rot - diag over each cell's samples^2 lattice,
+    # Deviation: rot^T hess rot - diag over each cell's sample lattice,
     # evaluated as arrays in batches of whole cells.
     d = np.array(diags).reshape(-1, 2)
     c, s = (np.array([t[k] for t in rotated]) for k in (1, 2))
-    offsets = np.arange(samples_per_square) * (h / (samples_per_square - 1))
+    offsets = np.arange(_SAMPLES_PER_SIDE) * (h / (_SAMPLES_PER_SIDE - 1))
     deviation = np.empty(len(cx))
-    batch = max(1, _SAMPLE_BATCH // samples_per_square**2)
+    batch = max(1, _SAMPLE_BATCH // _SAMPLES_PER_SIDE**2)
     for lo in range(0, len(cx), batch):
         cells = slice(lo, lo + batch)
         fxx, fxy, fyy = fld.hess_components(x0[cells, None, None] + offsets[:, None],
@@ -230,7 +229,6 @@ class SquarePlan:
     m: int             # boundary intervals per cell side (= side / spacing)
     n: int             # inner-grid steps along the long leg (= m * pp / qq)
     m0: int            # m / 2^K: building-block subdivision count
-    n0: int            # n / 2^K
     hv: Coord          # lattice step along the rotated x-axis, |hv| = pitch
     hw: Coord          # lattice step along the rotated y-axis
 
@@ -239,7 +237,6 @@ class SquarePlan:
 class MeshPlan:
     N: int
     K: int
-    mode: str
     spacing: Fraction          # common boundary spacing shared by all cells
     den: int                   # common denominator of every mesh vertex coordinate
     squares: list[SquarePlan]  # each cell's type, in frame order
@@ -304,9 +301,8 @@ def plan_mesh(frames: Sequence[SquareFrame], N: int, K: int, mode: str = "lcm") 
             m0 = m0_all
             if m0 * pp % qq:
                 raise PlanError(f"pitch count {m0}*{pp}/{qq} not integral")
-            n0 = m0 * pp // qq
             m = m0 << K
-            n = n0 << K
+            n = (m0 * pp // qq) << K
             r2 = pp * pp + qq * qq
             hv = (spacing * qq * pp / r2, spacing * qq * qq / r2)
             hw = (-spacing * qq * qq / r2, spacing * qq * pp / r2)
@@ -316,13 +312,13 @@ def plan_mesh(frames: Sequence[SquareFrame], N: int, K: int, mode: str = "lcm") 
             assert n * hv[0] - m * hw[0] == side and n * hv[1] - m * hw[1] == 0
             assert m * hv[0] + n * hw[0] == 0 and m * hv[1] + n * hw[1] == side
             sp = types[key] = SquarePlan(pp=pp, qq=qq, reflected=refl,
-                                         m=m, n=n, m0=m0, n0=n0, hv=hv, hw=hw)
+                                         m=m, n=n, m0=m0, hv=hv, hw=hw)
         squares.append(sp)
     # hv and hw are multiples of spacing / (pp^2 + qq^2); cell corners of 2^-N.
     den = (1 << (N + K)) * m0_all * math.lcm(*(pp * pp + qq * qq for pp, qq, _ in types))
     corners = _numerators(den, *(f.x0 for f in frames), *(f.y0 for f in frames))
     corners = np.array(corners, dtype=np.int64 if den < 2**63 else object).reshape(2, -1).T
-    return MeshPlan(N=N, K=K, mode=mode, spacing=spacing, den=den, squares=squares,
+    return MeshPlan(N=N, K=K, spacing=spacing, den=den, squares=squares,
                     corners=corners)
 
 
@@ -591,7 +587,8 @@ def convergence_experiment(
     collect=None,
 ) -> ExperimentTable:
     """Interpolate the field on the level-K meshes and tabulate CPWL energy
-    against the smooth quadrature reference."""
+    against the smooth quadrature reference at exponent p; `collect(K, g)`,
+    when given, receives each level's interpolant."""
     ks = list(K_range)
     if not ks or any(b < a for a, b in zip(ks, ks[1:])):
         raise HstvError("K_range must be nonempty and ascending")
@@ -603,7 +600,7 @@ def convergence_experiment(
     for K, plan in zip(ks, plans):
         mesh = assemble_global(plan)
         g = interpolate(fld, mesh)
-        report = htv_cpwl(g, p)
+        report = htv_cpwl(g)
         rows.append(
             ExperimentRow(
                 K=K,
@@ -616,5 +613,5 @@ def convergence_experiment(
             )
         )
         if collect is not None:
-            collect(K, plan, mesh, g)
+            collect(K, g)
     return ExperimentTable(rows)

@@ -132,8 +132,8 @@ class _MeshAlgebra(_EdgeKernel):
         w = resid[:, int(np.argmax(norms))]
         return w / np.linalg.norm(w)
 
-    def reduce(self, values: np.ndarray, witness: np.ndarray, support: np.ndarray,
-               tol: float) -> tuple[float, np.ndarray, np.ndarray]:
+    def reduce(self, values: np.ndarray, witness: np.ndarray, support: np.ndarray
+               ) -> tuple[float, np.ndarray, np.ndarray]:
         """One support reduction of `values` along `witness`.
 
         Returns (lambda, the normalized values - lambda * witness, their
@@ -145,13 +145,13 @@ class _MeshAlgebra(_EdgeKernel):
         jn_g = normal_op @ values
         jn_h = normal_op @ witness
         abs_h = np.abs(jn_h)
-        usable = support & (abs_h > tol * float(abs_h.max()))
+        usable = support & (abs_h > SUPPORT_REL_TOL * float(abs_h.max()))
         if not usable.any():
             raise ExtremalError("witness has no usable jump inside the support")
         ratios = jn_g[usable] / jn_h[usable]
         lam = ratios[np.argmin(np.abs(ratios))]  # the first of the smallest
         nxt, _ = self.normalize(values - lam * witness)
-        new_support = self.support(self.norms(self.jumps(nxt)), tol)
+        new_support = self.support(self.norms(self.jumps(nxt)), SUPPORT_REL_TOL)
         if (new_support > support).any() or (
                 np.count_nonzero(new_support) >= np.count_nonzero(support)):
             raise ExtremalError("support did not strictly decrease: numerical rank failure")
@@ -191,7 +191,6 @@ class JumpSpaceBasis:
     """Orthonormal basis of {h : jumps vanish on interior edges outside S},
     modulo affine functions."""
 
-    mesh: Triangulation
     support_mask: np.ndarray  # (E,) bool over interior-edge ids: S
     basis: np.ndarray  # (V, dim)
     dim: int
@@ -226,7 +225,7 @@ def constrained_space(mesh: Triangulation, support: np.ndarray) -> JumpSpaceBasi
         thr = 1e-10 * (sv[0] if len(sv) else 0.0)
         rank = np.count_nonzero(sv > thr)
         basis = comp @ vt[rank:].T
-    return JumpSpaceBasis(mesh=mesh, support_mask=mask, basis=basis, dim=basis.shape[1])
+    return JumpSpaceBasis(support_mask=mask, basis=basis, dim=basis.shape[1])
 
 
 @dataclass
@@ -272,8 +271,7 @@ def _certify(mesh: Triangulation, values: np.ndarray, support: np.ndarray,
     return ExtremalCertificate(space, alg.witness(values, space.basis))
 
 
-def perturbation_identity_check(g: CpwlFunction, h: CpwlFunction,
-                                tol: float = SUPPORT_REL_TOL) -> float:
+def perturbation_identity_check(g: CpwlFunction, h: CpwlFunction) -> float:
     """|htv(g + eps h) + htv(g - eps h) - 2 htv(g)| for the canonical eps.
 
     eps is the ratio (smallest nonzero jump of g) / (largest jump of h); at
@@ -288,7 +286,7 @@ def perturbation_identity_check(g: CpwlFunction, h: CpwlFunction,
     if delta_cap <= 1e-300:
         return 0.0
     norms = alg.norms(alg.jumps(g.values))
-    nonzero = norms[alg.support(norms, tol)]
+    nonzero = norms[alg.support(norms, SUPPORT_REL_TOL)]
     if len(nonzero) == 0:
         raise ExtremalError("g has empty support")
     eps = float(nonzero.min()) / delta_cap
@@ -300,8 +298,7 @@ def perturbation_identity_check(g: CpwlFunction, h: CpwlFunction,
 # -- greedy support reduction ----------------------------------------------------
 
 
-def support_reduce(g: CpwlFunction, tol: float = SUPPORT_REL_TOL
-                   ) -> tuple[CpwlFunction, float, CpwlFunction]:
+def support_reduce(g: CpwlFunction) -> tuple[CpwlFunction, float, CpwlFunction]:
     """One reduction step: (h, lambda, g - lambda h) with strictly smaller support.
 
     h is a unit direction from the constrained space of g's support that is
@@ -309,16 +306,14 @@ def support_reduce(g: CpwlFunction, tol: float = SUPPORT_REL_TOL
     the support, which zeroes at least one edge and never flips the sign of
     any other jump.  The third element is normalized modulo affine.
     """
-    extremal, cert = is_extremal(g, tol)
+    extremal, cert = is_extremal(g)
     if extremal:
         raise ExtremalError("input is extremal: nothing to reduce")
-    lam, nxt, _ = _algebra(g.mesh).reduce(
-        g.values, cert.witness, cert.space.support_mask, tol)
+    lam, nxt, _ = _algebra(g.mesh).reduce(g.values, cert.witness, cert.space.support_mask)
     return g.with_values(cert.witness), lam, g.with_values(nxt)
 
 
-def _extremal_in_support(mesh: Triangulation, values: np.ndarray, tol: float
-                         ) -> np.ndarray:
+def _extremal_in_support(mesh: Triangulation, values: np.ndarray) -> np.ndarray:
     """Values of a unit-energy extremal direction with support inside that
     of the affine-normalized `values`.
 
@@ -327,21 +322,20 @@ def _extremal_in_support(mesh: Triangulation, values: np.ndarray, tol: float
     checked is the next step's support.
     """
     alg = _algebra(mesh)
-    support = alg.support(alg.norms(alg.jumps(values)), tol)
+    support = alg.support(alg.norms(alg.jumps(values)), SUPPORT_REL_TOL)
     for _ in range(len(support) + 2):
-        cert = _certify(mesh, values, support, tol)
+        cert = _certify(mesh, values, support, SUPPORT_REL_TOL)
         if cert.witness is None:
             return values / alg.energy(values)
-        _, values, support = alg.reduce(values, cert.witness, support, tol)
+        _, values, support = alg.reduce(values, cert.witness, support)
     raise ExtremalError("support reduction did not terminate")
 
 
-def find_extremal_in_support(g: CpwlFunction, tol: float = SUPPORT_REL_TOL
-                             ) -> CpwlFunction:
+def find_extremal_in_support(g: CpwlFunction) -> CpwlFunction:
     """Extremal direction with support inside g's, normalized modulo affine
     and to unit energy."""
     rep, _ = normalize_mod_affine(g)
-    return rep.with_values(_extremal_in_support(rep.mesh, rep.values, tol))
+    return rep.with_values(_extremal_in_support(rep.mesh, rep.values))
 
 
 @dataclass
@@ -387,7 +381,7 @@ def decompose(g: CpwlFunction, tol: float = DECOMPOSE_TOL) -> Decomposition:
     for _ in range(len(mesh.interior_edge_array) + 2):
         if alg.energy(x) <= tol * max(1.0, total):
             break
-        t = _extremal_in_support(mesh, alg.normalize(x)[0], SUPPORT_REL_TOL)
+        t = _extremal_in_support(mesh, alg.normalize(x)[0])
         jn_x = normal_op @ x
         jn_t = normal_op @ t
         t_thr = SUPPORT_REL_TOL * float(np.abs(jn_t).max())
@@ -422,13 +416,12 @@ def decompose(g: CpwlFunction, tol: float = DECOMPOSE_TOL) -> Decomposition:
     )
 
 
-def rigidity_check(f: CpwlFunction, g: CpwlFunction,
-                   total_tol: float = 1e-10, edge_tol: float = 1e-9) -> bool:
+def rigidity_check(f: CpwlFunction, g: CpwlFunction) -> bool:
     """Verify that additivity of the totals forces per-edge additivity.
 
-    Precondition (checked): htv(f + g) = htv(f) + htv(g) within total_tol.
-    Returns True iff every interior edge splits its contribution additively
-    within edge_tol.
+    Precondition (checked): htv(f + g) = htv(f) + htv(g) within
+    1e-10 * max(1, htv(f) + htv(g)).  Returns True iff every interior edge
+    splits its contribution additively within 1e-9 times the same scale.
     """
     if f.mesh is not g.mesh:
         raise ExtremalError("f and g must share a mesh")
@@ -436,8 +429,8 @@ def rigidity_check(f: CpwlFunction, g: CpwlFunction,
     cf, cg, cs = (alg.contributions(alg.jumps(v))
                   for v in (f.values, g.values, f.values + g.values))
     tf, tg, ts = (float(np.sum(c)) for c in (cf, cg, cs))
-    if abs(ts - tf - tg) > total_tol * max(1.0, tf + tg):
+    if abs(ts - tf - tg) > 1e-10 * max(1.0, tf + tg):
         raise ExtremalError(
             f"precondition failed: totals are not additive ({ts} vs {tf} + {tg})")
     gap = np.abs(cs - cf - cg)
-    return bool(np.all(gap <= edge_tol * max(1.0, tf + tg)))
+    return bool(np.all(gap <= 1e-9 * max(1.0, tf + tg)))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import MeshError
 from .mesh import CpwlFunction, Edge, Triangulation, _GradientStencil
-from .schatten import INF, check_p, schatten_norms
+from .schatten import INF, schatten_norms
 
 # An edge is in a function's support iff its jump norm exceeds this share of
 # the largest jump norm.
@@ -28,7 +28,6 @@ class HtvReport:
     """Total CPWL energy plus the per-edge breakdown, edges in id order."""
 
     total: float
-    p: float
     edge_array: np.ndarray      # (E, 2) interior edges, as Triangulation.interior_edge_array
     jumps: np.ndarray           # (E, 2) gradient jumps, second triangle minus first
     lengths: np.ndarray         # (E,)
@@ -81,21 +80,19 @@ class _EdgeKernel:
         return norms > rel_tol * float(norms.max(initial=0.0))
 
 
-def htv_cpwl(g: CpwlFunction, p=1) -> HtvReport:
+def htv_cpwl(g: CpwlFunction) -> HtvReport:
     """Exact CPWL Hessian-Schatten total variation over the open square.
 
     Boundary edges contribute nothing (the energy is measured on the open
-    domain).  The value does not depend on p because every jump tensor has
-    rank one; p is recorded in the report for provenance.  Contributions
-    are summed in edge-id order with numpy's pairwise reduction.
+    domain).  The value is the same for every Schatten exponent p because
+    every jump tensor has rank one, so no p is taken.  Contributions are
+    summed in edge-id order with numpy's pairwise reduction.
     """
-    p = check_p(p)
     kernel = _EdgeKernel(g.mesh)
     jumps = kernel.jumps(g.values)
     contributions = kernel.contributions(jumps)
     return HtvReport(
         total=float(np.sum(contributions)),
-        p=p,
         edge_array=g.mesh.interior_edge_array,
         jumps=jumps,
         lengths=kernel.lengths,
@@ -103,16 +100,16 @@ def htv_cpwl(g: CpwlFunction, p=1) -> HtvReport:
     )
 
 
-def support_mask_by_jump(g: CpwlFunction, rel_tol: float = SUPPORT_REL_TOL) -> np.ndarray:
+def support_mask_by_jump(g: CpwlFunction) -> np.ndarray:
     """Support detected by jump norm relative to the largest jump, as a
     boolean mask over interior-edge ids.
 
     This is the tolerance rule shared by the extremality pipeline: an edge
-    is in the support iff |jump| > rel_tol * max |jump|.  A mesh that does
-    not tile its bounding square is refused, as in htv_cpwl.
+    is in the support iff |jump| > SUPPORT_REL_TOL * max |jump|.  A mesh
+    that does not tile its bounding square is refused, as in htv_cpwl.
     """
     kernel = _EdgeKernel(g.mesh)
-    return kernel.support(kernel.norms(kernel.jumps(g.values)), rel_tol)
+    return kernel.support(kernel.norms(kernel.jumps(g.values)), SUPPORT_REL_TOL)
 
 
 def p_independence_check(g: CpwlFunction) -> float:

@@ -101,8 +101,8 @@ class Triangulation:
       triangles (E, 2), smaller id first;
     - `n_vertices` and `n_triangles`: V and T.
 
-    Every array it holds is marked non-writeable, so a write into one raises
-    ValueError instead of bypassing the checks above.
+    Every array it holds is non-writeable and no attribute can be set or
+    deleted, so such a write raises instead of bypassing the checks above.
     """
 
     def __init__(self, vertices, triangles: Sequence, den: int = 1):
@@ -206,6 +206,15 @@ class Triangulation:
         for a in (num, self.float_vertices, tris, self.interior_edge_array,
                   self.interior_tri_array, self._boundary_edge_arr):
             a.flags.writeable = False
+        self._sealed = True
+
+    def __setattr__(self, name, value):
+        if self.__dict__.get("_sealed"):
+            raise AttributeError(f"a validated Triangulation is read-only: cannot set {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a validated Triangulation is read-only: cannot delete {name!r}")
 
     def _check_hanging_vertices(self):
         """Reject vertices lying strictly inside a boundary edge (T-junctions).
@@ -508,8 +517,8 @@ def load_mesh(path) -> CpwlFunction:
     return g
 
 
-def render_svg(g, path, width: int = 800) -> None:
-    """Render a mesh as an SVG, one polygon per triangle.
+def render_svg(g, path) -> None:
+    """Render a mesh as an SVG 800 units wide, one polygon per triangle.
 
     When g is a CpwlFunction the faces are filled by a blue-red ramp over
     the vertex-value range; a bare Triangulation renders as wireframe.
@@ -519,8 +528,8 @@ def render_svg(g, path, width: int = 800) -> None:
     else:
         mesh, values = g, None
     x0, x1, y0, y1 = (float(v) for v in mesh.bbox())
-    span = max(x1 - x0, y1 - y0, 1e-12)
-    scale = width / span
+    width = 800
+    scale = width / max(x1 - x0, y1 - y0, 1e-12)
     height = int(math.ceil((y1 - y0) * scale)) or 1
     fv = mesh.float_vertices
 

@@ -1,10 +1,12 @@
 import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import hstv
 from hstv.approx import (
     _TIE_ANGLE,
     MeshPlan,
@@ -24,6 +26,14 @@ from hstv.mesh import (
     uniform_diagonal_mesh,
 )
 from hstv.schatten import schatten_norms, sym_eigen_frame
+
+
+def subprocess_env(**extra: str) -> dict[str, str]:
+    """os.environ for a child Python process, with PYTHONPATH led by the
+    directory that holds the imported hstv package, so the child imports the
+    code under test whether or not it is installed; `extra` adds variables."""
+    path = [os.path.dirname(os.path.dirname(hstv.__file__)), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **extra}
 
 
 @pytest.fixture

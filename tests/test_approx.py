@@ -131,7 +131,7 @@ class TestFrames:
         fld = builtin_field("gaussian_bump", 0.3, 0.45, 0.55)
         devs = []
         for n in (1, 2, 3, 4):
-            frames = build_frames(fld, n, samples_per_square=5)
+            frames = build_frames(fld, n)
             devs.append(max(fr.deviation for fr in frames))
         assert all(b < a + 1e-12 for a, b in zip(devs, devs[1:]))
         assert devs[-1] < devs[0]
@@ -170,9 +170,9 @@ class TestFramesReference:
 
     def test_batches_do_not_change_values(self, monkeypatch):
         fld = parse_field(FRAME_FIELDS["bump"])
-        whole = build_frames(fld, 3, samples_per_square=5)
-        monkeypatch.setattr(hstv.approx, "_SAMPLE_BATCH", 3 * 5 * 5)  # 3 cells
-        batched = build_frames(fld, 3, samples_per_square=5)
+        whole = build_frames(fld, 3)
+        monkeypatch.setattr(hstv.approx, "_SAMPLE_BATCH", 3 * 9 * 9)  # 3 cells
+        batched = build_frames(fld, 3)
         assert [f.deviation for f in batched] == [f.deviation for f in whole]
 
     def test_level_guard_rejects_before_cell_work(self, monkeypatch):
@@ -273,6 +273,15 @@ class TestPlans:
         for K in (10, 11):
             with pytest.raises(PlanError, match="lattice points"):
                 plan_mesh(iso, 1, K)
+
+    def test_refusals_before_geometry(self):
+        # (2, 1) reduces to (1, 2): 2 << 12 = 8192 intervals per side.
+        frames = synthetic_frames(0, [RationalAngle(2, 1)])
+        with pytest.raises(PlanError, match=r"^8192 boundary intervals per cell side: "
+                           r"plan too fine to realize \(angle denominators \[2\], K=12\)$"):
+            plan_mesh(frames, 0, 12)
+        with pytest.raises(PlanError, match=r"^frame 0 has side 1/2, expected 2\^-0$"):
+            plan_mesh(synthetic_frames(1, [RationalAngle(2, 1)]), 0, 0)
 
 
 class TestTriangulateSquare:
@@ -380,7 +389,7 @@ class TestAssembleGlobal:
         bad = plan.squares[2]
         plan.squares[2] = replace(
             bad,
-            m=bad.m * 2, n=bad.n * 2, m0=bad.m0 * 2, n0=bad.n0 * 2,
+            m=bad.m * 2, n=bad.n * 2, m0=bad.m0 * 2,
             hv=(bad.hv[0] / 2, bad.hv[1] / 2),
             hw=(bad.hw[0] / 2, bad.hw[1] / 2),
         )

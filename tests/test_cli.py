@@ -14,7 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_hat, jittered_document, non_tiling_documents, random_lattice_mesh
+from conftest import (
+    grid_hat,
+    jittered_document,
+    non_tiling_documents,
+    random_lattice_mesh,
+    subprocess_env,
+)
 from hstv.cli import main
 from hstv.htv import htv_cpwl
 from hstv.mesh import (
@@ -47,7 +53,7 @@ def two_hat_file(tmp_path):
 def test_version_runs_as_script():
     out = subprocess.run(
         [sys.executable, "-m", "hstv.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=subprocess_env(),
     )
     assert out.returncode == 0
     assert out.stdout.startswith("hstv ")
@@ -58,7 +64,8 @@ def test_import_leaves_scipy_unloaded():
     suite's random meshes), not by `import hstv`."""
     code = ("import sys, hstv, hstv.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=subprocess_env())
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
 
@@ -67,7 +74,8 @@ def test_import_leaves_acceptance_unloaded():
     """The acceptance suite is imported by `hstv selftest` alone, so the other
     commands do not compile or load it."""
     code = "import sys, hstv, hstv.cli; print('hstv.acceptance' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=subprocess_env())
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
 
@@ -81,6 +89,38 @@ def test_selftest_seed_default(capsys):
         details.append(capsys.readouterr().out.rsplit(" (", 1)[0])
     assert details[0].startswith("criterion 6 [PASS]")
     assert details[0] == details[1]
+
+
+@pytest.mark.parametrize("only", ["x", "1,,2", "0", "9"])
+def test_selftest_only_usage_errors(only, capsys):
+    """A token that is not a criterion number exited 1 with a ValueError
+    traceback, and 0 or 9 ran nothing and exited 0: each is a usage error
+    naming the valid numbers, and no criterion runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--only", only])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "criterion numbers from 1 to 7" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_selftest_only_accepts_every_criterion(monkeypatch):
+    """--only takes any of the suite's numbers 1-7, spaces around a number
+    included, and hands them to run_all as a set."""
+    import hstv.acceptance
+
+    assert len(hstv.acceptance.ALL_CRITERIA) == 7
+    asked = []
+
+    def run_all(numbers, seed):
+        asked.append(numbers)
+        return []
+
+    monkeypatch.setattr(hstv.acceptance, "run_all", run_all)
+    assert main(["selftest", "--only", "1,2,3,4,5,6,7"]) == 0
+    assert main(["selftest", "--only", " 7, 1"]) == 0
+    assert asked == [set(range(1, 8)), {1, 7}]
 
 
 @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 9.0 GiB")])
@@ -354,7 +394,7 @@ def test_float_degenerate_triangles_exit_1(tmp_path):
     for argv in (["htv", path], ["extremal", "test", path],
                  ["extremal", "decompose", path, "--out", tmp_path / "d.json"]):
         out = subprocess.run([sys.executable, "-m", "hstv.cli", *map(str, argv)],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, env=subprocess_env())
         assert out.returncode == 1, (argv, out.stdout)
         assert out.stderr.startswith("error: "), out.stderr
         assert "RuntimeWarning" not in out.stderr, out.stderr

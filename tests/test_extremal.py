@@ -172,6 +172,11 @@ class TestPerturbationIdentity:
         g = grid_hat(4, 2, 2)
         assert perturbation_identity_check(g, g.with_values(np.zeros_like(g.values))) == 0.0
 
+    def test_empty_support_rejected(self):
+        h = grid_hat(4, 2, 2)
+        with pytest.raises(ExtremalError, match="^g has empty support$"):
+            perturbation_identity_check(h.with_values(np.zeros_like(h.values)), h)
+
     def test_meshes_must_match(self):
         """h on the grid cut along the other diagonal (same V) read 0.0; h
         on a smaller grid raised a numpy broadcast error."""
@@ -200,8 +205,7 @@ class TestSupportReduce:
         values = two.values.copy()
         values[0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(MeshError, match="non-finite"):
-            extremal._algebra(two.mesh).reduce(
-                values, cert.witness, cert.space.support_mask, 1e-9)
+            extremal._algebra(two.mesh).reduce(values, cert.witness, cert.space.support_mask)
         with pytest.raises(MeshError, match="non-finite"):
             extremal._algebra(two.mesh).energy(values)
 
@@ -400,7 +404,7 @@ class TestDecompose:
         """A greedy step whose direction has no jump leaves no ratio to
         peel by."""
         monkeypatch.setattr(extremal, "_extremal_in_support",
-                            lambda mesh, values, tol: np.zeros_like(values))
+                            lambda mesh, values: np.zeros_like(values))
         with pytest.raises(ExtremalError, match="no positive jump ratio: numerical "
                            "rank failure$"):
             decompose(grid_hat(4, 2, 2))
@@ -412,7 +416,7 @@ class TestDecompose:
         a, b, _ = two_hats()
         ia, ib = int(np.argmax(a.values)), int(np.argmax(b.values))
 
-        def swap(mesh, values, tol):
+        def swap(mesh, values):
             return a.values - b.values if values[ia] > values[ib] else b.values - a.values
 
         monkeypatch.setattr(extremal, "_extremal_in_support", swap)

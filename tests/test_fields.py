@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import grid_sample, quadrature_reference, zero_padded_convolution
+from conftest import grid_sample, quadrature_reference, subprocess_env, zero_padded_convolution
 from hstv.errors import FieldError
 from hstv.fields import (
     MAX_LATTICE_POINTS,
@@ -99,6 +99,29 @@ def test_gaussian_bump_out_of_range_rejected(params):
     # sigma^4 underflows, or reach^2 / sigma^4 overflows
     with pytest.raises(FieldError, match="gaussian_bump"):
         builtin_field("gaussian_bump", *params)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: builtin_field("gaussian_bump", 0.0), "gaussian_bump needs sigma > 0"),
+    (lambda: builtin_field("gaussian_bump", -0.2), "gaussian_bump needs sigma > 0"),
+    (lambda: parse_field("quadratic:1,x,1"),
+     "bad field descriptor 'quadratic:1,x,1': could not convert string to float: 'x'"),
+    (lambda: GridSample(0.1, np.zeros(5)), "samples must be a 2D array"),
+    (lambda: GridSample(0.1, np.zeros((2, 2, 2))), "samples must be a 2D array"),
+    (lambda: GridSample(0.0, np.zeros((5, 5))), "spacing must be positive"),
+    (lambda: GridSample(-0.1, np.zeros((5, 5))), "spacing must be positive"),
+    (lambda: discrete_htv(GridSample(0.1, np.zeros((6, 9))), 1, margin=2),
+     "grid too small for the requested margin"),
+    (lambda: extend_reflection(np.zeros((5, 5))),
+     "extend_reflection expects a SmoothField or GridSample"),
+    (lambda: extend_reflection(GridSample(0.1, np.zeros((5, 5)), (0.1, 0.0))),
+     "grid extension requires the first column at x = 0"),
+], ids=["sigma-0", "sigma-negative", "non-numeric", "1-d", "3-d", "spacing-0",
+        "spacing-negative", "margin", "ndarray", "origin"])
+def test_field_input_refusals(make, message):
+    with pytest.raises(FieldError) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 def test_parse_field_descriptors():
@@ -229,7 +252,8 @@ def test_mollify_leaves_scipy_unloaded():
     code = ("import sys, numpy as np; from hstv.fields import GridSample, mollify; "
             "mollify(GridSample(0.1, np.ones((8, 8))), 0.25); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=subprocess_env())
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
 

@@ -8,7 +8,6 @@ from hstv import extremal
 from hstv.errors import MeshError
 from hstv.htv import htv_cpwl, p_independence_check, support_mask_by_jump
 from hstv.mesh import CpwlFunction, Triangulation, cpwl_from_document
-from hstv.schatten import INF
 
 
 def test_diagonal_square_frozen_value(diag_square):
@@ -16,17 +15,16 @@ def test_diagonal_square_frozen_value(diag_square):
     # has norm sqrt(2) over length sqrt(2).  Hand-derived total: 2.
     g = CpwlFunction(diag_square, np.array([0.0, 0.0, 0.0, 1.0]))
     oracle, _ = brute_force_htv(g)
-    report = htv_cpwl(g, 1)
+    report = htv_cpwl(g)
     assert abs(oracle - report.total) <= 1e-12
     assert abs(report.total - 2.0) <= 1e-12
 
 
 def test_pyramid_hat_frozen_value(pyramid):
     oracle, per_edge = brute_force_htv(pyramid)
-    report = htv_cpwl(pyramid, 1)
+    report = htv_cpwl(pyramid)
     assert abs(report.total - oracle) <= 1e-12
     assert abs(report.total - 8.0) <= 1e-12
-    assert htv_cpwl(pyramid, INF).total == report.total
     assert len(report.edges) == len(report.contributions) == 4
 
 
@@ -77,10 +75,6 @@ def test_p_independence_examples(pyramid):
         mesh = random_lattice_mesh(rng, n_interior=16)
         g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
         assert p_independence_check(g) <= 1e-12
-        r1 = htv_cpwl(g, 1).total
-        r2 = htv_cpwl(g, 2).total
-        ri = htv_cpwl(g, INF).total
-        assert r1 == r2 == ri
 
 
 def test_scaling_and_affine_quotient():

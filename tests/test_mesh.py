@@ -2,7 +2,6 @@ import gc
 import itertools
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -22,6 +21,7 @@ from conftest import (
     jittered_document,
     random_lattice_mesh,
     same_vertices,
+    subprocess_env,
 )
 from hstv.errors import MeshError
 from hstv.htv import htv_cpwl
@@ -159,6 +159,34 @@ def test_non_integer_vertices_rejected(vertices):
     instead of being truncated (Fraction(1, 2) and 0.5 to 0)."""
     with pytest.raises(MeshError, match="integer numerators"):
         Triangulation(vertices, [(0, 1, 2)])
+
+
+class _Unconvertible:
+    """A vertex container numpy cannot turn into an array."""
+
+    def __array__(self, dtype=None, copy=None):
+        raise ValueError("no array form")
+
+
+SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+
+
+@pytest.mark.parametrize("vertices, triangles, message", [
+    (_Unconvertible(), [(0, 1, 2)], "malformed vertices: no array form"),
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)], "vertices must be coordinate pairs"),
+    ([0, 1, 2], [(0, 1, 2)], "vertices must be coordinate pairs"),
+    ([(0, 0), (1, 0)], [(0, 1, 1)], "a triangulation needs at least 3 vertices"),
+    (SQUARE, [(0, 1, "x")], "malformed triangles: "),
+    (SQUARE, [(0, 1, 2**70)], "malformed triangles: "),
+    (SQUARE, [], "a triangulation needs at least one triangle"),
+    (SQUARE, [(0, 1, 2, 3)], "a triangle needs exactly 3 vertex indices"),
+    (SQUARE, [0, 1, 2], "a triangle needs exactly 3 vertex indices"),
+], ids=["unconvertible", "triples", "flat", "two-vertices", "string-index",
+        "huge-index", "no-triangles", "four-indices", "flat-triangles"])
+def test_malformed_arrays_rejected(vertices, triangles, message):
+    with pytest.raises(MeshError) as exc:
+        Triangulation(vertices, triangles)
+    assert str(exc.value).startswith(message), exc.value
 
 
 def test_denominator_must_be_a_positive_integer():
@@ -502,7 +530,7 @@ def test_long_boundary_edge_scan_is_bounded(tmp_path):
             "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
             "from hstv.cli import main; sys.exit(main(['htv', sys.argv[1]]))")
     # One BLAS thread, so the address-space cap measures hstv, not thread stacks.
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env = subprocess_env(OPENBLAS_NUM_THREADS="1")
     t0 = time.perf_counter()
     out = subprocess.run([sys.executable, "-c", code, str(path)],
                          capture_output=True, text=True, timeout=120, env=env)
@@ -541,7 +569,8 @@ def test_load_leaves_numpy_ma_unloaded(tmp_path):
     save_mesh(uniform_diagonal_mesh(4), path)
     code = ("import sys; from hstv.mesh import load_mesh; "
             f"load_mesh({str(path)!r}); print('numpy.ma' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=subprocess_env())
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
 
@@ -658,6 +687,20 @@ def test_validated_mesh_is_read_only():
         mesh.triangle_array[1] = mesh.triangle_array[0]
     assert htv_cpwl(g).total == 16.0
     assert Triangulation(mesh.numerators, mesh.triangle_array, mesh.den).covers_bbox_exactly()
+
+
+def test_validated_mesh_attributes_cannot_be_rebound():
+    """`mesh.den = 8` made bbox() read (0, 1/2, 0, 1/2) while the float
+    vertices still spanned [0, 1] and covers_bbox_exactly() stayed True:
+    after construction no attribute can be set, added or deleted."""
+    mesh = uniform_diagonal_mesh(4)
+    for name in ("den", "numerators", "triangle_array", "n_vertices", "label"):
+        with pytest.raises(AttributeError, match=f"read-only: cannot set '{name}'"):
+            setattr(mesh, name, 8)
+    with pytest.raises(AttributeError, match="read-only: cannot delete 'den'"):
+        del mesh.den
+    assert mesh.den == 4 and not hasattr(mesh, "label")
+    assert mesh.bbox() == (0, 1, 0, 1)
 
 
 def test_evaluate_on_grid_affine(pyramid):

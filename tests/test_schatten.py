@@ -159,6 +159,12 @@ def test_dual_norm_estimate_examples():
     assert dual_norm_estimate(3.0, 0.0, 0.0, -4.0, INF, 4000) >= 3.99
 
 
+def test_dual_norm_needs_a_sample():
+    for samples in (0, -3):
+        with pytest.raises(HstvError, match="^samples must be >= 1$"):
+            dual_norm_estimate(1.0, 0.0, 0.0, 1.0, 2, samples)
+
+
 def test_dual_norm_is_a_lower_bound():
     rng = np.random.default_rng(5)
     entries = rng.standard_normal((200, 4)).T
