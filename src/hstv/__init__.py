@@ -18,12 +18,8 @@ from .extremal import (
     JumpSpaceBasis,
     constrained_space,
     decompose,
-    find_extremal_in_support,
     is_extremal,
-    normalize_mod_affine,
     perturbation_identity_check,
-    rigidity_check,
-    support_reduce,
 )
 from .fields import (
     GridSample,

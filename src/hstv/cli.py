@@ -60,6 +60,17 @@ def _parse_only(text: str) -> set[int]:
     return set(map(int, text.split(",")))
 
 
+def _parse_seed(text: str) -> int:
+    # numpy's default_rng takes only seeds >= 0.
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return seed
+
+
 def _check_threads_env() -> None:
     raw = os.environ.get("HTV_THREADS")
     if raw is None:
@@ -67,8 +78,9 @@ def _check_threads_env() -> None:
     try:
         n = int(raw)
     except ValueError:
-        raise SystemExit(2)
+        n = 0
     if n < 1:
+        print(f"error: HTV_THREADS must be a positive integer, got {raw!r}", file=sys.stderr)
         raise SystemExit(2)
     # Computation is deterministic and single-threaded; any positive cap is
     # honored trivially.
@@ -123,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_s = sub.add_parser("selftest", help="run the acceptance suite")
     p_s.add_argument("--only", type=_parse_only, default=None,
                      help="comma-separated criterion numbers from 1 to 7, e.g. 1,5")
-    p_s.add_argument("--seed", type=int, default=None)
+    p_s.add_argument("--seed", type=_parse_seed, default=None)
     return parser
 
 

@@ -109,21 +109,23 @@ class _MeshAlgebra(_EdgeKernel):
 
     # -- the greedy step on value vectors -----------------------------------------
 
-    def normalize(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(values minus their least-squares affine part, its coefficients).
+    def normalize(self, values: np.ndarray) -> np.ndarray:
+        """`values` minus their least-squares affine part.
 
-        The result is orthogonal to {1, x, y} at the vertices.
+        The result is orthogonal to {1, x, y} at the vertices, and its
+        energy is that of `values` (an affine shift moves every gradient
+        equally).
         """
         a = self.design
         coef, *_ = np.linalg.lstsq(a, values, rcond=None)
         reduced = values - a @ coef
         q = self.affine_basis
-        return reduced - q @ (q.T @ reduced), coef
+        return reduced - q @ (q.T @ reduced)
 
     def witness(self, values: np.ndarray, basis: np.ndarray) -> np.ndarray:
         """Unit column of the span of `basis` farthest from the line of the
         affine-normalized `values`."""
-        rep, _ = self.normalize(values)
+        rep = self.normalize(values)
         gn = rep / np.linalg.norm(rep)
         # np.outer(gn, gn @ basis) and np.linalg.norm(resid, axis=0),
         # spelled out: the same products and sums without the wrappers.
@@ -150,7 +152,7 @@ class _MeshAlgebra(_EdgeKernel):
             raise ExtremalError("witness has no usable jump inside the support")
         ratios = jn_g[usable] / jn_h[usable]
         lam = ratios[np.argmin(np.abs(ratios))]  # the first of the smallest
-        nxt, _ = self.normalize(values - lam * witness)
+        nxt = self.normalize(values - lam * witness)
         new_support = self.support(self.norms(self.jumps(nxt)), SUPPORT_REL_TOL)
         if (new_support > support).any() or (
                 np.count_nonzero(new_support) >= np.count_nonzero(support)):
@@ -169,20 +171,6 @@ def _algebra(mesh: Triangulation) -> _MeshAlgebra:
     return alg
 
 
-# -- the quotient modulo affine functions ----------------------------------------
-
-
-def normalize_mod_affine(g: CpwlFunction) -> tuple[CpwlFunction, tuple[float, float, float]]:
-    """Remove the least-squares affine part of the vertex values.
-
-    Returns (the representative, the removed coefficients (c1, cx, cy)).
-    The energy is unchanged (affine shifts move all gradients equally), and
-    the representative's values are orthogonal to {1, x, y} at the vertices.
-    """
-    reduced, coef = _algebra(g.mesh).normalize(g.values)
-    return g.with_values(reduced), tuple(float(c) for c in coef)
-
-
 # -- constrained spaces ----------------------------------------------------------
 
 
@@ -191,7 +179,6 @@ class JumpSpaceBasis:
     """Orthonormal basis of {h : jumps vanish on interior edges outside S},
     modulo affine functions."""
 
-    support_mask: np.ndarray  # (E,) bool over interior-edge ids: S
     basis: np.ndarray  # (V, dim)
     dim: int
 
@@ -210,14 +197,13 @@ def constrained_space(mesh: Triangulation, support: np.ndarray) -> JumpSpaceBasi
             and support.shape == (n_edges,)):
         raise ExtremalError(
             f"support must be a boolean mask of shape ({n_edges},) over interior-edge ids")
-    mask = support.copy()
     alg = _algebra(mesh)
     comp = alg.complement
-    if mask.all():
+    if support.all():
         basis = comp
     else:
         full, _ = alg.jump_operators
-        rows = full.reshape(len(mask), 2, -1)[~mask].reshape(-1, full.shape[1])
+        rows = full.reshape(n_edges, 2, -1)[~support].reshape(-1, full.shape[1])
         a = rows @ comp
         # A tall a's reduced V^T is already square; a wide a needs the
         # full one for its nullspace rows.
@@ -225,7 +211,7 @@ def constrained_space(mesh: Triangulation, support: np.ndarray) -> JumpSpaceBasi
         thr = 1e-10 * (sv[0] if len(sv) else 0.0)
         rank = np.count_nonzero(sv > thr)
         basis = comp @ vt[rank:].T
-    return JumpSpaceBasis(support_mask=mask, basis=basis, dim=basis.shape[1])
+    return JumpSpaceBasis(basis=basis, dim=basis.shape[1])
 
 
 @dataclass
@@ -298,21 +284,6 @@ def perturbation_identity_check(g: CpwlFunction, h: CpwlFunction) -> float:
 # -- greedy support reduction ----------------------------------------------------
 
 
-def support_reduce(g: CpwlFunction) -> tuple[CpwlFunction, float, CpwlFunction]:
-    """One reduction step: (h, lambda, g - lambda h) with strictly smaller support.
-
-    h is a unit direction from the constrained space of g's support that is
-    not a multiple of g; lambda is the smallest-magnitude jump ratio over
-    the support, which zeroes at least one edge and never flips the sign of
-    any other jump.  The third element is normalized modulo affine.
-    """
-    extremal, cert = is_extremal(g)
-    if extremal:
-        raise ExtremalError("input is extremal: nothing to reduce")
-    lam, nxt, _ = _algebra(g.mesh).reduce(g.values, cert.witness, cert.space.support_mask)
-    return g.with_values(cert.witness), lam, g.with_values(nxt)
-
-
 def _extremal_in_support(mesh: Triangulation, values: np.ndarray) -> np.ndarray:
     """Values of a unit-energy extremal direction with support inside that
     of the affine-normalized `values`.
@@ -329,13 +300,6 @@ def _extremal_in_support(mesh: Triangulation, values: np.ndarray) -> np.ndarray:
             return values / alg.energy(values)
         _, values, support = alg.reduce(values, cert.witness, support)
     raise ExtremalError("support reduction did not terminate")
-
-
-def find_extremal_in_support(g: CpwlFunction) -> CpwlFunction:
-    """Extremal direction with support inside g's, normalized modulo affine
-    and to unit energy."""
-    rep, _ = normalize_mod_affine(g)
-    return rep.with_values(_extremal_in_support(rep.mesh, rep.values))
 
 
 @dataclass
@@ -371,7 +335,7 @@ def decompose(g: CpwlFunction, tol: float = DECOMPOSE_TOL) -> Decomposition:
     _check_tol(tol)
     mesh = g.mesh
     alg = _algebra(mesh)
-    x, _ = alg.normalize(g.values)
+    x = alg.normalize(g.values)
     total = alg.energy(x)
     if total <= tol:
         raise ExtremalError("input is affine: nothing to decompose")
@@ -381,7 +345,7 @@ def decompose(g: CpwlFunction, tol: float = DECOMPOSE_TOL) -> Decomposition:
     for _ in range(len(mesh.interior_edge_array) + 2):
         if alg.energy(x) <= tol * max(1.0, total):
             break
-        t = _extremal_in_support(mesh, alg.normalize(x)[0])
+        t = _extremal_in_support(mesh, alg.normalize(x))
         jn_x = normal_op @ x
         jn_t = normal_op @ t
         t_thr = SUPPORT_REL_TOL * float(np.abs(jn_t).max())
@@ -414,23 +378,3 @@ def decompose(g: CpwlFunction, tol: float = DECOMPOSE_TOL) -> Decomposition:
         value_residual=float(np.max(np.abs(x))) if len(x) else 0.0,
         total=float(total),
     )
-
-
-def rigidity_check(f: CpwlFunction, g: CpwlFunction) -> bool:
-    """Verify that additivity of the totals forces per-edge additivity.
-
-    Precondition (checked): htv(f + g) = htv(f) + htv(g) within
-    1e-10 * max(1, htv(f) + htv(g)).  Returns True iff every interior edge
-    splits its contribution additively within 1e-9 times the same scale.
-    """
-    if f.mesh is not g.mesh:
-        raise ExtremalError("f and g must share a mesh")
-    alg = _algebra(f.mesh)
-    cf, cg, cs = (alg.contributions(alg.jumps(v))
-                  for v in (f.values, g.values, f.values + g.values))
-    tf, tg, ts = (float(np.sum(c)) for c in (cf, cg, cs))
-    if abs(ts - tf - tg) > 1e-10 * max(1.0, tf + tg):
-        raise ExtremalError(
-            f"precondition failed: totals are not additive ({ts} vs {tf} + {tg})")
-    gap = np.abs(cs - cf - cg)
-    return bool(np.all(gap <= 1e-9 * max(1.0, tf + tg)))

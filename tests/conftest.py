@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hstv
+from hstv import extremal
 from hstv.approx import (
     _TIE_ANGLE,
     MeshPlan,
@@ -17,6 +18,7 @@ from hstv.approx import (
 )
 from hstv.errors import MeshError, PlanError
 from hstv.fields import GridSample
+from hstv.htv import SUPPORT_REL_TOL, support_mask_by_jump
 from hstv.mesh import (
     CpwlFunction,
     Triangulation,
@@ -86,6 +88,54 @@ def grid_hat(n: int, i: int, j: int) -> CpwlFunction:
     vals = np.zeros(mesh.n_vertices)
     vals[j * (n + 1) + i] = 1.0
     return CpwlFunction(mesh, vals)
+
+
+def affine_normalized(g: CpwlFunction) -> CpwlFunction:
+    """g minus the least-squares affine part of its vertex values, on the
+    private kernel: the representative the greedy loop runs on, orthogonal
+    to {1, x, y} at the vertices."""
+    return g.with_values(extremal._algebra(g.mesh).normalize(g.values))
+
+
+def reduction_step(g: CpwlFunction) -> tuple[CpwlFunction, float, CpwlFunction]:
+    """One greedy support reduction of a non-extremal g on the private
+    kernel: (h, lambda, g - lambda h), where h is the certificate's witness
+    and the last is normalized modulo affine, with a strictly smaller
+    support than g's."""
+    support = support_mask_by_jump(g)
+    cert = extremal._certify(g.mesh, g.values, support, SUPPORT_REL_TOL)
+    assert cert.witness is not None, "g is extremal: nothing to reduce"
+    lam, nxt, _ = extremal._algebra(g.mesh).reduce(g.values, cert.witness, support)
+    return g.with_values(cert.witness), lam, g.with_values(nxt)
+
+
+def exact_energy(g: CpwlFunction) -> Fraction:
+    """The CPWL energy of g as an exact rational, from integer numerators.
+
+    For an interior edge (u, v) with opposite vertices a and b, write A for
+    integer doubled signed areas.  The jump across the edge is h(b) / dist(b,
+    uv), where h(b) = D / A(u, v, a) is b's value minus the first triangle's
+    affine interpolant, with D = A(u, v, a) z_b - A(b, v, a) z_u - A(u, b, a) z_v
+    - A(u, v, b) z_a.  So |jump| * |e| = (dX^2 + dY^2) |D| / |A(u, v, a) A(u, v, b)|,
+    with den cancelling; the float values are exact dyadic rationals.
+    """
+    pts = g.mesh.numerators.tolist()
+    tris = g.mesh.triangle_array.tolist()
+    z = [Fraction(v) for v in g.values.tolist()]
+
+    def area(p, q, r):
+        (px, py), (qx, qy), (rx, ry) = pts[p], pts[q], pts[r]
+        return (qx - px) * (ry - py) - (qy - py) * (rx - px)
+
+    total = Fraction(0)
+    for (u, v), (t1, t2) in zip(g.mesh.interior_edge_array.tolist(),
+                                g.mesh.interior_tri_array.tolist()):
+        a, b = (next(w for w in tris[t] if w != u and w != v) for t in (t1, t2))
+        a1, a2 = area(u, v, a), area(u, v, b)
+        d = a1 * z[b] - area(b, v, a) * z[u] - area(u, b, a) * z[v] - a2 * z[a]
+        dx, dy = pts[v][0] - pts[u][0], pts[v][1] - pts[u][1]
+        total += (dx * dx + dy * dy) * abs(d) / abs(a1 * a2)
+    return total
 
 
 def quadrature_reference(fld, p, resolution: int) -> float:

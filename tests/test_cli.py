@@ -355,6 +355,15 @@ def test_exit_codes(tmp_path, capsys):
         main(["approx", "--field", "quadratic:iso", "--N", "1", "--K", "0..99999999999999999999"])
     assert exit_info.value.code == 2
     assert "more than 41 levels" in capsys.readouterr().err
+    # a negative seed is a usage error (it exited 1 with numpy's ValueError
+    # traceback), and no criterion runs
+    with pytest.raises(SystemExit) as exit_info:
+        main(["selftest", "--only", "6", "--seed", "-1"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: expected an integer >= 0, got '-1'" in captured.err
+    assert "Traceback" not in captured.err
     assert main(["approx", "--field", "rotated-quadratic:1,1,inf", "--N", "1", "--K", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     # Finite parameters whose derivatives underflow or overflow: sigma^4 is 0
@@ -518,13 +527,17 @@ def test_threads_env_validation(hat_file, monkeypatch, capsys):
     monkeypatch.setenv("HTV_THREADS", "4")
     assert main(["htv", str(hat_file)]) == 0
     capsys.readouterr()
-    monkeypatch.setenv("HTV_THREADS", "0")
-    with pytest.raises(SystemExit) as exc:
-        main(["htv", str(hat_file)])
-    assert exc.value.code == 2
-    monkeypatch.setenv("HTV_THREADS", "lots")
-    with pytest.raises(SystemExit):
-        main(["htv", str(hat_file)])
+    # A bad value exited 2 with nothing on stderr; it is named in one line,
+    # before any argument is read.
+    for raw in ("0", "lots"):
+        monkeypatch.setenv("HTV_THREADS", raw)
+        for argv in (["htv", str(hat_file)], ["--version"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: HTV_THREADS must be a positive integer, got '{raw}'\n"
 
 
 # A valid 3 x 3-cell grid document with random values, the seed of the

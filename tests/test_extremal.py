@@ -3,19 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import grid_hat, random_lattice_mesh, refine_midpoints
+from conftest import (
+    affine_normalized,
+    grid_hat,
+    random_lattice_mesh,
+    reduction_step,
+    refine_midpoints,
+)
 from hstv import extremal
 from hstv.errors import ExtremalError, MeshError
-from hstv.extremal import (
-    constrained_space,
-    decompose,
-    find_extremal_in_support,
-    is_extremal,
-    normalize_mod_affine,
-    perturbation_identity_check,
-    rigidity_check,
-    support_reduce,
-)
+from hstv.extremal import constrained_space, decompose, is_extremal, perturbation_identity_check
 from hstv.htv import htv_cpwl, support_mask_by_jump
 from hstv.mesh import CpwlFunction, Triangulation, uniform_diagonal_mesh
 
@@ -42,17 +39,18 @@ class TestQuotient:
     def test_affine_input_maps_to_zero(self):
         mesh = uniform_diagonal_mesh(3)
         fv = mesh.float_vertices
-        g = CpwlFunction(mesh, 1.0 + 2.0 * fv[:, 0] - 0.7 * fv[:, 1])
-        rep, affine = normalize_mod_affine(g)
+        affine = 1.0 + 2.0 * fv[:, 0] - 0.7 * fv[:, 1]
+        g = CpwlFunction(mesh, affine)
+        rep = affine_normalized(g)
         assert np.max(np.abs(rep.values)) <= 1e-12
-        assert affine == pytest.approx((1.0, 2.0, -0.7))
+        assert np.max(np.abs(g.values - rep.values - affine)) <= 1e-12
 
     def test_affine_shift_invariance_and_energy(self):
         g = grid_hat(4, 2, 2)
         fv = g.mesh.float_vertices
         shifted = g.with_values(g.values + 3.0 - fv[:, 0] + 5.0 * fv[:, 1])
-        r1 = normalize_mod_affine(g)[0]
-        r2 = normalize_mod_affine(shifted)[0]
+        r1 = affine_normalized(g)
+        r2 = affine_normalized(shifted)
         assert np.max(np.abs(r1.values - r2.values)) <= 1e-12
         assert htv_cpwl(r1).total == pytest.approx(htv_cpwl(g).total, abs=1e-10)
 
@@ -60,7 +58,7 @@ class TestQuotient:
         rng = np.random.default_rng(19)
         mesh = random_lattice_mesh(rng)
         g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
-        rep = normalize_mod_affine(g)[0]
+        rep = affine_normalized(g)
         fv = mesh.float_vertices
         a = np.stack([np.ones(len(fv)), fv[:, 0], fv[:, 1]], axis=1)
         coef, *_ = np.linalg.lstsq(a, rep.values, rcond=None)
@@ -83,7 +81,7 @@ class TestConstrainedSpace:
         space = constrained_space(g.mesh, support_mask_by_jump(g))
         assert space.dim == 1
         # the line is spanned by the hat itself
-        rep = normalize_mod_affine(g)[0]
+        rep = affine_normalized(g)
         gn = rep.values / np.linalg.norm(rep.values)
         assert abs(abs(gn @ space.basis[:, 0]) - 1.0) <= 1e-9
 
@@ -119,7 +117,7 @@ class TestIsExtremal:
         assert w is not None
         sw = support_mask_by_jump(two.with_values(w))
         assert not (sw & ~(support_mask_by_jump(a) | support_mask_by_jump(b))).any()
-        rep = normalize_mod_affine(two)[0]
+        rep = affine_normalized(two)
         gn = rep.values / np.linalg.norm(rep.values)
         assert abs(w @ gn) < 0.99
 
@@ -189,13 +187,9 @@ class TestPerturbationIdentity:
 class TestSupportReduce:
     def test_two_hat_single_step(self):
         a, b, two = two_hats()
-        h, lam, nxt = support_reduce(two)
+        h, lam, nxt = reduction_step(two)
         sn = support_mask_by_jump(nxt)
         assert any(np.array_equal(sn, support_mask_by_jump(h)) for h in (a, b))
-
-    def test_extremal_input_rejected(self):
-        with pytest.raises(ExtremalError):
-            support_reduce(grid_hat(4, 2, 2))
 
     def test_non_finite_step_rejected(self):
         """A step, or an energy, whose values turn non-finite raises
@@ -205,7 +199,7 @@ class TestSupportReduce:
         values = two.values.copy()
         values[0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(MeshError, match="non-finite"):
-            extremal._algebra(two.mesh).reduce(values, cert.witness, cert.space.support_mask)
+            extremal._algebra(two.mesh).reduce(values, cert.witness, support_mask_by_jump(two))
         with pytest.raises(MeshError, match="non-finite"):
             extremal._algebra(two.mesh).energy(values)
 
@@ -213,13 +207,13 @@ class TestSupportReduce:
         rng = np.random.default_rng(20)
         mesh = random_lattice_mesh(rng, n_interior=8)
         g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
-        rep = normalize_mod_affine(g)[0]
+        rep = affine_normalized(g)
         lengths = [support_length(rep, 1e-10)]
         for _ in range(len(mesh.interior_edge_array) + 2):
             verdict, _ = is_extremal(rep)
             if verdict:
                 break
-            _, _, rep = support_reduce(rep)
+            _, _, rep = reduction_step(rep)
             lengths.append(support_length(rep, 1e-10))
         else:
             pytest.fail("reduction did not reach an extremal function")
@@ -229,17 +223,18 @@ class TestSupportReduce:
 class TestFindExtremal:
     def test_hat_returns_itself_normalized(self):
         g = grid_hat(4, 2, 2)
-        t = find_extremal_in_support(g)
+        rep = affine_normalized(g)
+        t = g.with_values(extremal._extremal_in_support(g.mesh, rep.values))
         total = htv_cpwl(t).total
         assert abs(total - 1.0) <= 1e-12
-        rep = normalize_mod_affine(g)[0]
         expected = rep.values / htv_cpwl(g).total
         sign = math.copysign(1.0, t.values @ expected)
         assert np.max(np.abs(sign * t.values - expected)) <= 1e-10
 
     def test_two_hat_returns_one_hat(self):
         a, b, two = two_hats()
-        t = find_extremal_in_support(two)
+        t = two.with_values(
+            extremal._extremal_in_support(two.mesh, affine_normalized(two).values))
         st = support_mask_by_jump(t)
         assert any(np.array_equal(st, support_mask_by_jump(h)) for h in (a, b))
 
@@ -248,7 +243,7 @@ class TestFindExtremal:
         for _ in range(5):
             mesh = random_lattice_mesh(rng)
             g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
-            t = find_extremal_in_support(g)
+            t = g.with_values(extremal._extremal_in_support(mesh, affine_normalized(g).values))
             assert is_extremal(t)[0]
             assert not (support_mask_by_jump(t) & ~support_mask_by_jump(g)).any()
 
@@ -262,20 +257,21 @@ class TestSolveCount:
         rng = np.random.default_rng(23)
         mesh = random_lattice_mesh(rng, n_interior=8)
         g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
-        rep = normalize_mod_affine(g)[0]
+        rep = affine_normalized(g)
+        start = rep.values
         steps = 0
         while not is_extremal(rep)[0]:
-            _, _, rep = support_reduce(rep)
+            _, _, rep = reduction_step(rep)
             steps += 1
         assert steps == 8
         calls = []
         solve = extremal.constrained_space
         monkeypatch.setattr(extremal, "constrained_space",
                             lambda *args: calls.append(args) or solve(*args))
-        t = find_extremal_in_support(g)
+        t = extremal._extremal_in_support(mesh, start)
         assert len(calls) == steps + 1
-        # Same floats as the step-by-step public route.
-        np.testing.assert_array_equal(t.values, rep.values / htv_cpwl(rep).total)
+        # Same floats as the step-by-step route.
+        np.testing.assert_array_equal(t, rep.values / htv_cpwl(rep).total)
         monkeypatch.undo()
         assert len(decompose(g).terms) == 9  # as before the solves were shared
 
@@ -324,12 +320,11 @@ class TestLoopReferences:
         first one on ties."""
         rng = np.random.default_rng(26)
         mesh = random_lattice_mesh(rng)
-        g = normalize_mod_affine(CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices)))[0]
+        g = affine_normalized(CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices)))
         _, normal = loop_jump_operators(mesh)
         for _ in range(3):
-            _, cert = is_extremal(g)
-            h, lam, nxt = support_reduce(g)
-            support = cert.space.support_mask.tolist()
+            support = support_mask_by_jump(g).tolist()
+            h, lam, nxt = reduction_step(g)
             jn_g, jn_h = normal @ g.values, normal @ h.values
             h_thr = 1e-9 * float(np.abs(jn_h).max())
             ref = None
@@ -371,7 +366,7 @@ class TestDecompose:
             assert dec.value_residual <= 1e-8
             assert abs(dec.coefficient_sum - total) <= 1e-8
             recon = sum(c * t.values for c, t in zip(dec.coefficients, dec.terms))
-            rep = normalize_mod_affine(g)[0]
+            rep = affine_normalized(g)
             assert np.max(np.abs(recon - rep.values)) <= 1e-8
             for t in dec.terms:
                 assert is_extremal(t)[0]
@@ -442,42 +437,35 @@ class TestDecompose:
 
 
 class TestRigidity:
+    """Additive totals force additive edges: for f and g whose energies add
+    up, every interior edge splits its contribution additively."""
+
+    @staticmethod
+    def assert_additive_per_edge(f, g):
+        cf, cg, cs = (htv_cpwl(h).contributions
+                      for h in (f, g, f.with_values(f.values + g.values)))
+        tf, tg, ts = (float(np.sum(c)) for c in (cf, cg, cs))
+        scale = max(1.0, tf + tg)
+        assert abs(ts - tf - tg) <= 1e-10 * scale
+        assert np.max(np.abs(cs - cf - cg)) <= 1e-9 * scale
+
     def test_collinear(self):
         g = grid_hat(4, 2, 2)
-        assert rigidity_check(g, g.with_values(2.0 * g.values))
+        self.assert_additive_per_edge(g, g.with_values(2.0 * g.values))
 
     def test_disjoint_supports(self):
         a, b, _ = two_hats(2.0, 5.0)
-        assert rigidity_check(a, b)
-
-    def test_cancellation_violates_precondition(self):
-        g = grid_hat(4, 2, 2)
-        with pytest.raises(ExtremalError):
-            rigidity_check(g, g.with_values(-g.values))
-
-    def test_meshes_must_match(self):
-        g = grid_hat(4, 2, 2)
-        h = grid_hat(2, 1, 1)
-        with pytest.raises(ExtremalError):
-            rigidity_check(g, h)
-
-    def test_overflowing_sum_rejected(self):
-        g = grid_hat(4, 2, 2)
-        f = g.with_values(1e308 * g.values)
-        with np.errstate(all="ignore"), pytest.raises(MeshError, match="non-finite vertex value"):
-            rigidity_check(f, f)
+        self.assert_additive_per_edge(a, b)
 
 
 class TestKernelRoute:
     def test_checks_reuse_the_mesh_kernel(self, stencils):
-        """After decompose has seen a mesh, the perturbation and rigidity
-        checks on it build no gradient stencil (they built 4 and 2 through
-        htv_cpwl)."""
-        a, b, two = two_hats(2.0, 5.0)
+        """After decompose has seen a mesh, the perturbation check on it
+        builds no gradient stencil (it built 4 through htv_cpwl)."""
+        a, _, two = two_hats(2.0, 5.0)
         decompose(two)
         assert len(stencils) == 1
         assert perturbation_identity_check(two, a) <= 1e-10
-        assert rigidity_check(a, b)
         assert len(stencils) == 1
 
 

@@ -1,10 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import brute_force_htv, grid_hat, non_tiling_documents, random_lattice_mesh
-from hstv import extremal
+from conftest import (
+    brute_force_htv,
+    exact_energy,
+    grid_hat,
+    non_tiling_documents,
+    random_lattice_mesh,
+)
+from hstv import assemble_global, build_frames, extremal, interpolate, parse_field, plan_mesh
 from hstv.errors import MeshError
 from hstv.htv import htv_cpwl, p_independence_check, support_mask_by_jump
 from hstv.mesh import CpwlFunction, Triangulation, cpwl_from_document
@@ -140,8 +147,7 @@ def test_every_entry_point_refuses_non_tiling_meshes():
     refused by every library entry point that reads the edge kernel, not
     only by support_mask_by_jump (above) and the CLI commands."""
     runs = (htv_cpwl, p_independence_check, extremal.is_extremal, extremal.decompose,
-            lambda f: extremal.perturbation_identity_check(f, f),
-            lambda f: extremal.rigidity_check(f, f))
+            lambda f: extremal.perturbation_identity_check(f, f))
     for doc in non_tiling_documents():
         g = cpwl_from_document(doc)
         for run in runs:
@@ -168,3 +174,29 @@ def test_random_meshes_match_brute_force():
         got = dict(zip(report.edges, report.contributions))
         for e, c in per_edge.items():
             assert abs(got[e] - c) <= 1e-9 * max(1.0, oracle)
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_energy_against_exact_rational_on_iso(K):
+    """On the quadratic:iso interpolant at N=1 (385 to 5,377 vertices) the
+    relative error of htv_cpwl against the exact rational energy is at most
+    4 eps 4^K: its rounding grows about 4x per level (measured 1.4 to 1.9
+    eps 4^K)."""
+    fld = parse_field("quadratic:iso")
+    g = interpolate(fld, assemble_global(plan_mesh(build_frames(fld, 1), 1, K)))
+    exact = exact_energy(g)
+    rel = abs(Fraction(htv_cpwl(g).total) - exact) / exact
+    assert rel <= 4 * np.finfo(float).eps * 4**K, float(rel)
+
+
+def test_energy_against_exact_rational_on_random_meshes():
+    """On random lattice meshes with random values the relative error of
+    htv_cpwl against the exact rational energy is at most eps * E, the
+    summation bound over E interior edges (measured at most 0.03 eps E)."""
+    rng = np.random.default_rng(41)
+    for n_interior in (4, 8, 16, 32):
+        mesh = random_lattice_mesh(rng, n_interior)
+        g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
+        exact = exact_energy(g)
+        rel = abs(Fraction(htv_cpwl(g).total) - exact) / exact
+        assert rel <= np.finfo(float).eps * len(mesh.interior_edge_array), float(rel)
