@@ -61,10 +61,7 @@ def _iso_context(ctx: dict) -> dict:
         return ctx["iso"]
     fld = builtin_field("quadratic", 1, 0, 1)
     meshes = {}
-    table = convergence_experiment(
-        fld, 1, range(1, 7), p=1, mode="lcm",
-        collect=meshes.__setitem__,
-    )
+    table = convergence_experiment(fld, 1, range(1, 7), p=1, collect=meshes.__setitem__)
     ctx["iso"] = {"field": fld, "table": table, "interpolants": meshes}
     return ctx["iso"]
 
@@ -131,7 +128,7 @@ def criterion_3(ctx: dict) -> CriterionResult:
     pipeline = {}
     nverts = {}
     for K in (4, 5, 6):
-        plan = plan_mesh(frames, 1, K, "lcm")
+        plan = plan_mesh(frames, 1, K)
         mesh = assemble_global(plan)
         g = interpolate(fld, mesh)
         pipeline[K] = htv_cpwl(g).total
@@ -187,7 +184,7 @@ def criterion_4(ctx: dict, seed: int = DEFAULT_SEED) -> CriterionResult:
             frames = synthetic_frames(N, angles)
             minima = []
             for K in range(4):
-                plan = plan_mesh(frames, N, K, "lcm")
+                plan = plan_mesh(frames, N, K)
                 mesh = assemble_global(plan)
                 # Independent revalidation from raw arrays: full conformity
                 # and the exact area sum.

@@ -58,10 +58,6 @@ class RationalAngle:
         if math.gcd(self.p, self.q) != 1:
             raise HstvError(f"({self.p}, {self.q}) not coprime")
 
-    @property
-    def theta(self) -> float:
-        return math.atan2(self.q, self.p)
-
     def rotation(self) -> tuple[float, float]:
         """(c, s) of the rotation [[c, -s], [s, c]] by this angle."""
         r = math.hypot(self.p, self.q)
@@ -243,40 +239,30 @@ class MeshPlan:
     corners: np.ndarray        # (cells, 2) numerators over den of each cell's lower-left corner
 
 
-def plan_mesh(frames: Sequence[SquareFrame], N: int, K: int, mode: str = "lcm") -> MeshPlan:
+def plan_mesh(frames: Sequence[SquareFrame], N: int, K: int) -> MeshPlan:
     """Choose per-cell grid pitches so all cell boundaries subdivide at one
-    common spacing.
-
-    mode="paper" uses the product of the other cells' reduced denominators,
-    mode="lcm" (default) the least common multiple of all of them; both keep
-    the alignment invariants exact, the lcm variant just keeps pitches sane
-    when many distinct angles are present.  Cells with one reduced pair
-    (pp, qq, reflected) share one SquarePlan.
+    common spacing, 2^-(N + K) over the least common multiple of the cells'
+    reduced angle denominators; the alignment invariants hold exactly.
+    Cells with one reduced pair (pp, qq, reflected) share one SquarePlan.
     """
     if not frames:
         raise PlanError("no frames")
     if K < 0:
         raise PlanError("K must be >= 0")
-    if mode not in ("paper", "lcm"):
-        raise PlanError("mode must be 'paper' or 'lcm'")
     reduced = [f.angle.reduced() for f in frames]
-    qs = [qq for (_, qq, _) in reduced]
-    dens = sorted(set(qs))  # for the messages: one entry per cell would grow with 4^N
-    if mode == "paper":
-        m0_all = 1
-        for q in qs:
-            m0_all *= q
-    else:
-        m0_all = math.lcm(*qs)
+    # The messages name each denominator once: one entry per cell would grow with 4^N.
+    dens = sorted({qq for (_, qq, _) in reduced})
+    m0_all = math.lcm(*dens)
     if N + K > MAX_SPACING_BITS:
         raise PlanError(
             f"boundary spacing at most 2^-(N + K), below 2^-{MAX_SPACING_BITS}: "
             f"N={N} and K={K} make the grid unrealizably fine")
     spacing = Fraction(1, (1 << (N + K)) * m0_all)
     if spacing < Fraction(1, 1 << MAX_SPACING_BITS):
+        # The lcm is named by bit length: it can be too long to print.
         raise PlanError(
-            f"boundary spacing {spacing} below 2^-{MAX_SPACING_BITS}: angle denominators {dens} "
-            f"({mode} combination = {m0_all}) make the grid unrealizably fine"
+            f"boundary spacing 2^-{N + K} / lcm below 2^-{MAX_SPACING_BITS}: angle denominators "
+            f"{dens} (lcm of {m0_all.bit_length()} bits) make the grid unrealizably fine"
         )
     if (m0_all << K) > 4096:
         raise PlanError(
@@ -364,7 +350,7 @@ def _numerators(den: int, *values: Fraction) -> list[int]:
 
 def _square_local_mesh(sp: SquarePlan, plan: MeshPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vertex numerators over plan.den, CCW triangles and the cell-boundary
-    mask of one cell placed at the origin (exact).
+    mask of one cell placed at (0, 0) (exact).
 
     Depends on the plan only through N, K and den, so cells that share sp
     share this mesh up to an integer translation.
@@ -581,7 +567,6 @@ def convergence_experiment(
     N: int,
     K_range: Sequence[int],
     p=1,
-    mode: str = "lcm",
     ref_resolution: int = 512,
     frames: Optional[list[SquareFrame]] = None,
     collect=None,
@@ -594,7 +579,7 @@ def convergence_experiment(
         raise HstvError("K_range must be nonempty and ascending")
     if frames is None:
         frames = build_frames(fld, N)
-    plans = [plan_mesh(frames, N, K, mode) for K in ks]  # reject bad plans first
+    plans = [plan_mesh(frames, N, K) for K in ks]  # reject bad plans first
     reference = htv_quadrature(fld, p, ref_resolution)
     rows = []
     for K, plan in zip(ks, plans):

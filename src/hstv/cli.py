@@ -107,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ap.add_argument("--N", type=int, required=True, help="dyadic partition level")
     p_ap.add_argument("--K", type=_parse_k_range, required=True,
                       help="band level or range a..b")
-    p_ap.add_argument("--mode", choices=["lcm", "paper"], default="lcm")
     p_ap.add_argument("--p", type=_parse_p, default=1.0)
     p_ap.add_argument("--ref-resolution", type=int, default=512)
     p_ap.add_argument("--out", default=None, help="write the CSV table here")
@@ -178,7 +177,7 @@ def _cmd_approx(args) -> int:
     fld = parse_field(args.field)
     collected = {}
     table = convergence_experiment(
-        fld, args.N, args.K, p=args.p, mode=args.mode,
+        fld, args.N, args.K, p=args.p,
         ref_resolution=args.ref_resolution,
         collect=collected.__setitem__ if (args.emit_mesh or args.emit_svg) else None,
     )

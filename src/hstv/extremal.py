@@ -327,7 +327,7 @@ def decompose(g: CpwlFunction, tol: float = DECOMPOSE_TOL) -> Decomposition:
 
     Greedy peeling: find an extremal direction in the current support, then
     subtract the largest multiple that keeps every remaining jump on its
-    original side of zero.  Each step zeroes at least one support edge, so
+    starting side of zero.  Each step zeroes at least one support edge, so
     the loop terminates, and because no sign ever flips the energies add up:
     the coefficient sum equals the input energy (rigidity).  `tol` must be
     finite and >= 0.
@@ -375,6 +375,6 @@ def decompose(g: CpwlFunction, tol: float = DECOMPOSE_TOL) -> Decomposition:
         terms=terms,
         coefficients=coeffs,
         residual=float(residual),
-        value_residual=float(np.max(np.abs(x))) if len(x) else 0.0,
+        value_residual=float(np.max(np.abs(x))),
         total=float(total),
     )

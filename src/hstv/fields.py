@@ -200,11 +200,10 @@ def htv_quadrature(fld: SmoothField, p, resolution: int = 512) -> float:
 
 @dataclass
 class GridSample:
-    """Uniform grid of samples: samples[i, j] lives at origin + (i*h, j*h)."""
+    """Uniform grid of samples: samples[i, j] lives at (i*h, j*h)."""
 
     spacing: float
     samples: np.ndarray
-    origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -238,7 +237,7 @@ def mollify(u: GridSample, radius: float) -> GridSample:
     # of the zero-padded samples weighted by the kernel entries.
     z, (n0, n1) = np.pad(u.samples, r), u.samples.shape
     out = sum(w * z[i:i + n0, j:j + n1] for (i, j), w in np.ndenumerate(bump_kernel(r)) if w)
-    return GridSample(u.spacing, out, u.origin)
+    return GridSample(u.spacing, out)
 
 
 def discrete_htv(u: GridSample, p=1, margin: int = 0) -> float:
@@ -274,14 +273,11 @@ def extend_reflection(f):
     """Extend a field defined for x in (0, 1) to x in (-1/2, 1).
 
     For x < 0 the extension is 3 f(-x, y) - 2 f(-2x, y), which matches value
-    and first derivative across x = 0.  Accepts a SmoothField (returns a
-    SmoothField with chain-rule derivatives) or a GridSample (returns a wider
-    GridSample; requires origin x = 0).
+    and first derivative across x = 0.  The result is a SmoothField with
+    chain-rule derivatives.
     """
-    if isinstance(f, GridSample):
-        return _extend_reflection_grid(f)
     if not isinstance(f, SmoothField):
-        raise FieldError("extend_reflection expects a SmoothField or GridSample")
+        raise FieldError("extend_reflection expects a SmoothField")
 
     def guard(x):
         xa = np.asarray(x, dtype=float)
@@ -307,15 +303,3 @@ def extend_reflection(f):
         fxy=combine(f.fxy, -3.0, 4.0),
         fyy=combine(f.fyy, 3.0, -2.0),
     )
-
-
-def _extend_reflection_grid(u: GridSample) -> GridSample:
-    if abs(u.origin[0]) > 1e-12:
-        raise FieldError("grid extension requires the first column at x = 0")
-    n0, n1 = u.samples.shape
-    k = (n0 - 1) // 2
-    out = np.empty((n0 + k, n1))
-    out[k:, :] = u.samples
-    for i in range(1, k + 1):
-        out[k - i, :] = 3.0 * u.samples[i, :] - 2.0 * u.samples[2 * i, :]
-    return GridSample(u.spacing, out, (-k * u.spacing + u.origin[0], u.origin[1]))

@@ -234,8 +234,8 @@ class Triangulation:
         extent = np.sort((hi - lo).max(axis=1))
         cell = max(int(extent[len(extent) // 2]), 1)
         xlo, xhi, ylo, yhi = self._extremes
-        origin = np.array([xlo, ylo], dtype=num.dtype)
-        vbin = (num - origin) // cell
+        corner = np.array([xlo, ylo], dtype=num.dtype)
+        vbin = (num - corner) // cell
         height = (yhi - ylo) // cell + 1
         vkey = vbin[:, 0] * height + vbin[:, 1]
         vorder = _argsort(vkey, ((xhi - xlo) // cell + 1) * height - 1)
@@ -244,7 +244,7 @@ class Triangulation:
         cols = vcol[np.r_[True, vcol[1:] != vcol[:-1]]]  # occupied, ascending
         # A point of a segment lies in a bin between those of its endpoints:
         # the edge's occupied columns are cols[c0:c0 + ncol].
-        lo, hi = (lo - origin) // cell, (hi - origin) // cell
+        lo, hi = (lo - corner) // cell, (hi - corner) // cell
         c0 = np.searchsorted(cols, lo[:, 0], "left")
         ncol = np.searchsorted(cols, hi[:, 0], "right") - c0
         edge = np.repeat(np.arange(len(bedges)), ncol)

@@ -109,33 +109,64 @@ def reduction_step(g: CpwlFunction) -> tuple[CpwlFunction, float, CpwlFunction]:
     return g.with_values(cert.witness), lam, g.with_values(nxt)
 
 
-def exact_energy(g: CpwlFunction) -> Fraction:
-    """The CPWL energy of g as an exact rational, from integer numerators.
+def edge_stencils(mesh: Triangulation) -> list[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
+    """The integer stencil of each interior edge, in edge-id order.
 
     For an interior edge (u, v) with opposite vertices a and b, write A for
     integer doubled signed areas.  The jump across the edge is h(b) / dist(b,
     uv), where h(b) = D / A(u, v, a) is b's value minus the first triangle's
     affine interpolant, with D = A(u, v, a) z_b - A(b, v, a) z_u - A(u, b, a) z_v
-    - A(u, v, b) z_a.  So |jump| * |e| = (dX^2 + dY^2) |D| / |A(u, v, a) A(u, v, b)|,
-    with den cancelling; the float values are exact dyadic rationals.
+    - A(u, v, b) z_a.  Each entry is the vertex ids (b, u, v, a), their
+    coefficients in D, and the weight (dX^2 + dY^2) / |A(u, v, a) A(u, v, b)|
+    with |jump| * |e| = weight * |D|; den cancels from the weight.
     """
-    pts = g.mesh.numerators.tolist()
-    tris = g.mesh.triangle_array.tolist()
-    z = [Fraction(v) for v in g.values.tolist()]
+    pts = mesh.numerators.tolist()
+    tris = mesh.triangle_array.tolist()
 
     def area(p, q, r):
         (px, py), (qx, qy), (rx, ry) = pts[p], pts[q], pts[r]
         return (qx - px) * (ry - py) - (qy - py) * (rx - px)
 
-    total = Fraction(0)
-    for (u, v), (t1, t2) in zip(g.mesh.interior_edge_array.tolist(),
-                                g.mesh.interior_tri_array.tolist()):
+    stencils = []
+    for (u, v), (t1, t2) in zip(mesh.interior_edge_array.tolist(),
+                                mesh.interior_tri_array.tolist()):
         a, b = (next(w for w in tris[t] if w != u and w != v) for t in (t1, t2))
         a1, a2 = area(u, v, a), area(u, v, b)
-        d = a1 * z[b] - area(b, v, a) * z[u] - area(u, b, a) * z[v] - a2 * z[a]
         dx, dy = pts[v][0] - pts[u][0], pts[v][1] - pts[u][1]
-        total += (dx * dx + dy * dy) * abs(d) / abs(a1 * a2)
-    return total
+        stencils.append(((b, u, v, a), (a1, -area(b, v, a), -area(u, b, a), -a2),
+                         Fraction(dx * dx + dy * dy, abs(a1 * a2))))
+    return stencils
+
+
+def exact_energy(g: CpwlFunction) -> Fraction:
+    """The CPWL energy of g as an exact rational: the sum of weight * |D|
+    over the edge stencils; the float values are exact dyadic rationals."""
+    z = [Fraction(v) for v in g.values.tolist()]
+    return sum((w * abs(sum(c * z[i] for i, c in zip(ids, coeffs)))
+                for ids, coeffs, w in edge_stencils(g.mesh)), Fraction(0))
+
+
+def exact_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination on
+    Python ints: every entry stays a minor of the matrix, so each division
+    is exact."""
+    m = [list(r) for r in rows]
+    rank, prev = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        for row in m[rank + 1:]:
+            for j in range(col + 1, len(row)):
+                q, r = divmod(top[col] * row[j] - row[col] * top[j], prev)
+                assert r == 0, "Bareiss division not exact"
+                row[j] = q
+            row[col] = 0
+        prev = top[col]
+        rank += 1
+    return rank
 
 
 def quadrature_reference(fld, p, resolution: int) -> float:

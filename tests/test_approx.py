@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -50,7 +51,6 @@ class TestRationalAngles:
         with pytest.raises(HstvError):
             RationalAngle(0, 1)
         a = RationalAngle(2, 1)
-        assert abs(a.theta - math.atan(0.5)) <= 1e-15
         assert a.reduced() == (1, 2, True)
         assert RationalAngle(1, 2).reduced() == (1, 2, False)
 
@@ -190,7 +190,7 @@ class TestFramesReference:
 class TestPlans:
     def test_single_square_frozen_numbers(self):
         frames = synthetic_frames(0, [RationalAngle(2, 1)])
-        plan = plan_mesh(frames, 0, 0, "lcm")
+        plan = plan_mesh(frames, 0, 0)
         sp = plan.squares[0]
         # reduced pair (1, 2); spacing 1/2; pitch 1/sqrt(5)
         assert (sp.pp, sp.qq, sp.reflected) == (1, 2, True)
@@ -198,38 +198,46 @@ class TestPlans:
         assert sp.hv == (Fraction(1, 5), Fraction(2, 5))
         assert sp.hv[0] ** 2 + sp.hv[1] ** 2 == Fraction(1, 5)
 
-    def test_paper_vs_lcm_same_angle(self):
+    def test_lcm_same_angle(self):
         frames = synthetic_frames(1, [RationalAngle(1, 2)] * 4)
-        paper = plan_mesh(frames, 1, 0, "paper")
-        lcm = plan_mesh(frames, 1, 0, "lcm")
-        assert paper.spacing == Fraction(1, 32)  # 2^-1 / prod(q) = 1/(2 * 16)
-        assert lcm.spacing == Fraction(1, 4)     # 2^-1 / lcm(q) = 1/(2 * 2)
-        assert lcm.spacing / paper.spacing == 8  # product/lcm gap = q^3
-        for plan in (paper, lcm):
-            mesh = assemble_global(plan)
-            assert mesh.covers_bbox_exactly()
+        plan = plan_mesh(frames, 1, 0)
+        assert plan.spacing == Fraction(1, 4)  # 2^-1 / lcm(q) = 1/(2 * 2)
+        assert assemble_global(plan).covers_bbox_exactly()
 
     def test_mixed_denominators(self):
         angles = [RationalAngle(1, 2), RationalAngle(2, 3),
                   RationalAngle(3, 2), RationalAngle(1, 2)]
         frames = synthetic_frames(1, angles)
-        lcm = plan_mesh(frames, 1, 0, "lcm")
-        assert lcm.spacing == Fraction(1, 2 * 6)
-        paper = plan_mesh(frames, 1, 0, "paper")
-        assert paper.spacing == Fraction(1, 2 * 36)
-        for plan in (lcm, paper):
-            for sp in plan.squares:
-                # pitch / sin(theta) == spacing, exactly
-                assert (plan.spacing * sp.qq) ** 2 == (
-                    (sp.pp**2 + sp.qq**2) * (sp.hv[0] ** 2 + sp.hv[1] ** 2)
-                )
+        plan = plan_mesh(frames, 1, 0)
+        assert plan.spacing == Fraction(1, 2 * 6)
+        for sp in plan.squares:
+            # pitch / sin(theta) == spacing, exactly
+            assert (plan.spacing * sp.qq) ** 2 == (
+                (sp.pp**2 + sp.qq**2) * (sp.hv[0] ** 2 + sp.hv[1] ** 2)
+            )
 
     def test_overflow_guard(self):
+        # Distinct primes: their lcm is their product, about 2^93.
         primes = [RationalAngle(1, q) for q in (7, 11, 13, 17, 19, 23, 29, 31,
                                                 37, 41, 43, 47, 53, 59, 61, 67)]
         frames = synthetic_frames(2, primes)
         with pytest.raises(PlanError, match="2\\^-40"):
-            plan_mesh(frames, 2, 0, "paper")
+            plan_mesh(frames, 2, 0)
+
+    def test_spacing_refusal_names_huge_lcm_by_bits(self):
+        """The lcm of the 1,499 odd primes up to 12,553 has over 4,300
+        decimal digits, more than int-to-str converts; the refusal still
+        comes as a PlanError, and quickly."""
+        odd_primes = [q for q in range(3, 12_554, 2)
+                      if all(q % d for d in range(3, math.isqrt(q) + 1, 2))]
+        assert len(odd_primes) == 1499
+        frames = synthetic_frames(6, [RationalAngle(1, q) for q in odd_primes])
+        t0 = time.perf_counter()
+        with pytest.raises(PlanError, match="2\\^-40") as exc:
+            plan_mesh(frames, 6, 0)
+        assert time.perf_counter() - t0 < 1.0
+        assert "[3, 5, 7, 11, " in str(exc.value)
+        assert f"lcm of {math.lcm(*odd_primes).bit_length()} bits" in str(exc.value)
 
     def test_error_names_each_denominator_once(self):
         """A plan error lists the distinct angle denominators, not one per
@@ -264,8 +272,6 @@ class TestPlans:
             plan_mesh([], 0, 0)
         with pytest.raises(PlanError):
             plan_mesh(frames, 0, -1)
-        with pytest.raises(PlanError):
-            plan_mesh(frames, 0, 0, "fast")
         # Sum of (m + n + 1)^2 over the four cells: 9,449,476 at K=9,
         # 37,773,316 at K=10 and 151,044,100 at K=11.
         iso = build_frames(parse_field("quadratic:iso"), 1)
@@ -288,7 +294,7 @@ class TestTriangulateSquare:
     def test_single_square_layout(self):
         """Level-0 layout: four transition blocks around a tilted inner grid."""
         frames = synthetic_frames(0, [RationalAngle(2, 1)])
-        plan = plan_mesh(frames, 0, 0, "lcm")
+        plan = plan_mesh(frames, 0, 0)
         mesh = triangulate_square(frames[0], plan)
         assert mesh.covers_bbox_exactly()
         from hstv.approx import _band_master
@@ -309,7 +315,7 @@ class TestTriangulateSquare:
         master_area = Fraction(1, 2) * Fraction(2, 5)  # legs sin*cos of unit square
         stats = {}
         for K in (0, 1, 2, 3):
-            plan = plan_mesh(frames, 0, K, "lcm")
+            plan = plan_mesh(frames, 0, K)
             mesh = triangulate_square(frames[0], plan)
             pitch_sq = plan.squares[0].hv[0] ** 2 + plan.squares[0].hv[1] ** 2
             band_tris = 4 * (1 << K) * len(master_tris)
@@ -327,7 +333,7 @@ class TestTriangulateSquare:
         minima = []
         shapes = []
         for K in (0, 1, 2):
-            plan = plan_mesh(frames, 0, K, "lcm")
+            plan = plan_mesh(frames, 0, K)
             mesh = triangulate_square(frames[0], plan)
             minima.append(min_angle(mesh))
             fv = mesh.float_vertices
@@ -348,7 +354,7 @@ class TestTriangulateSquare:
         angles = [RationalAngle(1, 2), RationalAngle(2, 1),
                   RationalAngle(2, 3), RationalAngle(1, 3)]
         frames = synthetic_frames(1, angles)
-        plan = plan_mesh(frames, 1, 1, "lcm")
+        plan = plan_mesh(frames, 1, 1)
         for fr in frames:
             mesh = triangulate_square(fr, plan)
             x0, y0 = fr.x0, fr.y0
@@ -365,7 +371,7 @@ class TestTriangulateSquare:
     def test_frame_plan_mismatch(self):
         frames = synthetic_frames(0, [RationalAngle(1, 2)])
         other = synthetic_frames(0, [RationalAngle(1, 3)])
-        plan = plan_mesh(frames, 0, 0, "lcm")
+        plan = plan_mesh(frames, 0, 0)
         with pytest.raises(PlanError):
             triangulate_square(other[0], plan)
 
@@ -373,19 +379,19 @@ class TestTriangulateSquare:
 class TestAssembleGlobal:
     def test_uniform_angles_conforming(self):
         frames = synthetic_frames(1, [RationalAngle(1, 2)] * 4)
-        mesh = assemble_global(plan_mesh(frames, 1, 1, "lcm"))
+        mesh = assemble_global(plan_mesh(frames, 1, 1))
         assert mesh.covers_bbox_exactly()
         assert mesh.bbox() == (0, 1, 0, 1)
 
     def test_mixed_angles_conforming(self):
         frames = synthetic_frames(1, [RationalAngle(1, 2), RationalAngle(2, 3),
                                       RationalAngle(3, 1), RationalAngle(2, 1)])
-        mesh = assemble_global(plan_mesh(frames, 1, 1, "lcm"))
+        mesh = assemble_global(plan_mesh(frames, 1, 1))
         assert mesh.covers_bbox_exactly()
 
     def test_corrupted_pitch_detected(self):
         frames = synthetic_frames(1, [RationalAngle(1, 2)] * 4)
-        plan = plan_mesh(frames, 1, 0, "lcm")
+        plan = plan_mesh(frames, 1, 0)
         bad = plan.squares[2]
         plan.squares[2] = replace(
             bad,
@@ -403,7 +409,7 @@ class TestExactChecks:
 
     @staticmethod
     def plan():
-        return plan_mesh(synthetic_frames(1, [RationalAngle(1, 2)] * 4), 1, 1, "lcm")
+        return plan_mesh(synthetic_frames(1, [RationalAngle(1, 2)] * 4), 1, 1)
 
     def test_band_corner_off_the_lattice(self):
         plan = self.plan()
@@ -565,14 +571,14 @@ class TestInterpolation:
     def test_affine_interpolant_is_flat(self):
         fld = builtin_field("quadratic", 0, 0, 0, 2.0, -1.0, 0.5)
         frames = synthetic_frames(0, [RationalAngle(1, 2)])
-        mesh = assemble_global(plan_mesh(frames, 0, 1, "lcm"))
+        mesh = assemble_global(plan_mesh(frames, 0, 1))
         g = interpolate(fld, mesh)
         assert htv_cpwl(g).total <= 1e-10
 
     def test_quadratic_vertex_values(self):
         fld = builtin_field("quadratic", 1, 0, 1)
         frames = build_frames(fld, 0)
-        mesh = assemble_global(plan_mesh(frames, 0, 0, "lcm"))
+        mesh = assemble_global(plan_mesh(frames, 0, 0))
         g = interpolate(fld, mesh)
         fv = mesh.float_vertices
         assert np.allclose(g.values, 0.5 * (fv[:, 0] ** 2 + fv[:, 1] ** 2),
@@ -583,7 +589,7 @@ class TestInterpolation:
         frames = build_frames(fld, 0)
         errs = []
         for K in (0, 1, 2):
-            mesh = assemble_global(plan_mesh(frames, 0, K, "lcm"))
+            mesh = assemble_global(plan_mesh(frames, 0, K))
             g = interpolate(fld, mesh)
             _, _, zz = evaluate_on_grid(g, 256)
             xs = (np.arange(256) + 0.5) / 256

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     affine_normalized,
+    edge_stencils,
+    exact_rank,
     grid_hat,
     random_lattice_mesh,
     reduction_step,
@@ -95,6 +99,32 @@ class TestConstrainedSpace:
                     np.ones((n_edges, 1), dtype=bool)):
             with pytest.raises(ExtremalError, match="boolean mask"):
                 constrained_space(mesh, bad)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("family", ["lattice", "grid"])
+    def test_dimension_is_exact_rank(self, family, data):
+        """dim = V - 3 - rank of the integer edge stencils off the support:
+        the jump rows of an edge are multiples of its stencil row, and both
+        vanish on affine functions."""
+        if family == "lattice":
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+            mesh = random_lattice_mesh(rng, data.draw(st.integers(4, 36), label="interior"))
+        else:
+            mesh = uniform_diagonal_mesh(data.draw(st.integers(2, 5), label="n"),
+                                         data.draw(st.sampled_from(["main", "anti"])))
+        stencils = edge_stencils(mesh)
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(stencils),
+                                           max_size=len(stencils)), label="mask"), dtype=bool)
+        rows = []
+        for (ids, coeffs, _), on in zip(stencils, mask.tolist()):
+            if not on:
+                row = [0] * mesh.n_vertices
+                for i, c in zip(ids, coeffs):
+                    row[i] += c
+                rows.append(row)
+        assert constrained_space(mesh, mask).dim == mesh.n_vertices - 3 - exact_rank(rows)
 
 
 class TestIsExtremal:

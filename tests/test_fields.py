@@ -112,12 +112,11 @@ def test_gaussian_bump_out_of_range_rejected(params):
     (lambda: GridSample(-0.1, np.zeros((5, 5))), "spacing must be positive"),
     (lambda: discrete_htv(GridSample(0.1, np.zeros((6, 9))), 1, margin=2),
      "grid too small for the requested margin"),
-    (lambda: extend_reflection(np.zeros((5, 5))),
-     "extend_reflection expects a SmoothField or GridSample"),
-    (lambda: extend_reflection(GridSample(0.1, np.zeros((5, 5)), (0.1, 0.0))),
-     "grid extension requires the first column at x = 0"),
+    (lambda: extend_reflection(np.zeros((5, 5))), "extend_reflection expects a SmoothField"),
+    (lambda: extend_reflection(GridSample(0.1, np.zeros((5, 5)))),
+     "extend_reflection expects a SmoothField"),
 ], ids=["sigma-0", "sigma-negative", "non-numeric", "1-d", "3-d", "spacing-0",
-        "spacing-negative", "margin", "ndarray", "origin"])
+        "spacing-negative", "margin", "ndarray", "grid-sample"])
 def test_field_input_refusals(make, message):
     with pytest.raises(FieldError) as exc:
         make()
@@ -340,19 +339,6 @@ def test_extend_reflection_domain_guard():
         ext.eval(-0.51, 0.5)
     with pytest.raises(FieldError):
         ext.eval(1.2, 0.5)
-
-
-def test_extend_reflection_grid():
-    fld = builtin_field("product_sine", 1.5)
-    u = grid_sample(fld, 21)  # x, y in [0, 1], spacing 1/20
-    ext = extend_reflection(u)
-    k = 10
-    assert ext.samples.shape == (21 + k, 21)
-    assert np.array_equal(ext.samples[k:, :], u.samples)
-    # mirrored column formula at x = -spacing
-    expect = 3.0 * u.samples[1, :] - 2.0 * u.samples[2, :]
-    assert np.allclose(ext.samples[k - 1, :], expect, atol=0, rtol=0)
-    assert ext.origin[0] == pytest.approx(-k * u.spacing)
 
 
 def test_extend_reflection_analytic_derivatives_match_fd():
