@@ -22,13 +22,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._delaunay import delaunay, orient2d
-from .errors import HstvError, MeshError, PlanError
+from .errors import FieldError, HstvError, MeshError, PlanError
 from .fields import MAX_LATTICE_POINTS, SmoothField, htv_quadrature
 from .htv import htv_cpwl
 from .mesh import CpwlFunction, Triangulation, _first_occurrence, _ranges, min_angle
 from .schatten import schatten_norms, sym_eigen_frame
-
-Coord = tuple[Fraction, Fraction]
 
 # The common boundary spacing of a plan, at most 2^-(N + K), is at least
 # 2^-MAX_SPACING_BITS.
@@ -215,18 +213,12 @@ def build_frames(fld: SmoothField, N: int) -> list[SquareFrame]:
 
 @dataclass(eq=False)
 class SquarePlan:
-    """One cell type: reduced angle pair, grid counts and the exact rational
-    lattice step vectors.  Cells of one type share one object, so a plan's
-    types are its distinct SquarePlan objects."""
+    """One cell type: its reduced angle pair.  Cells of one type share one
+    object, so a plan's types are its distinct SquarePlan objects."""
 
     pp: int            # reduced pair, qq > pp
     qq: int
     reflected: bool
-    m: int             # boundary intervals per cell side (= side / spacing)
-    n: int             # inner-grid steps along the long leg (= m * pp / qq)
-    m0: int            # m / 2^K: building-block subdivision count
-    hv: Coord          # lattice step along the rotated x-axis, |hv| = pitch
-    hw: Coord          # lattice step along the rotated y-axis
 
 
 @dataclass
@@ -240,10 +232,10 @@ class MeshPlan:
 
 
 def plan_mesh(frames: Sequence[SquareFrame], N: int, K: int) -> MeshPlan:
-    """Choose per-cell grid pitches so all cell boundaries subdivide at one
-    common spacing, 2^-(N + K) over the least common multiple of the cells'
-    reduced angle denominators; the alignment invariants hold exactly.
-    Cells with one reduced pair (pp, qq, reflected) share one SquarePlan.
+    """Choose the common spacing at which all cell boundaries subdivide,
+    2^-(N + K) over the least common multiple of the cells' reduced angle
+    denominators.  A cell's type is its reduced pair (pp, qq, reflected);
+    cells with one pair share one SquarePlan.
     """
     if not frames:
         raise PlanError("no frames")
@@ -276,31 +268,12 @@ def plan_mesh(frames: Sequence[SquareFrame], N: int, K: int) -> MeshPlan:
             f"plan too fine to realize (angle denominators {dens}, K={K})"
         )
     side = Fraction(1, 1 << N)
-    types: dict[tuple[int, int, bool], SquarePlan] = {}
-    squares = []
-    for frame, key in zip(frames, reduced):
+    for frame in frames:
         if frame.side != side:
             raise PlanError(f"frame {frame.index} has side {frame.side}, expected 2^-{N}")
-        sp = types.get(key)
-        if sp is None:
-            pp, qq, refl = key
-            m0 = m0_all
-            if m0 * pp % qq:
-                raise PlanError(f"pitch count {m0}*{pp}/{qq} not integral")
-            m = m0 << K
-            n = (m0 * pp // qq) << K
-            r2 = pp * pp + qq * qq
-            hv = (spacing * qq * pp / r2, spacing * qq * qq / r2)
-            hw = (-spacing * qq * qq / r2, spacing * qq * pp / r2)
-            # Alignment invariants, exact: pitch/sin(theta) = spacing, and the
-            # cell corners sit on the rotated lattice.
-            assert (spacing * qq) ** 2 == r2 * (hv[0] ** 2 + hv[1] ** 2)
-            assert n * hv[0] - m * hw[0] == side and n * hv[1] - m * hw[1] == 0
-            assert m * hv[0] + n * hw[0] == 0 and m * hv[1] + n * hw[1] == side
-            sp = types[key] = SquarePlan(pp=pp, qq=qq, reflected=refl,
-                                         m=m, n=n, m0=m0, hv=hv, hw=hw)
-        squares.append(sp)
-    # hv and hw are multiples of spacing / (pp^2 + qq^2); cell corners of 2^-N.
+    types = {key: SquarePlan(*key) for key in dict.fromkeys(reduced)}
+    squares = [types[key] for key in reduced]
+    # Lattice steps are multiples of spacing / (pp^2 + qq^2); cell corners of 2^-N.
     den = (1 << (N + K)) * m0_all * math.lcm(*(pp * pp + qq * qq for pp, qq, _ in types))
     corners = _numerators(den, *(f.x0 for f in frames), *(f.y0 for f in frames))
     corners = np.array(corners, dtype=np.int64 if den < 2**63 else object).reshape(2, -1).T
@@ -352,8 +325,8 @@ def _square_local_mesh(sp: SquarePlan, plan: MeshPlan) -> tuple[np.ndarray, np.n
     """Vertex numerators over plan.den, CCW triangles and the cell-boundary
     mask of one cell placed at (0, 0) (exact).
 
-    Depends on the plan only through N, K and den, so cells that share sp
-    share this mesh up to an integer translation.
+    Depends on the plan only through N, K, spacing and den, so cells that
+    share sp share this mesh up to an integer translation.
     Vertices are numbered by first occurrence in this sequence: the points
     of the band copies (four families of 2^K copies, each in master order),
     then the corners of the inner lattice cells, cell by cell.  Raises
@@ -361,15 +334,22 @@ def _square_local_mesh(sp: SquarePlan, plan: MeshPlan) -> tuple[np.ndarray, np.n
     cell area exactly, so a successful return certifies the tiling.
     """
     copies = 1 << plan.K
-    one = sp.m0 * (sp.pp * sp.pp + sp.qq * sp.qq)
-    master_pts, master_tris = _band_master(sp.pp, sp.qq, sp.m0)
+    pp, qq = sp.pp, sp.qq
+    m = plan.spacing.denominator >> plan.N   # boundary intervals per cell side
+    m0 = m >> plan.K                          # boundary intervals per band copy
+    n = m * pp // qq                          # inner-grid steps along the long leg
+    one = m0 * (pp * pp + qq * qq)
+    master_pts, master_tris = _band_master(pp, qq, m0)
     cell_side = Fraction(1, 1 << plan.N)
-    side, hvx, hvy, hwx, hwy, unit = _numerators(
-        plan.den, cell_side, *sp.hv, *sp.hw, cell_side / (copies * one))
-    m, n = sp.m, sp.n
-    # Coordinates and lattice products below (cell offsets times steps, two
-    # terms) stay within 2 * big^2.
-    big = side + (m + n + 2) * max(map(abs, (hvx, hvy, hwx, hwy)))
+    side, unit = _numerators(plan.den, cell_side, cell_side / (copies * one))
+    # The master's lattice steps over `one`, scaled like the band copies.
+    hvx, hvy, hwx, hwy = unit * qq * pp, unit * qq * qq, -unit * qq * qq, unit * qq * pp
+    # Alignment invariants, exact: the cell corners sit on the rotated lattice.
+    assert (n * hvx - m * hwx, n * hvy - m * hwy) == (side, 0)
+    assert (m * hvx + n * hwx, m * hvy + n * hwy) == (0, side)
+    # The coordinates and lattice products below (cell offsets times steps, two
+    # terms) stay within 2 * big^2; hvy = unit qq^2 is the largest step entry.
+    big = side + (m + n + 2) * hvy
     dtype = np.int64 if 2 * big * big < 2**63 else object
 
     # Band copies, as offsets from the cell's lower-left corner: the top
@@ -385,7 +365,7 @@ def _square_local_mesh(sp: SquarePlan, plan: MeshPlan) -> tuple[np.ndarray, np.n
 
     # Grid coordinates of each copy's corners A, B, E on the rotated lattice.
     n_pts = len(master_pts)
-    corners = band.reshape(4 * copies, n_pts, 2)[:, [0, sp.m0, 2 * sp.m0]]
+    corners = band.reshape(4 * copies, n_pts, 2)[:, [0, m0, 2 * m0]]
     sq = hvx * hvx + hvy * hvy
     gu = corners[..., 0] * hvx + corners[..., 1] * hvy
     gv = corners[..., 0] * hwx + corners[..., 1] * hwy
@@ -395,13 +375,11 @@ def _square_local_mesh(sp: SquarePlan, plan: MeshPlan) -> tuple[np.ndarray, np.n
     gu, gv = (gu // sq).astype(np.int64).T, (gv // sq).astype(np.int64).T
 
     # Inner cells: rotated-lattice squares inside the cell and clear of the band.
-    us = np.arange(0, n + m + 1, dtype=np.int64)
-    vs = np.arange(-m, n + 1, dtype=np.int64)
-    uu = us[:, None]
-    vv = vs[None, :]
+    uu = np.arange(0, n + m + 1, dtype=np.int64)[:, None]
+    vv = np.arange(-m, n + 1, dtype=np.int64)[None, :]
     # Quadrilateral (cell) corners in grid coordinates, CCW.
     quad = [(0, 0), (n, -m), (n + m, n - m), (m, n)]
-    inside = np.ones((len(us), len(vs)), dtype=bool)
+    inside = np.ones((n + m + 1, n + m + 1), dtype=bool)
     for (qa_u, qa_v), (qb_u, qb_v) in zip(quad, quad[1:] + quad[:1]):
         inside &= (qb_u - qa_u) * (vv - qa_v) - (qb_v - qa_v) * (uu - qa_u) >= 0
     cell_ok = inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:] & inside[1:, 1:]
@@ -429,7 +407,7 @@ def _square_local_mesh(sp: SquarePlan, plan: MeshPlan) -> tuple[np.ndarray, np.n
     # Exact tiling check, in twice the area over den^2: inner cells plus the
     # band copies (the master block scaled by unit) must cover the cell.
     n_inner = int(inner.sum())
-    master_area2 = abs(orient2d(*master_pts[[0, sp.m0, 2 * sp.m0]].tolist()))
+    master_area2 = abs(orient2d(*master_pts[[0, m0, 2 * m0]].tolist()))
     covered2 = 2 * n_inner * sq + 4 * copies * unit * unit * master_area2
     if covered2 != 2 * side * side:
         raise MeshError(
@@ -517,20 +495,23 @@ def interpolate(fld: SmoothField, mesh: Triangulation) -> CpwlFunction:
 
 def interpolation_error_estimate(fld: SmoothField, g: CpwlFunction) -> float:
     """Max |field - interpolant| sampled at triangle centroids and edge
-    midpoints (cheap, location-free estimate of the sup error)."""
+    midpoints (cheap, location-free estimate of the sup error).  A probe
+    error that overflows float raises FieldError."""
     x, y = g.mesh.float_vertices.T
     t0, t1, t2 = g.mesh.triangle_array.T
     (xa, ya, za), (xb, yb, zb), (xc, yc, zc) = ((x[t], y[t], g.values[t]) for t in (t0, t1, t2))
     worst = 0.0
-    probes = [
-        ((xa + xb + xc) / 3.0, (ya + yb + yc) / 3.0, (za + zb + zc) / 3.0),
-        ((xa + xb) / 2.0, (ya + yb) / 2.0, (za + zb) / 2.0),
-        ((xb + xc) / 2.0, (yb + yc) / 2.0, (zb + zc) / 2.0),
-        ((xc + xa) / 2.0, (yc + ya) / 2.0, (zc + za) / 2.0),
-    ]
-    for px, py, gvals in probes:
-        fvals = np.asarray(fld.eval(px, py), dtype=float)
-        worst = max(worst, float(np.max(np.abs(fvals - gvals))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for px, py, gvals in (
+            ((xa + xb + xc) / 3.0, (ya + yb + yc) / 3.0, (za + zb + zc) / 3.0),
+            ((xa + xb) / 2.0, (ya + yb) / 2.0, (za + zb) / 2.0),
+            ((xb + xc) / 2.0, (yb + yc) / 2.0, (zb + zc) / 2.0),
+            ((xc + xa) / 2.0, (yc + ya) / 2.0, (zc + za) / 2.0),
+        ):
+            err = float(np.max(np.abs(np.asarray(fld.eval(px, py), dtype=float) - gvals)))
+            if not math.isfinite(err):
+                raise FieldError(f"interpolation error overflows float: probe error {err!r}")
+            worst = max(worst, err)
     return worst
 
 

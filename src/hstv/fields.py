@@ -179,7 +179,8 @@ def htv_quadrature(fld: SmoothField, p, resolution: int = 512) -> float:
     summed in one pass over the whole grid.  Each block passes the open grid
     (a column of x, the row of y), so the field's ufuncs run once per row
     and per column and the norms only as often as the entries vary.  A grid
-    of more than MAX_LATTICE_POINTS points raises FieldError.
+    of more than MAX_LATTICE_POINTS points, or a sum that overflows float,
+    raises FieldError.
     """
     p = check_p(p)
     if resolution < 2:
@@ -189,10 +190,14 @@ def htv_quadrature(fld: SmoothField, p, resolution: int = 512) -> float:
             f"resolution {resolution} needs more than {MAX_LATTICE_POINTS} grid points")
     t = (np.arange(resolution) + 0.5) / resolution
     vals = np.empty((resolution, resolution))
-    for i in range(0, resolution, _QUADRATURE_BLOCK_ROWS):
-        a, b, c = fld.hess_components(t[i:i + _QUADRATURE_BLOCK_ROWS, None], t[None, :])
-        vals[i:i + _QUADRATURE_BLOCK_ROWS] = schatten_norms(a, b, b, c, p)
-    return float(np.sum(vals)) / (resolution * resolution)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, resolution, _QUADRATURE_BLOCK_ROWS):
+            a, b, c = fld.hess_components(t[i:i + _QUADRATURE_BLOCK_ROWS, None], t[None, :])
+            vals[i:i + _QUADRATURE_BLOCK_ROWS] = schatten_norms(a, b, b, c, p)
+        total = float(np.sum(vals))
+    if not math.isfinite(total):
+        raise FieldError(f"smooth energy overflows float: quadrature sum {total!r}")
+    return total / (resolution * resolution)
 
 
 # -- grid samples -------------------------------------------------------------

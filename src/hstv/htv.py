@@ -57,11 +57,18 @@ class _EdgeKernel:
 
     def jumps(self, values: np.ndarray) -> np.ndarray:
         """(E, 2) gradient jumps across the interior edges in id order, second
-        triangle minus first.  Non-finite values raise MeshError."""
+        triangle minus first.  Non-finite values raise MeshError, and so do
+        values whose jumps, jump norms or energy overflow float."""
         if not np.isfinite(values).all():
             raise MeshError("non-finite vertex value")
-        grads = self.stencil.gradients(values)
-        return grads.take(self.tpairs[:, 1], axis=0) - grads.take(self.tpairs[:, 0], axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grads = self.stencil.gradients(values)
+            jumps = grads.take(self.tpairs[:, 1], axis=0) - grads.take(self.tpairs[:, 0], axis=0)
+            # sum (|jx| + |jy|) * length bounds every jump norm and the energy.
+            bound = sum((self.lengths @ np.abs(jumps)).tolist())
+        if not np.isfinite(bound):
+            raise MeshError("vertex values overflow float: gradient jumps or energy not finite")
+        return jumps
 
     def norms(self, jumps: np.ndarray) -> np.ndarray:
         """(E,) jump norms |jump|."""

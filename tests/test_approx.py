@@ -9,6 +9,8 @@ import pytest
 
 from hstv.approx import (
     RationalAngle,
+    SquarePlan,
+    _band_master,
     _numerators,
     _square_local_mesh,
     assemble_global,
@@ -40,6 +42,19 @@ def rotation_gap(angle: RationalAngle, theta_hat: float) -> float:
     c, s = angle.rotation()
     dc, ds = c - math.cos(theta_hat), s - math.sin(theta_hat)
     return float(schatten_norms(dc, -ds, ds, dc, 1))
+
+
+def lattice_step(sp, plan) -> tuple[Fraction, Fraction]:
+    """The lattice step hv of one cell type, read off the local mesh that
+    _square_local_mesh builds: the first inner triangle is (p00, p10, p01),
+    after the mirror of a reflected type is undone (it is an involution)."""
+    verts, tris, _ = _square_local_mesh(sp, plan)
+    if sp.reflected:
+        verts, tris = (plan.den >> plan.N) - verts[:, ::-1], tris[:, [0, 2, 1]]
+    m0 = plan.spacing.denominator >> (plan.N + plan.K)
+    _, master_tris = _band_master(sp.pp, sp.qq, m0)
+    p00, p10 = verts[tris[4 * (1 << plan.K) * len(master_tris)][:2]].tolist()
+    return Fraction(p10[0] - p00[0], plan.den), Fraction(p10[1] - p00[1], plan.den)
 
 
 class TestRationalAngles:
@@ -195,8 +210,9 @@ class TestPlans:
         # reduced pair (1, 2); spacing 1/2; pitch 1/sqrt(5)
         assert (sp.pp, sp.qq, sp.reflected) == (1, 2, True)
         assert plan.spacing == Fraction(1, 2)
-        assert sp.hv == (Fraction(1, 5), Fraction(2, 5))
-        assert sp.hv[0] ** 2 + sp.hv[1] ** 2 == Fraction(1, 5)
+        hv = lattice_step(sp, plan)
+        assert hv == (Fraction(1, 5), Fraction(2, 5))
+        assert hv[0] ** 2 + hv[1] ** 2 == Fraction(1, 5)
 
     def test_lcm_same_angle(self):
         frames = synthetic_frames(1, [RationalAngle(1, 2)] * 4)
@@ -212,9 +228,8 @@ class TestPlans:
         assert plan.spacing == Fraction(1, 2 * 6)
         for sp in plan.squares:
             # pitch / sin(theta) == spacing, exactly
-            assert (plan.spacing * sp.qq) ** 2 == (
-                (sp.pp**2 + sp.qq**2) * (sp.hv[0] ** 2 + sp.hv[1] ** 2)
-            )
+            hv = lattice_step(sp, plan)
+            assert (plan.spacing * sp.qq) ** 2 == (sp.pp**2 + sp.qq**2) * (hv[0] ** 2 + hv[1] ** 2)
 
     def test_overflow_guard(self):
         # Distinct primes: their lcm is their product, about 2^93.
@@ -297,27 +312,25 @@ class TestTriangulateSquare:
         plan = plan_mesh(frames, 0, 0)
         mesh = triangulate_square(frames[0], plan)
         assert mesh.covers_bbox_exactly()
-        from hstv.approx import _band_master
-
         sp = plan.squares[0]
-        _, master_tris = _band_master(sp.pp, sp.qq, sp.m0)
+        m = plan.spacing.denominator  # boundary intervals per cell side, N = K = 0
+        _, master_tris = _band_master(sp.pp, sp.qq, m)
         # 4 band copies around a tilted central block of grid cells whose
         # side is m (qq - pp) / qq lattice steps
-        side_cells = sp.m * (sp.qq - sp.pp) // sp.qq
+        side_cells = m * (sp.qq - sp.pp) // sp.qq
         assert side_cells == 1
         assert mesh.n_triangles == 4 * len(master_tris) + 2 * side_cells**2
 
     def test_band_counts_double_and_area_halves(self):
         frames = synthetic_frames(0, [RationalAngle(1, 2)])
-        from hstv.approx import _band_master
-
         _, master_tris = _band_master(1, 2, 2)
         master_area = Fraction(1, 2) * Fraction(2, 5)  # legs sin*cos of unit square
         stats = {}
         for K in (0, 1, 2, 3):
             plan = plan_mesh(frames, 0, K)
             mesh = triangulate_square(frames[0], plan)
-            pitch_sq = plan.squares[0].hv[0] ** 2 + plan.squares[0].hv[1] ** 2
+            # pitch^2 = spacing^2 qq^2 / (pp^2 + qq^2) with (pp, qq) = (1, 2)
+            pitch_sq = plan.spacing ** 2 * Fraction(4, 5)
             band_tris = 4 * (1 << K) * len(master_tris)
             inner_tris = mesh.n_triangles - band_tris
             inner_area = Fraction(inner_tris, 2) * pitch_sq
@@ -390,45 +403,51 @@ class TestAssembleGlobal:
         assert mesh.covers_bbox_exactly()
 
     def test_corrupted_pitch_detected(self):
+        """A plan holds no pitch; the pitch follows from each type's pair and
+        the plan's spacing and den, and corrupting those is detected."""
         frames = synthetic_frames(1, [RationalAngle(1, 2)] * 4)
-        plan = plan_mesh(frames, 1, 0)
-        bad = plan.squares[2]
-        plan.squares[2] = replace(
-            bad,
-            m=bad.m * 2, n=bad.n * 2, m0=bad.m0 * 2,
-            hv=(bad.hv[0] / 2, bad.hv[1] / 2),
-            hw=(bad.hw[0] / 2, bad.hw[1] / 2),
-        )
-        with pytest.raises(MeshError):
+        plan = plan_mesh(frames, 1, 1)
+        # A type whose denominator 3 does not divide the plan's m0 = 2.
+        plan.squares[2] = SquarePlan(1, 3, False)
+        with pytest.raises(PlanError, match="^inconsistent master counts$"):
             assemble_global(plan)
+        plan = plan_mesh(frames, 1, 1)
+        with pytest.raises(MeshError, match="^plan coordinates are not multiples of 1/8$"):
+            assemble_global(replace(plan, den=plan.den // 5))
 
 
 class TestExactChecks:
-    """Each exact check of the local and global assembly fires on a plan
-    corrupted past the earlier ones."""
+    """Each exact check of the local and global assembly fires on a plan, or
+    a band master, corrupted past the earlier ones."""
 
     @staticmethod
     def plan():
         return plan_mesh(synthetic_frames(1, [RationalAngle(1, 2)] * 4), 1, 1)
 
-    def test_band_corner_off_the_lattice(self):
-        plan = self.plan()
-        sp = plan.squares[2]
-        # A lattice twice as coarse misses the band copies' corners.
-        plan.squares[2] = replace(sp, hv=(2 * sp.hv[0], 2 * sp.hv[1]),
-                                  hw=(2 * sp.hw[0], 2 * sp.hw[1]))
-        with pytest.raises(MeshError, match="^band corner off the rotated lattice$"):
-            assemble_global(plan)
+    @staticmethod
+    def move_master_corner(monkeypatch, shift):
+        """Make _band_master return its block with the corner E (point 2 m0)
+        moved by shift, in numerators over the master's unit."""
+        def moved(pp, qq, m0):
+            pts, tris = _band_master(pp, qq, m0)
+            pts = pts.copy()
+            pts[2 * m0] += shift
+            return pts, tris
 
-    def test_inner_cells_and_band_tile_the_cell(self):
-        plan = self.plan()
-        sp = plan.squares[2]
-        # Half the pitch with the old counts: inner cells cover half the area.
-        plan.squares[2] = replace(sp, hv=(sp.hv[0] / 2, sp.hv[1] / 2),
-                                  hw=(sp.hw[0] / 2, sp.hw[1] / 2))
+        monkeypatch.setattr(hstv.approx, "_band_master", moved)
+
+    def test_band_corner_off_the_lattice(self, monkeypatch):
+        self.move_master_corner(monkeypatch, (1, 0))
+        with pytest.raises(MeshError, match="^band corner off the rotated lattice$"):
+            assemble_global(self.plan())
+
+    def test_inner_cells_and_band_tile_the_cell(self, monkeypatch):
+        # E one step hw = (-qq^2, qq pp) away, for the plan's pair (1, 2), stays
+        # on the lattice, but the band area changes.
+        self.move_master_corner(monkeypatch, (-4, 2))
         with pytest.raises(MeshError, match=r"^inner cells and transition band do not "
-                           r"tile the cell exactly \(got 1/8, want 1/4\)$"):
-            assemble_global(plan)
+                           r"tile the cell exactly \(got 1/5, want 1/4\)$"):
+            assemble_global(self.plan())
 
     def test_cell_boundaries_match(self):
         plan = self.plan()

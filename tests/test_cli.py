@@ -223,6 +223,26 @@ def test_approx_emits_artifacts(tmp_path):
     assert svg.count("<polygon") == g.mesh.n_triangles
 
 
+@pytest.mark.parametrize("field, n, k, digest", [
+    ("gaussian-bump:0.3,0.4,0.6", "2", "0..1",
+     "10c3749c1b82f9d50165dfab2c579727b31e2c6835993fb9c025bff238e48704"),
+    ("rotated-quadratic:2,1,0.4636", "2", "0..2",
+     "91b1530f45703ca638fdd312829711777abd23597b9e6baf100454c6e33ced19"),
+], ids=["bump-7-types", "rotated"])
+def test_approx_output_digest(tmp_path, field, n, k, digest):
+    """`hstv approx` bytes pinned by digest: the CSV and every --emit-mesh
+    and --emit-svg file, each hashed with its relative path, in path order.
+    The bump request has seven cell types.  Captured with numpy 2.4.6 on
+    OpenBLAS 0.3.31."""
+    assert main(["approx", "--field", field, "--N", n, "--K", k, "--ref-resolution", "64",
+                 "--out", str(tmp_path / "t.csv"), "--emit-mesh", str(tmp_path / "mesh"),
+                 "--emit-svg", str(tmp_path / "svg")]) == 0
+    h = hashlib.sha256()
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        h.update(path.relative_to(tmp_path).as_posix().encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest() == digest
+
+
 def test_extremal_test_verdicts(hat_file, two_hat_file, capsys):
     assert main(["extremal", "test", str(hat_file)]) == 0
     assert capsys.readouterr().out.strip() == "extremal (dim=1)"
@@ -431,6 +451,40 @@ def test_float_degenerate_triangles_exit_1(tmp_path):
         assert out.returncode == 1, (argv, out.stdout)
         assert out.stderr.startswith("error: "), out.stderr
         assert "RuntimeWarning" not in out.stderr, out.stderr
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values", [[0, 0, 0, 0, 1e308], [1e308, -1e308, 1e308, -1e308, 0]],
+                         ids=["apex", "alternating"])
+def test_overflowing_values_exit_1(pyramid, values, tmp_path, capsys):
+    """Finite values whose gradient jumps or energy overflow float: `htv`
+    printed htv_total=inf (or nan), `extremal decompose` exited 0 with
+    residual=inf and `extremal test` called the function affine.  Each
+    command exits 1 with one error line, and numpy warns of nothing."""
+    path = tmp_path / "big.json"
+    save_mesh(pyramid.with_values(values), path)
+    for argv in (["htv", path], ["extremal", "test", path],
+                 ["extremal", "decompose", path, "--out", tmp_path / "d.json"]):
+        assert main([str(a) for a in argv]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: vertex values overflow float: "
+                                "gradient jumps or energy not finite\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field, message", [
+    ("rotated-quadratic:1e308,1,0", "smooth energy overflows float: quadrature sum inf"),
+    ("quadratic:1,0,1,1e308,0,0", "interpolation error overflows float: probe error inf"),
+], ids=["quadrature", "sup-error"])
+def test_approx_refuses_overflowing_fields(field, message, tmp_path, capsys):
+    """The first field's quadrature sum overflowed to htv_reference=inf; the
+    second's values (about 1e308 x) made sup_error=inf.  Both were written
+    to the CSV with exit code 0; now each exits 1 with one error line."""
+    out = tmp_path / "t.csv"
+    assert main(["approx", "--field", field, "--N", "1", "--K", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_extremal_refuses_non_tiling_meshes(tmp_path, capsys):
