@@ -220,6 +220,16 @@ class ExtremalCertificate:
     witness: Optional[np.ndarray]  # vertex values of a non-span direction
 
 
+def _canonical(g: CpwlFunction) -> tuple[np.ndarray, int]:
+    """(g's values times 2^-e, e), with e chosen so that the largest |value|
+    lies in [1/2, 1).  The scaling is exact, so results computed on the
+    canonical values scale back exactly.  Values whose jumps or energy
+    overflow float are refused on the caller's values first."""
+    _algebra(g.mesh).jumps(g.values)
+    _, e = math.frexp(float(np.max(np.abs(g.values))))
+    return np.ldexp(g.values, -e), e
+
+
 def is_extremal(g: CpwlFunction, tol: float = SUPPORT_REL_TOL
                 ) -> tuple[bool, ExtremalCertificate]:
     """Extremality test: the constrained space of the support must be a line.
@@ -227,11 +237,13 @@ def is_extremal(g: CpwlFunction, tol: float = SUPPORT_REL_TOL
     The certificate carries the computed space; when the answer is False it
     also holds a witness direction inside the support that is not a multiple
     of g.  `tol` is relative to the largest jump, so it must lie in [0, 1):
-    from 1 on every support is empty.
+    from 1 on every support is empty.  The test runs on g's canonical
+    scaling (see `_canonical`), so its answer does not depend on g's units.
     """
     _check_tol(tol, 1.0)
     alg = _algebra(g.mesh)
-    cert = _certify(g.mesh, g.values, alg.support(alg.norms(alg.jumps(g.values)), tol), tol)
+    values, _ = _canonical(g)
+    cert = _certify(g.mesh, values, alg.support(alg.norms(alg.jumps(values)), tol), tol)
     return cert.witness is None, cert
 
 
@@ -318,7 +330,8 @@ class Decomposition:
         return float(sum(self.coefficients))
 
 
-# The energy left over, relative to max(1, total), at which decompose stops.
+# The energy left over, relative to max(1, total) on the canonical scale
+# (see `_canonical`), at which decompose stops.
 DECOMPOSE_TOL = 1e-8
 
 
@@ -330,12 +343,15 @@ def decompose(g: CpwlFunction, tol: float = DECOMPOSE_TOL) -> Decomposition:
     starting side of zero.  Each step zeroes at least one support edge, so
     the loop terminates, and because no sign ever flips the energies add up:
     the coefficient sum equals the input energy (rigidity).  `tol` must be
-    finite and >= 0.
+    finite and >= 0.  The loop and its tolerance rules run on g's canonical
+    scaling (see `_canonical`); the energies, residuals and coefficients are
+    scaled back exactly, and so are the numbers in error messages.
     """
     _check_tol(tol)
     mesh = g.mesh
     alg = _algebra(mesh)
-    x = alg.normalize(g.values)
+    values, e = _canonical(g)
+    x = alg.normalize(values)
     total = alg.energy(x)
     if total <= tol:
         raise ExtremalError("input is affine: nothing to decompose")
@@ -356,8 +372,8 @@ def decompose(g: CpwlFunction, tol: float = DECOMPOSE_TOL) -> Decomposition:
         if len(ratios) and ratios.min() < -bound:
             raise ExtremalError(
                 "jump signs of the extremal direction disagree with the input: jump "
-                f"ratio {ratios.min():.3e} is below -tol * max(1, total) = {-bound:.3e} "
-                f"at tolerance {tol!r}")
+                f"ratio {math.ldexp(ratios.min(), e):.3e} is below the sign bound "
+                f"{-math.ldexp(bound, e):.3e} at tolerance {tol!r}")
         if not len(pos):
             raise ExtremalError(
                 "jump signs of the extremal direction disagree with the input: "
@@ -369,12 +385,13 @@ def decompose(g: CpwlFunction, tol: float = DECOMPOSE_TOL) -> Decomposition:
     residual = alg.energy(x)
     if residual > tol * max(1.0, total):
         raise ExtremalError(
-            f"decomposition stalled: achieved energy residual {residual:.3e} > {tol:.1e}"
+            f"decomposition stalled: achieved energy residual "
+            f"{math.ldexp(residual, e):.3e} > {tol:.1e}"
         )
     return Decomposition(
         terms=terms,
-        coefficients=coeffs,
-        residual=float(residual),
-        value_residual=float(np.max(np.abs(x))),
-        total=float(total),
+        coefficients=[math.ldexp(c, e) for c in coeffs],
+        residual=math.ldexp(residual, e),
+        value_residual=math.ldexp(float(np.max(np.abs(x))), e),
+        total=math.ldexp(total, e),
     )

@@ -1,4 +1,4 @@
-"""Smooth scalar test fields with analytic derivatives, the smooth-energy
+"""Smooth scalar test fields with analytic Hessians, the smooth-energy
 quadrature, discrete mollification and the one-sided reflection extension."""
 
 from __future__ import annotations
@@ -20,27 +20,20 @@ MAX_LATTICE_POINTS = 2**24
 
 @dataclass
 class SmoothField:
-    """Scalar field with analytic gradient and Hessian.
+    """Scalar field: its values f and its analytic Hessian.
 
-    The six callables accept scalars or numpy arrays (they are built from
+    The four callables accept scalars or numpy arrays (they are built from
     numpy ufuncs).  The Hessian is symmetric by construction: only the three
     distinct second derivatives are stored.
     """
 
-    name: str
-    params: dict
     f: Callable
-    fx: Callable
-    fy: Callable
     fxx: Callable
     fxy: Callable
     fyy: Callable
 
     def eval(self, x, y):
         return self.f(x, y)
-
-    def grad(self, x, y) -> tuple[float, float]:
-        return float(self.fx(x, y)), float(self.fy(x, y))
 
     def hess_components(self, x, y):
         """Hessian entries (fxx, fxy, fyy), broadcast against each other.
@@ -54,11 +47,7 @@ class SmoothField:
 def _quadratic(a11, a12, a22, b1=0.0, b2=0.0, c=0.0) -> SmoothField:
     a11, a12, a22, b1, b2, c = map(float, (a11, a12, a22, b1, b2, c))
     return SmoothField(
-        name="quadratic",
-        params={"a11": a11, "a12": a12, "a22": a22, "b1": b1, "b2": b2, "c": c},
         f=lambda x, y: 0.5 * (a11 * x * x + 2 * a12 * x * y + a22 * y * y) + b1 * x + b2 * y + c,
-        fx=lambda x, y: a11 * x + a12 * y + b1,
-        fy=lambda x, y: a12 * x + a22 * y + b2,
         fxx=lambda x, y: a11 + 0.0 * x,
         fxy=lambda x, y: a12 + 0.0 * x,
         fyy=lambda x, y: a22 + 0.0 * x,
@@ -71,10 +60,7 @@ def _rotated_quadratic(lam1, lam2, theta) -> SmoothField:
     a11 = lam1 * ct * ct + lam2 * st * st
     a22 = lam1 * st * st + lam2 * ct * ct
     a12 = (lam1 - lam2) * st * ct
-    fld = _quadratic(a11, a12, a22)
-    fld.name = "rotated_quadratic"
-    fld.params = {"lam1": lam1, "lam2": lam2, "theta": theta}
-    return fld
+    return _quadratic(a11, a12, a22)
 
 
 def _gaussian_bump(sigma=0.2, cx=0.5, cy=0.5) -> SmoothField:
@@ -94,11 +80,7 @@ def _gaussian_bump(sigma=0.2, cx=0.5, cy=0.5) -> SmoothField:
         return np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2 * s2))
 
     return SmoothField(
-        name="gaussian_bump",
-        params={"sigma": sigma, "cx": cx, "cy": cy},
         f=g,
-        fx=lambda x, y: -(x - cx) / s2 * g(x, y),
-        fy=lambda x, y: -(y - cy) / s2 * g(x, y),
         fxx=lambda x, y: ((x - cx) ** 2 / s2 - 1) / s2 * g(x, y),
         fxy=lambda x, y: (x - cx) * (y - cy) / (s2 * s2) * g(x, y),
         fyy=lambda x, y: ((y - cy) ** 2 / s2 - 1) / s2 * g(x, y),
@@ -108,11 +90,7 @@ def _gaussian_bump(sigma=0.2, cx=0.5, cy=0.5) -> SmoothField:
 def _product_sine(omega=math.pi) -> SmoothField:
     w = float(omega)
     return SmoothField(
-        name="product_sine",
-        params={"omega": w},
         f=lambda x, y: np.sin(w * x) * np.sin(w * y),
-        fx=lambda x, y: w * np.cos(w * x) * np.sin(w * y),
-        fy=lambda x, y: w * np.sin(w * x) * np.cos(w * y),
         fxx=lambda x, y: -w * w * np.sin(w * x) * np.sin(w * y),
         fxy=lambda x, y: w * w * np.cos(w * x) * np.cos(w * y),
         fyy=lambda x, y: -w * w * np.sin(w * x) * np.sin(w * y),
@@ -279,7 +257,7 @@ def extend_reflection(f):
 
     For x < 0 the extension is 3 f(-x, y) - 2 f(-2x, y), which matches value
     and first derivative across x = 0.  The result is a SmoothField with
-    chain-rule derivatives.
+    the chain-rule Hessian.
     """
     if not isinstance(f, SmoothField):
         raise FieldError("extend_reflection expects a SmoothField")
@@ -299,11 +277,7 @@ def extend_reflection(f):
         return h
 
     return SmoothField(
-        name=f"reflect({f.name})",
-        params=dict(f.params),
         f=combine(f.f, 3.0, -2.0),
-        fx=combine(f.fx, -3.0, 4.0),
-        fy=combine(f.fy, 3.0, -2.0),
         fxx=combine(f.fxx, 3.0, -8.0),
         fxy=combine(f.fxy, -3.0, 4.0),
         fyy=combine(f.fyy, 3.0, -2.0),

@@ -306,6 +306,26 @@ def test_extremal_decompose_digest_68(tmp_path, capsys):
         "3218e49b07e62ebfba2685050133f5241169fdf0c8e1089a955e58174838bbf9")
 
 
+def test_extremal_decompose_scaled_file(tmp_path, capsys):
+    """The 36-vertex digest input scaled by 2^-40 (energy about 4e-10) was
+    refused as affine; it decomposes into the same terms, with a coefficient
+    sum exactly 2^-40 times the unscaled one."""
+    rng = np.random.default_rng(5)
+    mesh = random_lattice_mesh(rng, n_interior=32)
+    values = rng.standard_normal(mesh.n_vertices)
+    lines = []
+    for scale in (1.0, 2.0**-40):
+        src, out = tmp_path / "g.json", tmp_path / "decomp.json"
+        save_mesh(CpwlFunction(mesh, values * scale), src)
+        assert main(["extremal", "decompose", str(src), "--out", str(out)]) == 0
+        lines.append(dict(kv.split("=") for kv in capsys.readouterr().out.split()))
+        lines[-1]["components"] = json.loads(out.read_text())["components"]
+    base, scaled = lines
+    assert scaled["terms"] == base["terms"] == "33"
+    assert float(scaled["coefficient_sum"]) == float(base["coefficient_sum"]) * 2.0**-40
+    assert scaled["components"] == base["components"]
+
+
 @pytest.mark.parametrize("seed, n_interior, denom, expected", [
     (5, 32, 64, "not extremal (dim=33)\n"),
     (6, 64, 128, "not extremal (dim=65)\n"),

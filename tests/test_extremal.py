@@ -466,6 +466,37 @@ class TestDecompose:
         assert len(stencils) == 1
 
 
+class TestScaleEquivariance:
+    """decompose and is_extremal run on the input scaled exactly by a power of
+    two into [1/2, 1): the totals below 1e-8 read "input is affine", totals
+    below 1 lost terms (31 for 33 at 2^-20), and the witness norm overflowed
+    from about 1e155 and underflowed to a NaN witness at 1e-300."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 10), st.integers(-900, 900))
+    def test_decompose_scales_by_powers_of_two(self, seed, n_interior, k):
+        rng = np.random.default_rng(seed)
+        mesh = random_lattice_mesh(rng, n_interior, 32)
+        values = rng.standard_normal(mesh.n_vertices)
+        base = decompose(CpwlFunction(mesh, values))
+        dec = decompose(CpwlFunction(mesh, np.ldexp(values, k)))
+        assert len(dec.terms) == len(base.terms)
+        for t, t0 in zip(dec.terms, base.terms):
+            assert np.array_equal(t.values, t0.values)
+        assert dec.coefficients == [math.ldexp(c, k) for c in base.coefficients]
+        assert (dec.total, dec.residual, dec.value_residual) == tuple(
+            math.ldexp(v, k) for v in (base.total, base.residual, base.value_residual))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("apex", [1e-300, 1e200])
+    def test_pyramid_witness_at_extreme_scales(self, pyramid, apex):
+        verdict, cert = is_extremal(pyramid.with_values(np.array([0.0, 0, 0, 0, apex])))
+        assert not verdict and cert.space.dim == 2
+        w = cert.witness
+        assert np.isfinite(w).all()
+        assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
+
+
 class TestRigidity:
     """Additive totals force additive edges: for f and g whose energies add
     up, every interior edge splits its contribution additively."""
