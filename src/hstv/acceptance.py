@@ -19,7 +19,6 @@ from .approx import (
     RationalAngle,
     SquareFrame,
     assemble_global,
-    build_frames,
     convergence_experiment,
     interpolate,
     plan_mesh,
@@ -122,19 +121,12 @@ def criterion_3(ctx: dict) -> CriterionResult:
     mesh of comparable size strictly worse by >= 2%."""
     t0 = time.perf_counter()
     fld = builtin_field("rotated_quadratic", 2, 1, math.atan(0.5))
-    ref = htv_quadrature(fld, 1, 512)
+    rows = convergence_experiment(fld, 1, (4, 5, 6)).rows
+    ref = rows[0].htv_reference
     ok = abs(ref - 3.0) <= 1e-6
-    frames = build_frames(fld, 1)
-    pipeline = {}
-    nverts = {}
-    for K in (4, 5, 6):
-        plan = plan_mesh(frames, 1, K)
-        mesh = assemble_global(plan)
-        g = interpolate(fld, mesh)
-        pipeline[K] = htv_cpwl(g).total
-        nverts[K] = mesh.n_vertices
-        ok = ok and abs(pipeline[K] - 3.0) <= 0.05 * 3.0
-    n = round(math.sqrt(nverts[6]))
+    pipeline = {r.K: r.htv_cpwl for r in rows}
+    ok = ok and all(abs(v - 3.0) <= 0.05 * 3.0 for v in pipeline.values())
+    n = round(math.sqrt(rows[-1].vertices))
     axis_htv = htv_cpwl(interpolate(fld, uniform_diagonal_mesh(n, "main"))).total
     ok = ok and axis_htv >= 1.02 * max(pipeline.values()) and axis_htv >= 1.02 * 3.0
     elapsed = time.perf_counter() - t0
@@ -239,21 +231,16 @@ def criterion_5(ctx: dict, seed: int = DEFAULT_SEED) -> CriterionResult:
     ext, cert = is_extremal(hat)
     ok = ok and ext and cert.space.dim == 1
     # Two hats with disjoint supports on a 6x6 grid.
-    mesh6 = uniform_diagonal_mesh(6)
-    va = np.zeros(mesh6.n_vertices)
-    vb = np.zeros(mesh6.n_vertices)
-    va[2 * 7 + 2] = 1.0
-    vb[4 * 7 + 2] = 1.0
-    sa = support_mask_by_jump(CpwlFunction(mesh6, va))
-    sb = support_mask_by_jump(CpwlFunction(mesh6, vb))
+    ha, hb = mesh_with_hat(6, 2, 2), mesh_with_hat(6, 2, 4)
+    sa, sb = support_mask_by_jump(ha), support_mask_by_jump(hb)
     ok = ok and not (sa & sb).any()
-    two = CpwlFunction(mesh6, va + vb)
+    two = ha.with_values(ha.values + hb.values)
     ext2, cert2 = is_extremal(two)
     ok = ok and not ext2 and cert2.witness is not None
     if cert2.witness is not None:
-        w = CpwlFunction(mesh6, cert2.witness)
+        w = two.with_values(cert2.witness)
         ok = ok and not (support_mask_by_jump(w) & ~(sa | sb)).any()
-        gq = (va + vb) - np.mean(va + vb)
+        gq = two.values - np.mean(two.values)
         cosang = abs(np.dot(cert2.witness, gq)) / (
             np.linalg.norm(cert2.witness) * np.linalg.norm(gq)
         )
@@ -358,7 +345,7 @@ def criterion_7(ctx: dict, seed: int = DEFAULT_SEED) -> CriterionResult:
         radius = float(rng.uniform(2.0, 4.0)) * u.spacing
         sm = mollify(u, radius)
         margin = int(math.floor(radius / u.spacing))
-        gain = discrete_htv(sm, 1, margin=margin) - discrete_htv(u, 1, margin=0)
+        gain = discrete_htv(sm, margin=margin) - discrete_htv(u, margin=0)
         worst_gain = max(worst_gain, gain)
     ok = ok and worst_gain <= 1e-6
     elapsed = time.perf_counter() - t0

@@ -44,9 +44,8 @@ class _MeshAlgebra(_EdgeKernel):
     stencil and edge vectors, and, built on first use, the affine design
     matrix and its orthonormal basis, the orthonormal basis of the affine
     complement and the jump operators.  The greedy loop runs on plain value
-    vectors through `normalize`, `energy`, `support`, `witness` and
-    `reduce`.  Only the mesh's own arrays are referenced, so the cache does
-    not keep the mesh alive.
+    vectors through the methods below.  Only the mesh's own arrays are
+    referenced, so the cache does not keep the mesh alive.
     """
 
     def __init__(self, mesh: Triangulation):
@@ -134,6 +133,15 @@ class _MeshAlgebra(_EdgeKernel):
         w = resid[:, int(np.argmax(norms))]
         return w / np.linalg.norm(w)
 
+    def jump_ratios(self, values: np.ndarray, direction: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """(ratios, mask): the normal jumps of `values` over those of
+        `direction` on `direction`'s support `mask`, in edge-id order."""
+        _, normal_op = self.jump_operators
+        jn_d = normal_op @ direction
+        mask = self.support(np.abs(jn_d), SUPPORT_REL_TOL)
+        return (normal_op @ values)[mask] / jn_d[mask], mask
+
     def reduce(self, values: np.ndarray, witness: np.ndarray, support: np.ndarray
                ) -> tuple[float, np.ndarray, np.ndarray]:
         """One support reduction of `values` along `witness`.
@@ -143,14 +151,10 @@ class _MeshAlgebra(_EdgeKernel):
         usable support edges, and the new support must be a strict subset
         of `support`.  Non-finite values raise MeshError.
         """
-        _, normal_op = self.jump_operators
-        jn_g = normal_op @ values
-        jn_h = normal_op @ witness
-        abs_h = np.abs(jn_h)
-        usable = support & (abs_h > SUPPORT_REL_TOL * float(abs_h.max()))
-        if not usable.any():
+        ratios, mask = self.jump_ratios(values, witness)
+        ratios = ratios[support[mask]]
+        if not len(ratios):
             raise ExtremalError("witness has no usable jump inside the support")
-        ratios = jn_g[usable] / jn_h[usable]
         lam = ratios[np.argmin(np.abs(ratios))]  # the first of the smallest
         nxt = self.normalize(values - lam * witness)
         new_support = self.support(self.norms(self.jumps(nxt)), SUPPORT_REL_TOL)
@@ -180,7 +184,10 @@ class JumpSpaceBasis:
     modulo affine functions."""
 
     basis: np.ndarray  # (V, dim)
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
 
 
 def constrained_space(mesh: Triangulation, support: np.ndarray) -> JumpSpaceBasis:
@@ -211,7 +218,7 @@ def constrained_space(mesh: Triangulation, support: np.ndarray) -> JumpSpaceBasi
         thr = 1e-10 * (sv[0] if len(sv) else 0.0)
         rank = np.count_nonzero(sv > thr)
         basis = comp @ vt[rank:].T
-    return JumpSpaceBasis(basis=basis, dim=basis.shape[1])
+    return JumpSpaceBasis(basis)
 
 
 @dataclass
@@ -355,20 +362,15 @@ def decompose(g: CpwlFunction, tol: float = DECOMPOSE_TOL) -> Decomposition:
     total = alg.energy(x)
     if total <= tol:
         raise ExtremalError("input is affine: nothing to decompose")
-    _, normal_op = alg.jump_operators
+    bound = tol * max(1.0, total)
     terms: list[CpwlFunction] = []
     coeffs: list[float] = []
     for _ in range(len(mesh.interior_edge_array) + 2):
-        if alg.energy(x) <= tol * max(1.0, total):
+        if alg.energy(x) <= bound:
             break
         t = _extremal_in_support(mesh, alg.normalize(x))
-        jn_x = normal_op @ x
-        jn_t = normal_op @ t
-        t_thr = SUPPORT_REL_TOL * float(np.abs(jn_t).max())
-        used = np.abs(jn_t) > t_thr
-        ratios = jn_x[used] / jn_t[used]
+        ratios, _ = alg.jump_ratios(x, t)
         pos = ratios[ratios > 0]
-        bound = tol * max(1.0, total)
         if len(ratios) and ratios.min() < -bound:
             raise ExtremalError(
                 "jump signs of the extremal direction disagree with the input: jump "
@@ -383,7 +385,7 @@ def decompose(g: CpwlFunction, tol: float = DECOMPOSE_TOL) -> Decomposition:
         coeffs.append(float(c))
         x = x - c * t
     residual = alg.energy(x)
-    if residual > tol * max(1.0, total):
+    if residual > bound:
         raise ExtremalError(
             f"decomposition stalled: achieved energy residual "
             f"{math.ldexp(residual, e):.3e} > {tol:.1e}"

@@ -223,13 +223,12 @@ def mollify(u: GridSample, radius: float) -> GridSample:
     return GridSample(u.spacing, out)
 
 
-def discrete_htv(u: GridSample, p=1, margin: int = 0) -> float:
+def discrete_htv(u: GridSample, margin: int = 0) -> float:
     """Discrete Hessian-Schatten energy of a grid sample.
 
     Central second differences on nodes at least 1 + margin cells away from
-    the border, Schatten p-norm per node, weighted by cell area.
+    the border, Schatten-1 (nuclear) norm per node, weighted by cell area.
     """
-    p = check_p(p)
     z = u.samples
     n0, n1 = z.shape
     lo = 1 + margin
@@ -245,7 +244,7 @@ def discrete_htv(u: GridSample, p=1, margin: int = 0) -> float:
         - z[lo - 1:n0 - lo - 1, lo + 1:n1 - lo + 1]
         + z[lo - 1:n0 - lo - 1, lo - 1:n1 - lo - 1]
     ) / (4 * h2)
-    vals = schatten_norms(uxx, uxy, uxy, uyy, p)
+    vals = schatten_norms(uxx, uxy, uxy, uyy, 1.0)
     return float(np.sum(vals)) * h2
 
 

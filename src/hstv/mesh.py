@@ -14,7 +14,6 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
@@ -265,9 +264,6 @@ class Triangulation:
                 "hanging vertex"
             )
 
-    def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return tuple(Fraction(v, self.den) for v in self._extremes)
-
     def covers_bbox_exactly(self) -> bool:
         """True if the triangles tile the bounding rectangle without gaps.
 
@@ -355,29 +351,34 @@ class _GradientStencil:
         return grads
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CpwlFunction:
-    """A continuous piecewise linear function: mesh plus one value per vertex."""
+    """A continuous piecewise linear function: mesh plus one value per vertex.
+
+    A read-only record: `values` is a non-writeable float copy of the values
+    given, and neither attribute can be rebound."""
 
     mesh: Triangulation
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.mesh.n_vertices,):
+        values = np.array(self.values, dtype=float)
+        if values.shape != (self.mesh.n_vertices,):
             raise MeshError(
-                f"values shape {self.values.shape} does not match "
+                f"values shape {values.shape} does not match "
                 f"{self.mesh.n_vertices} vertices"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise MeshError("non-finite vertex value")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def gradients(self) -> np.ndarray:
         """Per-triangle gradient vectors, shape (n_triangles, 2)."""
         return _GradientStencil(self.mesh).gradients(self.values)
 
     def with_values(self, values) -> "CpwlFunction":
-        return CpwlFunction(self.mesh, np.asarray(values, dtype=float))
+        return CpwlFunction(self.mesh, values)
 
 
 def uniform_diagonal_mesh(n: int, diagonal: str = "main") -> Triangulation:
@@ -527,11 +528,12 @@ def render_svg(g, path) -> None:
         mesh, values = g.mesh, g.values
     else:
         mesh, values = g, None
-    x0, x1, y0, y1 = (float(v) for v in mesh.bbox())
+    fv = mesh.float_vertices
+    x, y = fv.T
+    x0, x1, y0, y1 = float(x.min()), float(x.max()), float(y.min()), float(y.max())
     width = 800
     scale = width / max(x1 - x0, y1 - y0, 1e-12)
     height = int(math.ceil((y1 - y0) * scale)) or 1
-    fv = mesh.float_vertices
 
     def sx(x):
         return (x - x0) * scale

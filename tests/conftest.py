@@ -240,11 +240,11 @@ def evaluate_on_grid(g: CpwlFunction, n: int) -> tuple[np.ndarray, np.ndarray, n
     Point location scans each triangle's bounding box; meant for moderate
     mesh sizes.
     """
-    x0, x1, y0, y1 = (float(v) for v in g.mesh.bbox())
+    fv = g.mesh.float_vertices
+    (x0, y0), (x1, y1) = fv.min(axis=0).tolist(), fv.max(axis=0).tolist()
     xs = x0 + (np.arange(n) + 0.5) * (x1 - x0) / n
     ys = y0 + (np.arange(n) + 0.5) * (y1 - y0) / n
     zz = np.full((n, n), np.nan)
-    fv = g.mesh.float_vertices
     grads = g.gradients()
     hx = (x1 - x0) / n
     hy = (y1 - y0) / n

@@ -394,7 +394,8 @@ class TestAssembleGlobal:
         frames = synthetic_frames(1, [RationalAngle(1, 2)] * 4)
         mesh = assemble_global(plan_mesh(frames, 1, 1))
         assert mesh.covers_bbox_exactly()
-        assert mesh.bbox() == (0, 1, 0, 1)
+        assert mesh.numerators.min(axis=0).tolist() == [0, 0]
+        assert mesh.numerators.max(axis=0).tolist() == [mesh.den] * 2
 
     def test_mixed_angles_conforming(self):
         frames = synthetic_frames(1, [RationalAngle(1, 2), RationalAngle(2, 3),

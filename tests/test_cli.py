@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -23,9 +24,12 @@ from conftest import (
     subprocess_env,
 )
 from hstv.cli import build_parser, main
+from hstv.errors import MeshError
 from hstv.htv import htv_cpwl
 from hstv.mesh import (
     CpwlFunction,
+    Triangulation,
+    cpwl_from_document,
     load_mesh,
     mesh_document,
     save_mesh,
@@ -471,6 +475,37 @@ def test_float_degenerate_triangles_exit_1(tmp_path):
         assert out.returncode == 1, (argv, out.stdout)
         assert out.stderr.startswith("error: "), out.stderr
         assert "RuntimeWarning" not in out.stderr, out.stderr
+
+
+def test_float_degenerate_square_refused(tmp_path, capsys):
+    """The square [2^60, 2^60 + 1] x [0, 1] is exact and tiles its bounding
+    square, but its x-coordinates round to one float: the gradient stencil
+    refuses it, in process and from `hstv htv`, with the same message."""
+    x = 2**60
+    g = CpwlFunction(Triangulation([[x, 0], [x + 1, 0], [x + 1, 1], [x, 1]],
+                                   [[0, 1, 2], [0, 2, 3]]), np.zeros(4))
+    assert g.mesh.covers_bbox_exactly()
+    message = "triangle [0, 1, 2] has zero area in floating point"
+    for call in (g.gradients, lambda: htv_cpwl(g)):
+        with pytest.raises(MeshError, match=re.escape(message)):
+            call()
+    path = tmp_path / "flat.json"
+    save_mesh(g, path)
+    assert main(["htv", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_value_count_refused(hat_file, capsys):
+    """A mesh document with one value fewer than its vertices is refused
+    before a function is built, and `hstv htv` on it exits 1."""
+    doc = json.loads(hat_file.read_text())
+    doc["values"].pop()
+    message = "values array length does not match vertex count"
+    with pytest.raises(MeshError, match=f"^{message}$"):
+        cpwl_from_document(doc)
+    hat_file.write_text(json.dumps(doc))
+    assert main(["htv", str(hat_file)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -79,6 +80,16 @@ class TestConstrainedSpace:
         mesh = uniform_diagonal_mesh(3)
         space = constrained_space(mesh, np.zeros(len(mesh.interior_edge_array), dtype=bool))
         assert space.dim == 0
+
+    def test_dim_is_read_off_the_basis(self):
+        """A JumpSpaceBasis is its basis: `dim` is the basis's column count
+        and cannot be set apart from it."""
+        g = grid_hat(4, 2, 2)
+        space = constrained_space(g.mesh, support_mask_by_jump(g))
+        assert [f.name for f in dataclasses.fields(space)] == ["basis"]
+        assert space.dim == space.basis.shape[1] == 1
+        with pytest.raises(AttributeError):
+            space.dim = 2
 
     def test_hat_support_dimension_is_one(self):
         g = grid_hat(4, 2, 2)

@@ -110,7 +110,7 @@ def test_gaussian_bump_out_of_range_rejected(params):
     (lambda: GridSample(0.1, np.zeros((2, 2, 2))), "samples must be a 2D array"),
     (lambda: GridSample(0.0, np.zeros((5, 5))), "spacing must be positive"),
     (lambda: GridSample(-0.1, np.zeros((5, 5))), "spacing must be positive"),
-    (lambda: discrete_htv(GridSample(0.1, np.zeros((6, 9))), 1, margin=2),
+    (lambda: discrete_htv(GridSample(0.1, np.zeros((6, 9))), margin=2),
      "grid too small for the requested margin"),
     (lambda: extend_reflection(np.zeros((5, 5))), "extend_reflection expects a SmoothField"),
     (lambda: extend_reflection(GridSample(0.1, np.zeros((5, 5)))),
@@ -284,7 +284,7 @@ def test_mollify_energy_inequality_quadratic():
     fld = builtin_field("quadratic", 1, 0, 1)
     u = grid_sample(fld, 41)
     sm = mollify(u, 3 * u.spacing)
-    assert discrete_htv(sm, 1, margin=3) <= discrete_htv(u, 1, margin=0) + 1e-6
+    assert discrete_htv(sm, margin=3) <= discrete_htv(u, margin=0) + 1e-6
 
 
 def test_mollify_energy_inequality_random():
@@ -294,7 +294,7 @@ def test_mollify_energy_inequality_random():
         u = GridSample(1.0 / n, rng.standard_normal((n, n)))
         r = int(rng.integers(2, 5))
         sm = mollify(u, r * u.spacing)
-        assert discrete_htv(sm, 1, margin=r) <= discrete_htv(u, 1, margin=0) + 1e-6
+        assert discrete_htv(sm, margin=r) <= discrete_htv(u, margin=0) + 1e-6
 
 
 def test_discrete_htv_quadratic_sanity():
@@ -302,7 +302,7 @@ def test_discrete_htv_quadratic_sanity():
     u = grid_sample(fld, 65)
     # |hess|_1 = 2 at every one of the 63^2 interior nodes, each weighing h^2
     inner = (63.0 / 64.0) ** 2
-    assert abs(discrete_htv(u, 1) - 2.0 * inner) <= 1e-9
+    assert abs(discrete_htv(u) - 2.0 * inner) <= 1e-9
 
 
 def test_extend_reflection_affine_and_constant():

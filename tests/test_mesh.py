@@ -689,8 +689,32 @@ def test_validated_mesh_is_read_only():
     assert Triangulation(mesh.numerators, mesh.triangle_array, mesh.den).covers_bbox_exactly()
 
 
+def test_validated_function_is_read_only():
+    """A CpwlFunction holds a read-only copy of its values: a write into the
+    caller's array doubled the validated hat's energy from 16 to 32, and
+    `g.values = np.ones(3)` skipped the shape check, so htv_cpwl raised an
+    IndexError instead of a MeshError."""
+    mesh = uniform_diagonal_mesh(4)
+    vals = np.zeros(mesh.n_vertices)
+    vals[2 * 5 + 2] = 1.0
+    g = CpwlFunction(mesh, vals)
+    vals[2 * 5 + 2] = 2.0
+    assert vals.flags.writeable  # the caller's stays writable
+    assert htv_cpwl(g).total == 16.0
+    for h in (g, g.with_values(vals)):
+        assert not h.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            h.values[0] = 1.0
+    for name, value in (("values", np.ones(3)), ("mesh", uniform_diagonal_mesh(2))):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(g, name, value)
+    assert g.mesh is mesh and htv_cpwl(g).total == 16.0
+    with pytest.raises(MeshError, match=r"values shape \(3,\) does not match 25 vertices"):
+        CpwlFunction(mesh, np.ones(3))
+
+
 def test_validated_mesh_attributes_cannot_be_rebound():
-    """`mesh.den = 8` made bbox() read (0, 1/2, 0, 1/2) while the float
+    """`mesh.den = 8` put the exact vertices in [0, 1/2]^2 while the float
     vertices still spanned [0, 1] and covers_bbox_exactly() stayed True:
     after construction no attribute can be set, added or deleted."""
     mesh = uniform_diagonal_mesh(4)
@@ -700,7 +724,8 @@ def test_validated_mesh_attributes_cannot_be_rebound():
     with pytest.raises(AttributeError, match="read-only: cannot delete 'den'"):
         del mesh.den
     assert mesh.den == 4 and not hasattr(mesh, "label")
-    assert mesh.bbox() == (0, 1, 0, 1)
+    assert mesh.numerators.min(axis=0).tolist() == [0, 0]
+    assert mesh.numerators.max(axis=0).tolist() == [4, 4]
 
 
 def test_evaluate_on_grid_affine(pyramid):
