@@ -236,6 +236,8 @@ def main(argv=None) -> int:
     _check_threads_env()
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "htv" and args.out is not None and args.report is None:
+        parser.error("htv --out writes the CSV report: it needs --report csv")
     try:
         if args.command == "htv":
             return _cmd_htv(args)

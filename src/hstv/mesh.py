@@ -498,23 +498,42 @@ def _collector_paused():
             gc.enable()
 
 
+# The last mesh file parsed successfully, as (text, function); see load_mesh.
+_last_load: tuple[str, CpwlFunction] | None = None
+
+
 def load_mesh(path) -> CpwlFunction:
-    """Load a mesh JSON file; missing values default to zero.
+    """Load a UTF-8 mesh JSON file; missing values default to zero.
+
+    The file is read on every call.  When its text equals that of the last
+    file parsed successfully, the function built then is returned: parsing
+    is a pure function of the text, and the function is a read-only record.
+    Any other text is decoded and validated in full, and on success replaces
+    the remembered one; a failed load is not remembered.
 
     The decoded document can hold tens of thousands of small lists, enough
     to set off collector passes over them while they are built; it is
     acyclic and freed by reference counting, so the decode runs with the
     collector paused and the document is freed before it resumes.
     """
+    global _last_load
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshError(f"cannot read mesh file {path}: {exc}") from exc
+    last = _last_load  # read once: another thread may replace it meanwhile
+    if last is not None and last[0] == text:
+        return last[1]
     with _collector_paused():
         try:
-            with open(path) as f:
-                doc = json.load(f)
+            doc = json.loads(text)
         # RecursionError: arrays or objects nested deeper than the decoder follows.
-        except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise MeshError(f"cannot read mesh file {path}: {exc}") from exc
         g = cpwl_from_document(doc)
         del doc  # freed now: alive when the collector resumes, it would be scanned
+    _last_load = (text, g)
     return g
 
 

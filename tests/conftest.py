@@ -38,6 +38,13 @@ def subprocess_env(**extra: str) -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **extra}
 
 
+@pytest.fixture(autouse=True)
+def no_remembered_mesh_file(monkeypatch):
+    """Every test starts with no mesh file remembered by `load_mesh`, so
+    whether a load decodes does not depend on the tests run before it."""
+    monkeypatch.setattr(hstv.mesh, "_last_load", None)
+
+
 @pytest.fixture
 def pyramid() -> CpwlFunction:
     """Unit square split into 4 triangles around the center, hat at the apex."""

@@ -190,6 +190,35 @@ def test_htv_total_and_csv(hat_file, tmp_path, capsys):
             float(cell)
 
 
+def test_htv_out_needs_csv_report(hat_file, tmp_path, capsys):
+    """`--out` without `--report csv` wrote nothing and exited 0; it is a
+    usage error naming `--report csv`, and no file is written."""
+    out_csv = tmp_path / "edges.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["htv", str(hat_file), "--out", str(out_csv)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--report csv" in captured.err
+    assert not out_csv.exists()
+
+
+def test_mesh_file_not_utf8_exits_cleanly(tmp_path, capsys):
+    """A mesh file holding a byte that is not UTF-8 ended in a
+    UnicodeDecodeError traceback; every command that reads one exits 1
+    with an `error: ` line."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"vertices": [], "triangles": [], "values": ["\xff"]}\n')
+    for argv in (["htv", str(path)], ["extremal", "test", str(path)],
+                 ["extremal", "decompose", str(path), "--out", str(tmp_path / "d.json")],
+                 ["mesh", "render", str(path), "--out", str(tmp_path / "m.svg")]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read mesh file {path}: "), argv
+        assert "Traceback" not in captured.err
+
+
 def test_approx_csv_and_determinism(tmp_path, capsys):
     args = ["approx", "--field", "quadratic:iso", "--N", "0", "--K", "0..2",
             "--ref-resolution", "64", "--out", str(tmp_path / "a.csv")]

@@ -2,8 +2,10 @@ import gc
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from fractions import Fraction
@@ -23,6 +25,7 @@ from conftest import (
     same_vertices,
     subprocess_env,
 )
+from hstv import cli
 from hstv.errors import MeshError
 from hstv.htv import htv_cpwl
 from hstv.mesh import (
@@ -599,7 +602,8 @@ def test_load_runs_no_collection(tmp_path):
 def test_load_restores_collector_state(tmp_path, monkeypatch):
     """The collector is paused while the document is decoded, and the
     caller's state, enabled or disabled, is back after a load that succeeds
-    and after one that raises."""
+    and after one that raises.  The second load of `good` reuses the first:
+    the failed loads between them are not remembered, so five decodes run."""
     good = tmp_path / "good.json"
     save_mesh(uniform_diagonal_mesh(4), good)
     bad_json = tmp_path / "bad.json"
@@ -608,8 +612,9 @@ def test_load_restores_collector_state(tmp_path, monkeypatch):
     bad_doc.write_text(json.dumps({"vertices": [["0", "1", "0", "1"]], "triangles": [[0, 1]]}))
     missing = tmp_path / "missing.json"
     decoding = []
-    real_load = json.load
-    monkeypatch.setattr(json, "load", lambda f: decoding.append(gc.isenabled()) or real_load(f))
+    real_loads = json.loads
+    monkeypatch.setattr(json, "loads",
+                        lambda text: decoding.append(gc.isenabled()) or real_loads(text))
     was_enabled = gc.isenabled()
     try:
         for enabled in (True, False):
@@ -622,7 +627,112 @@ def test_load_restores_collector_state(tmp_path, monkeypatch):
                 assert gc.isenabled() is enabled, path
     finally:
         (gc.enable if was_enabled else gc.disable)()
-    assert decoding == [False] * 6
+    assert decoding == [False] * 5
+
+
+def _count_decodes(monkeypatch) -> list:
+    """Grows by one entry per `json.loads` call during the test."""
+    decodes = []
+    real_loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: decodes.append(1) or real_loads(text))
+    return decodes
+
+
+def test_unchanged_file_is_parsed_once(tmp_path, monkeypatch):
+    """A second load of an unchanged file returns the function the first
+    one built and decodes nothing."""
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(jittered_document(np.random.default_rng(0), 8)))
+    decodes = _count_decodes(monkeypatch)
+    first = load_mesh(path)
+    assert len(decodes) == 1
+    assert load_mesh(path) is first
+    assert len(decodes) == 1
+
+
+def test_rewritten_file_is_parsed_again(tmp_path, capsys):
+    """The reuse is keyed on the text alone: a file rewritten with one value
+    changed, its byte length and its modification time kept, loads with the
+    new values, also through the CLI."""
+    path = tmp_path / "hat.json"
+    save_mesh(grid_hat(4, 2, 2), path)
+    text = path.read_text()
+    assert text.count('"1.0"') == 1
+    changed = text.replace('"1.0"', '"2.0"')
+    stat = path.stat()
+    first = load_mesh(path)
+    path.write_text(changed)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size
+    second = load_mesh(path)
+    assert second.values.max() == 2.0
+    assert np.array_equal(second.values, 2 * first.values)
+
+    totals = []
+    for content in (text, changed):
+        path.write_text(content)
+        assert cli.main(["htv", str(path)]) == 0
+        totals.append(capsys.readouterr().out)
+    assert totals == ["htv_total=16.0\n", "htv_total=32.0\n"]
+
+
+def test_failed_load_is_not_remembered(tmp_path, monkeypatch):
+    """A load that fails between two good ones leaves the next result, of
+    the same file or another, correct, and the good file is not decoded
+    again."""
+    a, b, bad = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "bad.json"
+    save_mesh(grid_hat(4, 2, 2), a)
+    save_mesh(grid_hat(4, 1, 2), b)
+    bad.write_text(json.dumps({"vertices": [["0", "1", "0", "1"]], "triangles": [[0, 1]]}))
+    decodes = _count_decodes(monkeypatch)
+    first = load_mesh(a)
+    with pytest.raises(MeshError):
+        load_mesh(bad)
+    assert load_mesh(a) is first
+    with pytest.raises(MeshError):
+        load_mesh(bad)
+    other = load_mesh(b)
+    assert len(decodes) == 4
+    assert np.array_equal(other.values, grid_hat(4, 1, 2).values)
+
+
+def test_same_text_at_another_path_is_bit_identical(tmp_path):
+    """A copy of the text at another path loads to the values, vertices and
+    triangles of a fresh parse, bit for bit."""
+    text = json.dumps(jittered_document(np.random.default_rng(1), 8))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(text)
+    b.write_text(text)
+    load_mesh(a)
+    g = load_mesh(b)
+    fresh = cpwl_from_document(json.loads(text))
+    assert g.values.tobytes() == fresh.values.tobytes()
+    assert g.mesh.den == fresh.mesh.den
+    assert np.array_equal(g.mesh.numerators, fresh.mesh.numerators)
+    assert np.array_equal(g.mesh.triangle_array, fresh.mesh.triangle_array)
+
+
+def test_loads_from_two_threads_match_their_files(tmp_path):
+    """Two threads loading two files in turn each get their own file's
+    values, never the other file's function."""
+    files = []
+    for i in range(2):
+        path = tmp_path / f"m{i}.json"
+        save_mesh(grid_hat(4, 1 + i, 2), path)
+        files.append((path, grid_hat(4, 1 + i, 2).values))
+    wrong = []
+
+    def run(path, expected):
+        for _ in range(200):
+            if not np.array_equal(load_mesh(path).values, expected):
+                wrong.append(path)
+
+    threads = [threading.Thread(target=run, args=f) for f in files]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert wrong == []
 
 
 def test_conformity_check_is_sound():
