@@ -15,7 +15,6 @@ from .approx import (
 from .errors import ExtremalError, FieldError, HstvError, MeshError, PlanError
 from .extremal import (
     Decomposition,
-    JumpSpaceBasis,
     constrained_space,
     decompose,
     is_extremal,

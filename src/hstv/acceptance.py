@@ -229,7 +229,7 @@ def criterion_5(ctx: dict, seed: int = DEFAULT_SEED) -> CriterionResult:
     # Hat at the center of a 4x4 grid: its star is interior, nullspace dim 1.
     hat = mesh_with_hat(4, 2, 2)
     ext, cert = is_extremal(hat)
-    ok = ok and ext and cert.space.dim == 1
+    ok = ok and ext and cert.dim == 1
     # Two hats with disjoint supports on a 6x6 grid.
     ha, hb = mesh_with_hat(6, 2, 2), mesh_with_hat(6, 2, 4)
     sa, sb = support_mask_by_jump(ha), support_mask_by_jump(hb)
@@ -260,7 +260,7 @@ def criterion_5(ctx: dict, seed: int = DEFAULT_SEED) -> CriterionResult:
             text, tcert = is_extremal(term)
             ok = ok and text
             pert = perturbation_identity_check(
-                term, term.with_values(tcert.space.basis[:, 0])
+                term, term.with_values(tcert.basis[:, 0])
             )
             worst_pert = max(worst_pert, pert)
     ok = ok and worst_sum <= 1e-8 and worst_resid <= 1e-8 and worst_pert <= 1e-10

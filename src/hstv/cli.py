@@ -202,9 +202,9 @@ def _cmd_extremal(args) -> int:
     if args.subcommand == "test":
         verdict, cert = is_extremal(g, args.tol)
         if verdict:
-            print(f"extremal (dim={cert.space.dim})")
+            print(f"extremal (dim={cert.dim})")
         else:
-            print(f"not extremal (dim={cert.space.dim})")
+            print(f"not extremal (dim={cert.dim})")
         return 0
     dec = decompose(g, args.tol)
     doc = {

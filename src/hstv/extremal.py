@@ -178,20 +178,9 @@ def _algebra(mesh: Triangulation) -> _MeshAlgebra:
 # -- constrained spaces ----------------------------------------------------------
 
 
-@dataclass
-class JumpSpaceBasis:
-    """Orthonormal basis of {h : jumps vanish on interior edges outside S},
-    modulo affine functions."""
-
-    basis: np.ndarray  # (V, dim)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-
-def constrained_space(mesh: Triangulation, support: np.ndarray) -> JumpSpaceBasis:
-    """Nullspace of the jump constraints on edges outside `support`.
+def constrained_space(mesh: Triangulation, support: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (V, dim) of {h : jumps vanish on interior edges
+    outside `support`}, modulo affine functions.
 
     `support` is an (E,) boolean mask over interior-edge ids; anything else
     raises ExtremalError.  Constraints are both gradient-jump components per
@@ -207,24 +196,25 @@ def constrained_space(mesh: Triangulation, support: np.ndarray) -> JumpSpaceBasi
     alg = _algebra(mesh)
     comp = alg.complement
     if support.all():
-        basis = comp
-    else:
-        full, _ = alg.jump_operators
-        rows = full.reshape(n_edges, 2, -1)[~support].reshape(-1, full.shape[1])
-        a = rows @ comp
-        # A tall a's reduced V^T is already square; a wide a needs the
-        # full one for its nullspace rows.
-        _, sv, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-        thr = 1e-10 * (sv[0] if len(sv) else 0.0)
-        rank = np.count_nonzero(sv > thr)
-        basis = comp @ vt[rank:].T
-    return JumpSpaceBasis(basis)
+        return comp
+    full, _ = alg.jump_operators
+    rows = full.reshape(n_edges, 2, -1)[~support].reshape(-1, full.shape[1])
+    a = rows @ comp
+    # A tall a's reduced V^T is already square; a wide a needs the
+    # full one for its nullspace rows.
+    _, sv, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    rank = np.count_nonzero(sv > 1e-10 * sv[0])
+    return comp @ vt[rank:].T
 
 
 @dataclass
 class ExtremalCertificate:
-    space: JumpSpaceBasis
+    basis: np.ndarray  # (V, dim) constrained space of the support
     witness: Optional[np.ndarray]  # vertex values of a non-span direction
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
 
 
 def _canonical(g: CpwlFunction) -> tuple[np.ndarray, int]:
@@ -260,9 +250,9 @@ def _certify(mesh: Triangulation, values: np.ndarray, support: np.ndarray,
     relative tolerance `tol` is known."""
     if not support.any():
         raise ExtremalError("function is affine (zero energy): not on the unit sphere")
-    space = constrained_space(mesh, support)
+    basis = constrained_space(mesh, support)
     alg = _algebra(mesh)
-    if space.dim < 1:
+    if basis.shape[1] < 1:
         norms = alg.norms(alg.jumps(values))
         dropped = norms[~support & (norms > 0)]
         if len(dropped):
@@ -271,9 +261,9 @@ def _certify(mesh: Triangulation, values: np.ndarray, support: np.ndarray,
                 f"{len(dropped)} edges with a nonzero jump out of the support, the "
                 f"largest {dropped.max() / norms.max():.3e} times the largest jump")
         raise ExtremalError("numerical rank failure: g not inside its own constraint space")
-    if space.dim == 1:
-        return ExtremalCertificate(space, None)
-    return ExtremalCertificate(space, alg.witness(values, space.basis))
+    if basis.shape[1] == 1:
+        return ExtremalCertificate(basis, None)
+    return ExtremalCertificate(basis, alg.witness(values, basis))
 
 
 def perturbation_identity_check(g: CpwlFunction, h: CpwlFunction) -> float:

@@ -157,7 +157,10 @@ class Triangulation:
         if len(dup):
             k = int(dup[0])
             raise MeshError(f"duplicate vertex coordinates at indices {first[k]} and {k}")
-        self.float_vertices = np.asarray(num / den, dtype=float)
+        try:
+            self.float_vertices = np.asarray(num / den, dtype=float)
+        except OverflowError:
+            raise MeshError("vertex coordinates overflow float") from None
 
         if ((tris[:, 0] == tris[:, 1]) | (tris[:, 1] == tris[:, 2])
                 | (tris[:, 0] == tris[:, 2])).any():
@@ -225,8 +228,6 @@ class Triangulation:
         and edge counts, not on how much longer than the median an edge is.
         """
         bedges = self._boundary_edge_arr
-        if len(bedges) == 0:
-            return
         num = self.numerators
         p, q = num[bedges[:, 0]], num[bedges[:, 1]]
         lo, hi = np.minimum(p, q), np.maximum(p, q)
@@ -305,10 +306,9 @@ def min_angle(mesh: Triangulation) -> float:
     num, den = mesh.numerators, mesh.den
     first = num[cand[:, 0]]
     d = np.concatenate([num[cand[:, 1]] - first, num[cand[:, 2]] - first], axis=1)
-    if d.dtype != object:
-        # Translated copies of one triangle share their exact edge vectors.
-        d = d[np.lexsort(d.T)]
-        d = d[np.r_[True, (d[1:] != d[:-1]).any(axis=1)]]
+    # Translated copies of one triangle share their exact edge vectors.
+    d = d[np.lexsort(d.T)]
+    d = d[np.r_[True, (d[1:] != d[:-1]).any(axis=1)]]
     ab, ac = d[:, :2], d[:, 2:]
     best = math.inf
     # The angles at a, b and c, from exact integer edge vectors.
@@ -565,6 +565,9 @@ def render_svg(g, path) -> None:
         f'viewBox="0 0 {width} {height}">'
     ]
     if values is not None:
+        # The ramp runs on the values scaled by the exact power of two that
+        # puts max |value| in [1/2, 1), so no sum or span overflows.
+        values = np.ldexp(values, -math.frexp(float(np.max(np.abs(values))))[1])
         vmin, vmax = float(values.min()), float(values.max())
         vspan = (vmax - vmin) or 1.0
     for a, b, c in mesh.triangle_array:

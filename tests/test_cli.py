@@ -461,6 +461,12 @@ def test_exit_codes(tmp_path, capsys):
     assert captured.out == ""
     assert "argument --seed: expected an integer >= 0, got '-1'" in captured.err
     assert "Traceback" not in captured.err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["selftest", "--only", "6", "--seed", "x"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: expected an integer >= 0, got 'x'" in captured.err
     assert main(["approx", "--field", "rotated-quadratic:1,1,inf", "--N", "1", "--K", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     # Finite parameters whose derivatives underflow or overflow: sigma^4 is 0
@@ -538,15 +544,22 @@ def test_value_count_refused(hat_file, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("values", [[0, 0, 0, 0, 1e308], [1e308, -1e308, 1e308, -1e308, 0]],
-                         ids=["apex", "alternating"])
+@pytest.mark.parametrize("values", [[0, 0, 0, 0, 1e308], [1e308, -1e308, 1e308, -1e308, 0],
+                                    [1e308] * 4 + [-1e308]],
+                         ids=["apex", "alternating", "sum"])
 def test_overflowing_values_exit_1(pyramid, values, tmp_path, capsys):
     """Finite values whose gradient jumps or energy overflow float: `htv`
     printed htv_total=inf (or nan), `extremal decompose` exited 0 with
     residual=inf and `extremal test` called the function affine.  Each
-    command exits 1 with one error line, and numpy warns of nothing."""
+    command exits 1 with one error line, and numpy warns of nothing.
+    `mesh render` needs no derivative: it draws one polygon per triangle
+    (a triangle's value sum overflowed to a NaN colour before)."""
     path = tmp_path / "big.json"
     save_mesh(pyramid.with_values(values), path)
+    svg = tmp_path / "big.svg"
+    assert main(["mesh", "render", str(path), "--out", str(svg)]) == 0
+    assert svg.read_text().count("<polygon ") == pyramid.mesh.n_triangles
+    assert capsys.readouterr() == ("", "")
     for argv in (["htv", path], ["extremal", "test", path],
                  ["extremal", "decompose", path, "--out", tmp_path / "d.json"]):
         assert main([str(a) for a in argv]) == 1, argv
@@ -708,8 +721,15 @@ BASE_DOCUMENT = mesh_document(CpwlFunction(
 
 NOT_AN_ENTRY = st.sampled_from([
     0.5, 1.0, -2.0, float("nan"), float("inf"), True, False, None, "", "x", "1.5", "0x1",
-    [], [1], [[0]], ["0", "1"], {}, 2**64, -(2**63) - 1,
+    [], [1], [[0]], ["0", "1"], {}, 2**64, -(2**63) - 1, 10**400,
 ])
+
+
+def with_vertex_entry(entry) -> str:
+    """The JSON text of BASE_DOCUMENT with `entry` as its first vertex numerator."""
+    doc = json.loads(json.dumps(BASE_DOCUMENT))
+    doc["vertices"][0][0] = entry
+    return json.dumps(doc)
 
 
 @st.composite
@@ -753,6 +773,7 @@ def corrupt_documents(draw) -> str:
 
 @settings(max_examples=150, deadline=None)
 @given(corrupt_documents())
+@example(with_vertex_entry(10**400))  # a coordinate beyond float range
 def test_cli_corrupt_mesh_files_exit_cleanly(text):
     """Every command that reads a mesh file exits 0 or 1 on a corrupt file,
     prints no traceback, and prints `error:` when it exits 1."""

@@ -74,31 +74,34 @@ class TestConstrainedSpace:
     def test_full_support_dimension(self, pyramid):
         mesh = pyramid.mesh
         space = constrained_space(mesh, np.ones(len(mesh.interior_edge_array), dtype=bool))
-        assert space.dim == mesh.n_vertices - 3
+        assert space.shape == (mesh.n_vertices, mesh.n_vertices - 3)
 
     def test_empty_support_dimension(self):
         mesh = uniform_diagonal_mesh(3)
         space = constrained_space(mesh, np.zeros(len(mesh.interior_edge_array), dtype=bool))
-        assert space.dim == 0
+        assert space.shape == (mesh.n_vertices, 0)
 
     def test_dim_is_read_off_the_basis(self):
-        """A JumpSpaceBasis is its basis: `dim` is the basis's column count
-        and cannot be set apart from it."""
+        """The constrained space is its basis array, and the certificate's
+        `dim` is that basis's column count and cannot be set apart from it."""
         g = grid_hat(4, 2, 2)
         space = constrained_space(g.mesh, support_mask_by_jump(g))
-        assert [f.name for f in dataclasses.fields(space)] == ["basis"]
-        assert space.dim == space.basis.shape[1] == 1
+        assert type(space) is np.ndarray
+        _, cert = is_extremal(g)
+        assert [f.name for f in dataclasses.fields(cert)] == ["basis", "witness"]
+        assert np.array_equal(cert.basis, space)
+        assert cert.dim == cert.basis.shape[1] == 1
         with pytest.raises(AttributeError):
-            space.dim = 2
+            cert.dim = 2
 
     def test_hat_support_dimension_is_one(self):
         g = grid_hat(4, 2, 2)
         space = constrained_space(g.mesh, support_mask_by_jump(g))
-        assert space.dim == 1
+        assert space.shape[1] == 1
         # the line is spanned by the hat itself
         rep = affine_normalized(g)
         gn = rep.values / np.linalg.norm(rep.values)
-        assert abs(abs(gn @ space.basis[:, 0]) - 1.0) <= 1e-9
+        assert abs(abs(gn @ space[:, 0]) - 1.0) <= 1e-9
 
     def test_rejects_non_interior_edges(self):
         """Only an (E,) boolean mask names a support: edge sets, index
@@ -135,14 +138,14 @@ class TestConstrainedSpace:
                 for i, c in zip(ids, coeffs):
                     row[i] += c
                 rows.append(row)
-        assert constrained_space(mesh, mask).dim == mesh.n_vertices - 3 - exact_rank(rows)
+        assert constrained_space(mesh, mask).shape[1] == mesh.n_vertices - 3 - exact_rank(rows)
 
 
 class TestIsExtremal:
     def test_hat_is_extremal(self):
         verdict, cert = is_extremal(grid_hat(4, 2, 2))
         assert verdict
-        assert cert.space.dim == 1
+        assert cert.dim == 1
         assert cert.witness is None
 
     def test_negation_is_extremal_too(self):
@@ -153,7 +156,7 @@ class TestIsExtremal:
         a, b, two = two_hats()
         verdict, cert = is_extremal(two)
         assert not verdict
-        assert cert.space.dim == 2
+        assert cert.dim == 2
         w = cert.witness
         assert w is not None
         sw = support_mask_by_jump(two.with_values(w))
@@ -177,7 +180,7 @@ class TestIsExtremal:
             with pytest.raises(ExtremalError, match="tolerance"):
                 is_extremal(g, tol)
         verdict, cert = is_extremal(g, 0.0)
-        assert verdict and cert.space.dim == 1
+        assert verdict and cert.dim == 1
 
     def test_large_tolerance_named_in_the_error(self):
         """At 0.99 the relative tolerance keeps one of the 40 edges, so g is
@@ -199,7 +202,7 @@ class TestPerturbationIdentity:
     def test_hat_with_its_line(self):
         g = grid_hat(4, 2, 2)
         _, cert = is_extremal(g)
-        h = g.with_values(cert.space.basis[:, 0])
+        h = g.with_values(cert.basis[:, 0])
         assert perturbation_identity_check(g, h) <= 1e-10
 
     def test_two_hat_additivity(self):
@@ -502,7 +505,7 @@ class TestScaleEquivariance:
     @pytest.mark.parametrize("apex", [1e-300, 1e200])
     def test_pyramid_witness_at_extreme_scales(self, pyramid, apex):
         verdict, cert = is_extremal(pyramid.with_values(np.array([0.0, 0, 0, 0, apex])))
-        assert not verdict and cert.space.dim == 2
+        assert not verdict and cert.dim == 2
         w = cert.witness
         assert np.isfinite(w).all()
         assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
@@ -564,7 +567,7 @@ def oracle_inputs() -> list[CpwlFunction]:
 
 def verdict(g: CpwlFunction) -> tuple[bool, int]:
     extremal, cert = is_extremal(g)
-    return extremal, cert.space.dim
+    return extremal, cert.dim
 
 
 def mapped(g: CpwlFunction, fn) -> CpwlFunction:

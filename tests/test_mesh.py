@@ -184,8 +184,10 @@ SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
     (SQUARE, [], "a triangulation needs at least one triangle"),
     (SQUARE, [(0, 1, 2, 3)], "a triangle needs exactly 3 vertex indices"),
     (SQUARE, [0, 1, 2], "a triangle needs exactly 3 vertex indices"),
+    ([(0, 0), (10**400, 0), (10**400, 10**400), (0, 10**400)], [(0, 1, 2), (0, 2, 3)],
+     "vertex coordinates overflow float"),
 ], ids=["unconvertible", "triples", "flat", "two-vertices", "string-index",
-        "huge-index", "no-triangles", "four-indices", "flat-triangles"])
+        "huge-index", "no-triangles", "four-indices", "flat-triangles", "beyond-float"])
 def test_malformed_arrays_rejected(vertices, triangles, message):
     with pytest.raises(MeshError) as exc:
         Triangulation(vertices, triangles)
@@ -927,8 +929,9 @@ def test_parser_matches_fractions_and_round_trips(cx, cy, ks):
 def test_parser_rejects_corrupt_documents(cx, cy, ks, data):
     doc = pyramid_document(cx, cy, ks)
     kind = data.draw(st.sampled_from(
-        ["zero_den", "coordinate", "value", "index", "float", "bool"]))
+        ["zero_den", "coordinate", "value", "index", "float", "bool", "row_length"]))
     row = data.draw(st.integers(0, 4))
+    message = None
     if kind in ("float", "bool"):
         # int() would truncate these: 0.5 to 0, 2.5 to 2, True to 1
         bad = data.draw(st.floats(allow_nan=False, allow_infinity=False)
@@ -946,11 +949,16 @@ def test_parser_rejects_corrupt_documents(cx, cy, ks, data):
         # float() would read a boolean as 1.0 or 0.0
         doc["values"][row] = data.draw(
             st.sampled_from(["nan", "inf", "-inf", math.inf, True, False]))
+    elif kind == "row_length":
+        # every vertex row one entry short or one too many
+        width = data.draw(st.sampled_from([3, 5]))
+        doc["vertices"] = [(r + ["1"])[:width] for r in doc["vertices"]]
+        message = r"a vertex needs \[num_x, den_x, num_y, den_y\]"
     else:
         tri = doc["triangles"][data.draw(st.integers(0, 3))]
         tri[data.draw(st.integers(0, 2))] = data.draw(
             st.one_of(st.integers(5, 2**80), st.integers(-(2**80), -1)))
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match=message):
         cpwl_from_document(doc)
 
 

@@ -41,3 +41,20 @@ def test_fractions_and_scipy_stay_inside_their_boundaries():
              if (name == "fractions" and file not in ("approx.py", "acceptance.py"))
              or (name.split(".")[0] == "scipy" and not (file == "acceptance.py" and nested))]
     assert not stray
+
+
+def test_public_names():
+    """The public API, submodules included (`__all__` is built from the
+    package namespace): adding or removing a name is an edit of this list."""
+    assert sorted(hstv.__all__) == [
+        "CpwlFunction", "Decomposition", "ExtremalError", "FieldError", "GridSample",
+        "HstvError", "HtvReport", "MeshError", "MeshPlan", "PlanError", "RationalAngle",
+        "SmoothField", "SquareFrame", "Triangulation", "approx", "assemble_global",
+        "build_frames", "builtin_field", "constrained_space", "convergence_experiment",
+        "decompose", "discrete_htv", "dual_norm_estimate", "errors", "extend_reflection",
+        "extremal", "fields", "htv", "htv_cpwl", "htv_quadrature", "interpolate",
+        "interpolation_error_estimate", "is_extremal", "load_mesh", "mesh", "min_angle",
+        "mollify", "p_independence_check", "parse_field", "perturbation_identity_check",
+        "plan_mesh", "rational_angle_approx", "render_svg", "save_mesh", "schatten",
+        "schatten_norms", "support_mask_by_jump", "sym_eigen_frame", "uniform_diagonal_mesh",
+    ]
