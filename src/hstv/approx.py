@@ -566,7 +566,8 @@ def convergence_experiment(
     for K, plan in zip(ks, plans):
         mesh = assemble_global(plan)
         g = interpolate(fld, mesh)
-        report = htv_cpwl(g)
+        # htv_cpwl last: the edge kernel it keeps for the mesh then reuses the
+        # memory the probes freed instead of holding it through them.
         rows.append(
             ExperimentRow(
                 K=K,
@@ -574,10 +575,12 @@ def convergence_experiment(
                 triangles=mesh.n_triangles,
                 min_angle=min_angle(mesh),
                 sup_error=interpolation_error_estimate(fld, g),
-                htv_cpwl=report.total,
+                htv_cpwl=htv_cpwl(g).total,
                 htv_reference=reference,
             )
         )
         if collect is not None:
             collect(K, g)
+        # Free this level's mesh, and its kernel, before the next is assembled.
+        del mesh, g
     return ExperimentTable(rows)

@@ -15,7 +15,6 @@ rigidity identity.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -40,12 +39,12 @@ class _MeshAlgebra(_EdgeKernel):
     """The edge kernel of one mesh plus the linear algebra of the
     extremality constraints on it.
 
-    Every part is kept for the mesh's lifetime: the kernel's gradient
-    stencil and edge vectors, and, built on first use, the affine design
-    matrix and its orthonormal basis, the orthonormal basis of the affine
-    complement and the jump operators.  The greedy loop runs on plain value
-    vectors through the methods below.  Only the mesh's own arrays are
-    referenced, so the cache does not keep the mesh alive.
+    It is the mesh's one kernel (`_EdgeKernel.of`), so every part is kept
+    for the mesh's lifetime, and read-only: the kernel's gradient stencil
+    and edge vectors, and, built on first use, the affine design matrix and
+    its orthonormal basis, the orthonormal basis of the affine complement
+    and the jump operators.  The greedy loop runs on plain value vectors
+    through the methods below.
     """
 
     def __init__(self, mesh: Triangulation):
@@ -57,12 +56,15 @@ class _MeshAlgebra(_EdgeKernel):
     def design(self) -> np.ndarray:
         """(V, 3) samples of the affine functions 1, x, y at the vertices."""
         fv = self._fv
-        return np.stack([np.ones(len(fv)), fv[:, 0], fv[:, 1]], axis=1)
+        design = np.stack([np.ones(len(fv)), fv[:, 0], fv[:, 1]], axis=1)
+        design.flags.writeable = False
+        return design
 
     @cached_property
     def affine_basis(self) -> np.ndarray:
-        """Orthonormal basis (V, 3) of the affine functions."""
+        """Orthonormal basis (V, 3) of the affine functions (read-only)."""
         q, _ = np.linalg.qr(self.design)
+        q.flags.writeable = False
         return q
 
     @cached_property
@@ -78,7 +80,7 @@ class _MeshAlgebra(_EdgeKernel):
 
         full: (2E, V), rows are both components of the gradient jump across
         each edge (second triangle minus first); normal: (E, V), the jump
-        projected on the fixed unit edge normal.
+        projected on the fixed unit edge normal.  Both are read-only.
         """
         fv, tris = self._fv, self._tris
         # Per-triangle gradient coefficient stencils (2 x 3 each).
@@ -104,6 +106,7 @@ class _MeshAlgebra(_EdgeKernel):
         np.add.at(full, (2 * row, col), sign * sx)
         np.add.at(full, (2 * row + 1, col), sign * sy)
         np.add.at(normal, (row, col), sign * (sx * nux[:, None] + sy * nuy[:, None]))
+        full.flags.writeable = normal.flags.writeable = False
         return full, normal
 
     # -- the greedy step on value vectors -----------------------------------------
@@ -164,15 +167,8 @@ class _MeshAlgebra(_EdgeKernel):
         return float(lam), nxt, new_support
 
 
-_ALGEBRA: "weakref.WeakKeyDictionary[Triangulation, _MeshAlgebra]" = (
-    weakref.WeakKeyDictionary())
-
-
-def _algebra(mesh: Triangulation) -> _MeshAlgebra:
-    alg = _ALGEBRA.get(mesh)
-    if alg is None:
-        alg = _ALGEBRA[mesh] = _MeshAlgebra(mesh)
-    return alg
+# The extremality kernel of a mesh: its edge kernel, kept while the mesh lives.
+_algebra = _MeshAlgebra.of
 
 
 # -- constrained spaces ----------------------------------------------------------

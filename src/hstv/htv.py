@@ -9,6 +9,7 @@ verifies that identity through the independent outer-product route.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,7 +43,23 @@ class HtvReport:
 class _EdgeKernel:
     """The CPWL edge rules on one mesh: interior-edge vectors (dx, dy) and
     lengths, gradient jumps, jump norms, contributions |jump| * length,
-    energy and jump-norm support.  A non-tiling mesh is refused."""
+    energy and jump-norm support.  A non-tiling mesh is refused.
+
+    A validated mesh is a read-only record, so its kernel depends on the
+    mesh alone: `of` keeps one per mesh while the mesh lives.  A kernel
+    holds the mesh's arrays, never the mesh, so it does not keep the mesh
+    alive, and every array it keeps is non-writeable, so no caller's write
+    reaches a later call."""
+
+    @classmethod
+    def of(cls, mesh: Triangulation) -> "_EdgeKernel":
+        """The kernel of `mesh`, built on first use and kept while the mesh
+        lives.  A kernel of `cls` replaces a kept kernel of a base class;
+        a mesh that is refused is refused again on every call."""
+        kernel = _KERNELS.get(mesh)
+        if not isinstance(kernel, cls):
+            kernel = _KERNELS[mesh] = cls(mesh)
+        return kernel
 
     def __init__(self, mesh: Triangulation):
         if not mesh.covers_bbox_exactly():
@@ -54,6 +71,9 @@ class _EdgeKernel:
         u, v = mesh.interior_edge_array.T
         self.dx, self.dy = x[v] - x[u], y[v] - y[u]
         self.lengths = np.hypot(self.dx, self.dy)
+        # Kept for the mesh's life and handed out (HtvReport.lengths): read-only.
+        for a in (self.dx, self.dy, self.lengths):
+            a.flags.writeable = False
 
     def jumps(self, values: np.ndarray) -> np.ndarray:
         """(E, 2) gradient jumps across the interior edges in id order, second
@@ -87,6 +107,10 @@ class _EdgeKernel:
         return norms > rel_tol * float(norms.max(initial=0.0))
 
 
+# The kernel of each live mesh; see _EdgeKernel.of.
+_KERNELS: "weakref.WeakKeyDictionary[Triangulation, _EdgeKernel]" = weakref.WeakKeyDictionary()
+
+
 def htv_cpwl(g: CpwlFunction) -> HtvReport:
     """Exact CPWL Hessian-Schatten total variation over the open square.
 
@@ -95,7 +119,7 @@ def htv_cpwl(g: CpwlFunction) -> HtvReport:
     every jump tensor has rank one, so no p is taken.  Contributions are
     summed in edge-id order with numpy's pairwise reduction.
     """
-    kernel = _EdgeKernel(g.mesh)
+    kernel = _EdgeKernel.of(g.mesh)
     jumps = kernel.jumps(g.values)
     contributions = kernel.contributions(jumps)
     return HtvReport(
@@ -115,7 +139,7 @@ def support_mask_by_jump(g: CpwlFunction) -> np.ndarray:
     is in the support iff |jump| > SUPPORT_REL_TOL * max |jump|.  A mesh
     that does not tile its bounding square is refused, as in htv_cpwl.
     """
-    kernel = _EdgeKernel(g.mesh)
+    kernel = _EdgeKernel.of(g.mesh)
     return kernel.support(kernel.norms(kernel.jumps(g.values)), SUPPORT_REL_TOL)
 
 
@@ -124,15 +148,16 @@ def p_independence_check(g: CpwlFunction) -> float:
     each edge evaluated through the rank-one outer-product tensor.
 
     Unlike htv_cpwl (which uses the Euclidean shortcut), this assembles the
-    jump (x) normal tensor per edge and takes genuine Schatten norms, so the
-    equality across p is checked, not assumed.  Returns 0 for affine input.
+    jump (x) normal tensor per edge and takes genuine Schatten norms, one
+    singular value evaluation for the three p, so the equality across p is
+    checked, not assumed.  Returns 0 for affine input.
     """
-    kernel = _EdgeKernel(g.mesh)
+    kernel = _EdgeKernel.of(g.mesh)
     jumps, lengths = kernel.jumps(g.values), kernel.lengths
     nx, ny = -kernel.dy / lengths, kernel.dx / lengths
     jx, jy = jumps[:, 0], jumps[:, 1]
-    tensor = jx * nx, jx * ny, jy * nx, jy * ny
-    totals = [float(np.sum(schatten_norms(*tensor, p) * lengths)) for p in (1.0, 2.0, INF)]
+    norms = schatten_norms(jx * nx, jx * ny, jy * nx, jy * ny, (1.0, 2.0, INF))
+    totals = [float(np.sum(n * lengths)) for n in norms]
     base = max(totals)
     if base == 0.0:
         return 0.0

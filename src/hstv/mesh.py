@@ -322,18 +322,32 @@ def min_angle(mesh: Triangulation) -> float:
 
 class _GradientStencil:
     """The geometry of the per-triangle gradient: for each triangle (a, b, c)
-    the edge vectors e1 = b - a and e2 = c - a, by coordinate, and
-    det = e1 x e2.  It depends on the mesh only, so a caller that
-    differentiates many value vectors on one mesh builds it once.  A
-    triangle whose float det is 0 (its vertices coincide after rounding)
-    raises MeshError."""
+    the edge vectors e1 = b - a and e2 = c - a, by coordinate, and det =
+    e1 x e2.  The coordinates are used as they are when their half extent
+    lies in [2^-500, 2^500], where no product of two edge vectors can
+    overflow.  Outside it they are scaled by 2^-c, c the binary exponent of
+    the largest coordinate extent, so the products stay near 1, and det is
+    stored times 2^c, that is as 2^-c times the true det: the Cramer
+    quotients of `gradients`, whose numerators carry one factor 2^-c, are
+    then the true gradients.  The power-of-two scaling is exact except for
+    the coordinates it pushes below float's normal range, which only a mesh
+    wider than 2^500 can hold.  It depends on the mesh only, so a caller
+    that differentiates many value vectors on one mesh builds it once, and
+    its arrays are read-only.  A triangle whose float det is 0 (its
+    vertices coincide after rounding) raises MeshError."""
 
     def __init__(self, mesh: Triangulation):
         self.t0, self.t1, self.t2 = t0, t1, t2 = np.ascontiguousarray(mesh.triangle_array.T)
         x, y = mesh.float_vertices.T
+        # Half extents: the full one can overflow for coordinates of both signs.
+        half = max(float(x.max() * 0.5 - x.min() * 0.5), float(y.max() * 0.5 - y.min() * 0.5))
+        c = 0 if 2.0**-500 <= half <= 2.0**500 else math.frexp(half)[1] + 1
+        x, y = np.ldexp(x, -c), np.ldexp(y, -c)
         self.e1x, self.e1y = x[t1] - x[t0], y[t1] - y[t0]
         self.e2x, self.e2y = x[t2] - x[t0], y[t2] - y[t0]
-        self.det = self.e1x * self.e2y - self.e1y * self.e2x
+        self.det = np.ldexp(self.e1x * self.e2y - self.e1y * self.e2x, c)
+        for a in (self.t0, self.t1, self.t2, self.e1x, self.e1y, self.e2x, self.e2y, self.det):
+            a.flags.writeable = False
         flat = np.flatnonzero(self.det == 0)
         if len(flat):
             raise MeshError(f"triangle {mesh.triangle_array[flat[0]].tolist()} has zero "

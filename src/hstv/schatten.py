@@ -5,8 +5,12 @@ eigendecomposition and the dual-norm candidates are all explicit, so no
 iterative linear algebra is needed.  A matrix is passed as its four
 entries (m11, m12, m21, m22), each a float or a numpy array, the arrays
 broadcasting together.  The singular-value closed form is written once, in
-`_singular_values`; `schatten_norms` evaluates it on whole arrays of
-matrices, and every Schatten norm in the package goes through it.
+`_singular_values`, and the lp norm of a singular value pair once, in
+`_lp_norms`; `schatten_norms` is the second applied to the first, on whole
+arrays of matrices, and every Schatten norm in the package goes through
+it.  Given a tuple of exponents it computes the singular values once and
+returns one norm array per exponent, as `htv.p_independence_check` does
+for p = 1, 2 and inf.
 """
 
 from __future__ import annotations
@@ -51,12 +55,9 @@ def _singular_values(m11, m12, m21, m22):
     return q + r, np.abs(q - r)
 
 
-def schatten_norms(m11, m12, m21, m22, p):
-    """Schatten p-norms of 2x2 matrices given entrywise, as floats or as
-    numpy arrays that broadcast together: the lp norm of the singular
-    value pair, elementwise."""
-    p = check_p(p)
-    s1, s2 = _singular_values(m11, m12, m21, m22)
+def _lp_norms(s1, s2, p: float):
+    """The lp norm of the singular value pairs (s1, s2), elementwise, for a
+    p already checked by `check_p`."""
     if p == 1.0:
         return s1 + s2
     if p == INF:
@@ -64,6 +65,18 @@ def schatten_norms(m11, m12, m21, m22, p):
     if p == 2.0:
         return np.hypot(s1, s2)
     return (s1**p + s2**p) ** (1.0 / p)
+
+
+def schatten_norms(m11, m12, m21, m22, p):
+    """Schatten p-norms of 2x2 matrices given entrywise, as floats or as
+    numpy arrays that broadcast together: the lp norm of the singular
+    value pair, elementwise.  For a tuple `p` the singular values are
+    computed once and a tuple holds the norms for each exponent, in order,
+    the same bits as one call per exponent."""
+    ps = tuple(map(check_p, p)) if isinstance(p, tuple) else (check_p(p),)
+    s1, s2 = _singular_values(m11, m12, m21, m22)
+    norms = tuple(_lp_norms(s1, s2, q) for q in ps)
+    return norms if isinstance(p, tuple) else norms[0]
 
 
 def _check_finite(*entries: float) -> None:

@@ -530,6 +530,26 @@ def test_float_degenerate_square_refused(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_square_keeps_its_energy(tmp_path, capsys):
+    """The diagonal square with corner numerator 10^200 and value 1 at one
+    corner has the energy 2 of the unit square.  Its float coordinates are
+    finite but their products are not: the gradient determinant overflowed,
+    numpy warned, every gradient read 0 and `htv` printed htv_total=0.0
+    with exit 0.  The stencil works on coordinates scaled by a power of two."""
+    n = 10**200
+    g = CpwlFunction(Triangulation([[0, 0], [n, 0], [n, n], [0, n]], [[0, 1, 2], [0, 2, 3]]),
+                     [0.0, 0.0, 0.0, 1.0])
+    path = tmp_path / "huge.json"
+    save_mesh(g, path)
+    assert main(["htv", str(path)]) == 0
+    out, err = capsys.readouterr()
+    total = float(re.fullmatch(r"htv_total=(\S+)\n", out).group(1))
+    assert total == pytest.approx(2.0, rel=1e-15) and err == ""
+    assert main(["extremal", "test", str(path)]) == 0
+    assert capsys.readouterr() == ("extremal (dim=1)\n", "")
+
+
 def test_value_count_refused(hat_file, capsys):
     """A mesh document with one value fewer than its vertices is refused
     before a function is built, and `hstv htv` on it exits 1."""

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -11,10 +13,19 @@ from conftest import (
     non_tiling_documents,
     random_lattice_mesh,
 )
-from hstv import assemble_global, build_frames, extremal, interpolate, parse_field, plan_mesh
+from hstv import (
+    assemble_global,
+    build_frames,
+    extremal,
+    htv,
+    interpolate,
+    parse_field,
+    plan_mesh,
+)
 from hstv.errors import MeshError
 from hstv.htv import htv_cpwl, p_independence_check, support_mask_by_jump
 from hstv.mesh import CpwlFunction, Triangulation, cpwl_from_document
+from hstv.schatten import INF, schatten_norms
 
 
 def test_diagonal_square_frozen_value(diag_square):
@@ -145,22 +156,83 @@ def test_support_mask_refuses_non_tiling_meshes():
 def test_every_entry_point_refuses_non_tiling_meshes():
     """The stray triangle strictly inside another and the dropped corner are
     refused by every library entry point that reads the edge kernel, not
-    only by support_mask_by_jump (above) and the CLI commands."""
+    only by support_mask_by_jump (above) and the CLI commands, and refused
+    again on a second call: a refused kernel is never kept."""
     runs = (htv_cpwl, p_independence_check, extremal.is_extremal, extremal.decompose,
             lambda f: extremal.perturbation_identity_check(f, f))
     for doc in non_tiling_documents():
         g = cpwl_from_document(doc)
-        for run in runs:
+        for run in runs + runs:
             with pytest.raises(MeshError, match="does not cover its bounding square"):
                 run(g)
 
 
 def test_one_stencil_per_call(stencils):
+    """The three entry points on one mesh share its one kept kernel."""
     g = grid_hat(4, 2, 2)
     for run in (htv_cpwl, support_mask_by_jump, p_independence_check):
-        stencils.clear()
         run(g)
-        assert len(stencils) == 1, run
+    assert len(stencils) == 1
+
+
+def test_htv_after_decompose_builds_no_stencil(stencils):
+    """decompose's extremality kernel is the mesh's edge kernel."""
+    rng = np.random.default_rng(18)
+    mesh = random_lattice_mesh(rng, n_interior=10)
+    g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
+    extremal.decompose(g)
+    stencils.clear()
+    htv_cpwl(g)
+    p_independence_check(g)
+    assert stencils == []
+
+
+def test_kernel_freed_with_its_mesh():
+    """The kept kernel does not keep its mesh alive and goes with it."""
+    gc.collect()
+    kept = len(htv._KERNELS)
+    g = grid_hat(4, 2, 2)
+    htv_cpwl(g)
+    extremal.is_extremal(g)
+    assert len(htv._KERNELS) == kept + 1
+    alive = weakref.ref(g.mesh)
+    del g
+    assert alive() is None
+    assert len(htv._KERNELS) == kept
+
+
+def test_kept_kernel_is_read_only():
+    """Every array of the kept kernel is non-writeable, so a write into a
+    report's `lengths` raises instead of changing every later result on the
+    mesh."""
+    g = grid_hat(4, 2, 2)
+    report = htv_cpwl(g)
+    with pytest.raises(ValueError, match="read-only"):
+        report.lengths[:] = 0
+    assert htv_cpwl(g).total == report.total
+    extremal.decompose(g)
+    alg = extremal._algebra(g.mesh)
+    kept = [*vars(alg).values(), *vars(alg.stencil).values(), *alg.jump_operators]
+    arrays = [a for a in kept if isinstance(a, np.ndarray)]
+    assert len(arrays) >= 18
+    assert not [a.shape for a in arrays if a.flags.writeable]
+
+
+def test_p_independence_matches_three_schatten_norms():
+    """The check's singular values, computed once, give the bits of three
+    schatten_norms calls on the rank-one tensors, one per p (the oracle)."""
+    rng = np.random.default_rng(19)
+    for n_interior in (4, 16, 32):
+        mesh = random_lattice_mesh(rng, n_interior)
+        g = CpwlFunction(mesh, rng.standard_normal(mesh.n_vertices))
+        report = htv_cpwl(g)
+        lengths, fv = report.lengths, mesh.float_vertices
+        dx, dy = (fv[report.edge_array[:, 1]] - fv[report.edge_array[:, 0]]).T
+        nx, ny = -dy / lengths, dx / lengths
+        jx, jy = report.jumps.T
+        totals = [float(np.sum(schatten_norms(jx * nx, jx * ny, jy * nx, jy * ny, p) * lengths))
+                  for p in (1.0, 2.0, INF)]
+        assert p_independence_check(g) == (max(totals) - min(totals)) / max(totals)
 
 
 def test_random_meshes_match_brute_force():

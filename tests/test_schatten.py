@@ -102,6 +102,20 @@ def test_p_ordering():
     assert_array_kernel_matches(mats, (1.0, 1.7, INF))
 
 
+def test_tuple_of_exponents_matches_one_call_each():
+    """A tuple of exponents gives one norm array per exponent, in order,
+    with the bits of one call per exponent; every exponent is checked."""
+    rng = np.random.default_rng(7)
+    entries = rng.standard_normal((4, 200))
+    ps = (1.0, 2.0, INF, 1.7)
+    got = schatten_norms(*entries, ps)
+    assert isinstance(got, tuple) and len(got) == len(ps)
+    for p, norms in zip(ps, got):
+        assert np.array_equal(norms, schatten_norms(*entries, p)), p
+    with pytest.raises(HstvError):
+        schatten_norms(*entries, (1.0, 0.5))
+
+
 def test_invalid_p_and_nonfinite_entries():
     with pytest.raises(HstvError):
         schatten_norms(1.0, 0.0, 0.0, 1.0, 0.5)
